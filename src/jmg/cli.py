@@ -1,7 +1,8 @@
 """Command-line surface: construct, verify, dilate, check, and demo.
 
 Exit codes: 0 = success (verification passed / query feasible), 1 = a
-verification or feasibility query came back negative, 2 = input error.
+verification or feasibility query came back negative, 2 = input error (or an
+internal error, reported as such; set JMG_DEBUG for its traceback).
 Machine output is deterministic JSON; ``--pretty`` switches stdout to a
 human-readable report.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -313,8 +315,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # malformed input must never crash the process
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not bad input; still never crash the process
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if os.environ.get("JMG_DEBUG"):
+            import traceback
+
+            traceback.print_exc()
         return 2
 
 

@@ -21,41 +21,49 @@ from .errors import InputError
 
 DEFAULT_TOL = 1e-9
 
-# int64 products stay exact below this bound; larger work falls back to
-# Python integers (object dtype).
+# The one storage rule: numerators are int64 while every entry is below this
+# bound and Python integers (object dtype) otherwise.  Before each sum or
+# product, a bound from the operands' largest entries decides whether int64
+# arithmetic is exact or the operands must be lifted to Python integers.
 _INT64_SAFE = 2**62
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _max_abs(num: np.ndarray) -> int:
-    if num.size == 0:
-        return 0
-    return int(max(abs(int(x)) for x in num.flat)) if num.dtype == object else int(np.abs(num).max())
+    return int(np.abs(num).max()) if num.size else 0
+
+
+def _store(num: np.ndarray) -> np.ndarray:
+    if _max_abs(num) < _INT64_SAFE:
+        return num.astype(np.int64, copy=False)
+    return num.astype(object, copy=False)
+
+
+def _scaled(num: np.ndarray, factor: int) -> np.ndarray:
+    """num * factor, in int64 when the result provably fits."""
+    if num.dtype == np.int64 and max(_max_abs(num), 1) * abs(factor) < _INT64_SAFE:
+        return num * factor
+    return num.astype(object) * factor
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, in int64 when inner * max|a| * max|b| provably fits."""
+    if a.dtype == b.dtype == np.int64 and a.shape[1] * _max_abs(a) * _max_abs(b) < _INT64_SAFE:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
+
+
+def _int_vector(values) -> np.ndarray:
+    return _store(np.array([int(x) for x in values], dtype=object))
 
 
 def _entry_array(values) -> np.ndarray:
     arr = np.array(values, dtype=object)
     if arr.ndim != 2:
         raise InputError("matrix data must be two-dimensional")
-    flat = []
     for x in arr.flat:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
             raise InputError(f"integer numerator expected, got {x!r}")
-        flat.append(int(x))
-    out = np.array(flat, dtype=object).reshape(arr.shape) if flat else arr.astype(object)
-    return out
-
-
-def _compact(num: np.ndarray) -> np.ndarray:
-    """Store small integer matrices as int64 so numpy does the arithmetic."""
-    if num.dtype == np.int64:
-        return num
-    if num.size == 0 or _max_abs(num) < _INT64_SAFE:
-        return num.astype(np.int64)
-    return num
+    return _int_vector(arr.flat).reshape(arr.shape)
 
 
 class RationalMatrix:
@@ -79,19 +87,11 @@ class RationalMatrix:
     def _normalize(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
         if num.size == 0 or not np.any(num):
             return np.zeros(num.shape, dtype=np.int64), 1
-        if num.dtype == object:
-            g = 0
-            for x in num.flat:
-                g = math.gcd(g, int(x))
-                if g == 1:
-                    break
-        else:
-            g = int(np.gcd.reduce(np.abs(num).ravel()))
-        g = math.gcd(g, den)
+        g = math.gcd(int(np.gcd.reduce(num.ravel())), den)
         if g > 1:
             num = num // g
             den //= g
-        return _compact(num), den
+        return _store(num), den
 
     # -- constructors -----------------------------------------------------
 
@@ -102,10 +102,7 @@ class RationalMatrix:
         ncols = {len(r) for r in parsed}
         if len(ncols) > 1:
             raise InputError("ragged rows")
-        den = 1
-        for row in parsed:
-            for f in row:
-                den = _lcm(den, f.denominator)
+        den = math.lcm(*(f.denominator for row in parsed for f in row))
         num = [[int(f * den) for f in row] for row in parsed]
         shape = (len(parsed), ncols.pop() if parsed else 0)
         arr = np.array(num, dtype=object).reshape(shape)
@@ -122,9 +119,7 @@ class RationalMatrix:
     @classmethod
     def outer(cls, u, v, denominator: int = 1) -> "RationalMatrix":
         """Outer product of integer vectors, divided by `denominator`."""
-        a = np.array([int(x) for x in u], dtype=object)
-        b = np.array([int(x) for x in v], dtype=object)
-        return cls(np.outer(a, b), denominator)
+        return cls(_product(_int_vector(u)[:, None], _int_vector(v)[None, :]), denominator)
 
     # -- structure ---------------------------------------------------------
 
@@ -154,9 +149,6 @@ class RationalMatrix:
         if self._num.dtype == object:
             return np.array([[float(Fraction(int(x), self._den)) for x in row] for row in self._num])
         return self._num.astype(np.float64) / float(self._den)
-
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self._num))
 
     # -- predicates ----------------------------------------------------------
 
@@ -191,26 +183,18 @@ class RationalMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise InputError(f"shape mismatch {self.shape} vs {other.shape}")
-        den = _lcm(self._den, other._den)
-        fa, fb = den // self._den, sign * (den // other._den)
-        a, b = self._num, other._num
-        if a.dtype == np.int64 and b.dtype == np.int64:
-            bound = max(_max_abs(a) * abs(fa), _max_abs(b) * abs(fb)) * 2
-            if bound >= _INT64_SAFE:
-                a, b = a.astype(object), b.astype(object)
-        else:
-            a, b = a.astype(object), b.astype(object)
-        return RationalMatrix(a * fa + b * fb, den)
+        den = math.lcm(self._den, other._den)
+        # two int64 terms below 2^62 each cannot overflow their sum
+        a = _scaled(self._num, den // self._den)
+        b = _scaled(other._num, sign * (den // other._den))
+        return RationalMatrix(a + b, den)
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix(-self._num, self._den)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         f = _as_fraction(scalar)
-        num = self._num
-        if num.dtype == np.int64 and _max_abs(num) * abs(f.numerator) >= _INT64_SAFE:
-            num = num.astype(object)
-        return RationalMatrix(num * f.numerator, self._den * f.denominator)
+        return RationalMatrix(_scaled(self._num, f.numerator), self._den * f.denominator)
 
     __rmul__ = __mul__
 
@@ -219,19 +203,7 @@ class RationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.shape} by {other.shape}")
-        a, b = self._num, other._num
-        out_shape = (self.rows, other.cols)
-        if a.size == 0 or b.size == 0:
-            prod = np.zeros(out_shape, dtype=np.int64)
-        else:
-            prod = _sparse_product(a, b)
-            if prod is None:
-                bound = self.cols * _max_abs(a) * _max_abs(b)
-                if a.dtype == np.int64 and b.dtype == np.int64 and bound < _INT64_SAFE:
-                    prod = a @ b
-                else:
-                    prod = np.dot(a.astype(object), b.astype(object))
-        return RationalMatrix(prod, self._den * other._den)
+        return RationalMatrix(_product(self._num, other._num), self._den * other._den)
 
     @property
     def T(self) -> "RationalMatrix":
@@ -257,22 +229,26 @@ def _as_fraction(x) -> Fraction:
     raise InputError(f"exact rational expected, got {type(x).__name__}")
 
 
-def _sparse_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Cheap product when one factor is very sparse (unit diagonals, zeros)."""
-    limit = 8
-    nnz_a = int(np.count_nonzero(a))
-    if nnz_a <= limit:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-        for i, k in zip(*np.nonzero(a)):
-            out[i, :] += int(a[i, k]) * b[k, :].astype(object)
-        return out
-    nnz_b = int(np.count_nonzero(b))
-    if nnz_b <= limit:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-        for k, j in zip(*np.nonzero(b)):
-            out[:, j] += int(b[k, j]) * a[:, k].astype(object)
-        return out
-    return None
+# Integer products are exact in float64 while every partial sum stays below
+# this bound.
+_FLOAT64_EXACT = 2**53
+
+
+def numerator_stack(mats, dim: int) -> np.ndarray:
+    """The numerators of `mats` (dim x dim each) as one (len, dim, dim) stack.
+
+    The stack is float64 when dim * max|num|^2 and max(den) * max|num| are
+    below 2^53: every entry of a product N_i N_j, every partial sum on the way,
+    and every entry of D_i N_i is then an integer that float64 holds exactly,
+    so BLAS products compare exactly.  Otherwise the stack holds Python ints.
+    """
+    big = max((_max_abs(m._num) for m in mats), default=0)
+    den = max((m._den for m in mats), default=1)
+    exact_float = max(dim * big * big, den * big) < _FLOAT64_EXACT
+    stack = np.empty((len(mats), dim, dim), dtype=np.float64 if exact_float else object)
+    for k, m in enumerate(mats):
+        stack[k] = m._num
+    return stack
 
 
 # -- shared operations (dispatch on scalar regime) ---------------------------
@@ -303,16 +279,15 @@ def direct_sum(blocks):
         for blk in blocks:
             if not isinstance(blk, RationalMatrix) or blk.rows != blk.cols:
                 raise InputError("direct_sum expects square blocks of one regime")
-        den = 1
-        for blk in blocks:
-            den = _lcm(den, blk.denominator)
+        den = math.lcm(*(blk.denominator for blk in blocks))
+        parts = [_scaled(blk._num, den // blk.denominator) for blk in blocks]
         dim = sum(blk.rows for blk in blocks)
-        num = np.zeros((dim, dim), dtype=object)
+        dtype = object if any(part.dtype == object for part in parts) else np.int64
+        num = np.zeros((dim, dim), dtype=dtype)
         at = 0
-        for blk in blocks:
-            d = blk.rows
-            if d:
-                num[at : at + d, at : at + d] = blk._num.astype(object) * (den // blk.denominator)
+        for part in parts:
+            d = part.shape[0]
+            num[at : at + d, at : at + d] = part
             at += d
         return RationalMatrix(num, den)
     arrs = [_as_complex(blk) for blk in blocks]
@@ -427,11 +402,37 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def matrix_to_json_obj(m) -> dict:
     if isinstance(m, RationalMatrix):
-        entries = [f"{f.numerator}/{f.denominator}" for row in m.to_fractions() for f in row]
+        # entries share one denominator, so each distinct numerator is reduced
+        # and formatted once
+        values, index = np.unique(m._num.ravel(), return_inverse=True)
+        den = m._den
+        literals = []
+        for v in values.tolist():
+            g = math.gcd(v, den)
+            literals.append(f"{v // g}/{den // g}")
+        entries = np.array(literals, dtype=object)[index].tolist()
         return {"rows": m.rows, "cols": m.cols, "scalar": "rational", "entries": entries}
     arr = _as_complex(m)
     entries = [[float(x.real), float(x.imag)] for x in arr.flat]
     return {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
+
+
+def _rational_entries(literals: list) -> tuple[np.ndarray, int]:
+    """Flat integer numerators over one common denominator.
+
+    Each distinct literal is parsed once by `_as_fraction`, so the accepted set
+    is exactly its.  Only str and int literals are pooled: 1, 1.0 and True are
+    equal as dict keys but not as literals.
+    """
+    if set(map(type, literals)) <= {str, int}:
+        distinct = list(dict.fromkeys(literals))
+        slot = dict(zip(distinct, range(len(distinct))))
+        index = np.fromiter(map(slot.__getitem__, literals), dtype=np.intp, count=len(literals))
+    else:
+        distinct, index = literals, np.arange(len(literals))
+    values = [_as_fraction(x) for x in distinct]
+    den = math.lcm(*(f.denominator for f in values))
+    return _int_vector([f.numerator * (den // f.denominator) for f in values])[index], den
 
 
 def matrix_from_json_obj(obj):
@@ -444,9 +445,8 @@ def matrix_from_json_obj(obj):
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
     if scalar == "rational":
-        fracs = [_as_fraction(e) for e in entries]
-        rows_data = [fracs[i * cols : (i + 1) * cols] for i in range(rows)] if cols else [[] for _ in range(rows)]
-        return RationalMatrix.from_rows(rows_data) if rows else RationalMatrix.zeros(0, cols)
+        num, den = _rational_entries(entries)
+        return RationalMatrix(num.reshape(rows, cols), den)
     if scalar == "complex":
         flat = []
         for e in entries:

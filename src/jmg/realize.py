@@ -20,9 +20,10 @@ from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, maximal_cliqu
 from .linalg import (
     RationalMatrix,
     commutator,
-    is_projection,
+    direct_sum,
     matrix_from_json_obj,
     matrix_to_json_obj,
+    numerator_stack,
     numerical_rank,
     rational_vector_from_json_obj,
     rational_vector_to_json_obj,
@@ -61,18 +62,8 @@ class PvmRealization:
 
     def validate_exact(self) -> None:
         """Exact sanity of each observable: projections, orthogonal, sum to 1."""
-        eye = RationalMatrix.identity(self.space_dim)
-        for x, elements in self.pvms.items():
-            total = RationalMatrix.zeros(self.space_dim, self.space_dim)
-            for i, p in enumerate(elements):
-                if not is_projection(p):
-                    raise InputError(f"vertex {x}: element {i} is not a projection")
-                total = total + p
-                for q in elements[i + 1 :]:
-                    if not (p @ q).is_zero():
-                        raise InputError(f"vertex {x}: elements are not orthogonal")
-            if total != eye:
-                raise InputError(f"vertex {x}: elements do not sum to the identity")
+        families = [self.pvms[x] for x in range(self.graph.vertex_count)]
+        _exact_commutation(families, self.space_dim, pvms=True)
 
 
 @dataclass(frozen=True)
@@ -108,19 +99,12 @@ def realize_direct_sum(graph: Graph) -> Realization:
         # no obstruction needed: one-dimensional space, all projections zero
         projections = {x: RationalMatrix.zeros(1, 1) for x in range(graph.vertex_count)}
         return Realization(graph, 1, METHOD_DIRECT_SUM, projections)
-    dim = 2 * len(pairs)
     pin, tilt, zero = _qubit_pin(), _qubit_tilt(), RationalMatrix.zeros(2, 2)
-    projections = {}
-    for x in range(graph.vertex_count):
-        num = np.zeros((dim, dim), dtype=object)
-        for k, (v, w) in enumerate(pairs):
-            block = pin if x == v else tilt if x == w else zero
-            if not block.is_zero():
-                num[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block._num.astype(object) * (
-                    2 // block.denominator
-                )
-        projections[x] = RationalMatrix(num, 2)
-    return Realization(graph, dim, METHOD_DIRECT_SUM, projections)
+    projections = {
+        x: direct_sum([pin if x == v else tilt if x == w else zero for v, w in pairs])
+        for x in range(graph.vertex_count)
+    }
+    return Realization(graph, 2 * len(pairs), METHOD_DIRECT_SUM, projections)
 
 
 def realize_rank_one(graph: Graph) -> Realization:
@@ -148,12 +132,14 @@ def realize_rank_one(graph: Graph) -> Realization:
 
 
 def rank_one_gram(realization: Realization) -> RationalMatrix:
-    """Exact Gram matrix of the stored rank-one vectors."""
+    """Exact Gram matrix V V^T of the stored rank-one vectors (the rows of V)."""
     if realization.vectors is None:
         raise InputError("realization has no stored vectors")
-    vecs = [realization.vectors[x] for x in range(realization.graph.vertex_count)]
-    rows = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
-    return RationalMatrix.from_rows(rows)
+    vecs = [[Fraction(c) for c in realization.vectors[x]] for x in range(realization.graph.vertex_count)]
+    den = math.lcm(*(c.denominator for vec in vecs for c in vec))
+    scaled = [[int(c * den) for c in vec] for vec in vecs]
+    v = RationalMatrix(np.array(scaled, dtype=object).reshape(len(vecs), realization.space_dim), den)
+    return v @ v.T
 
 
 def restrict_to_span(realization: Realization) -> Realization:
@@ -193,16 +179,12 @@ def make_faithful(realization: Realization) -> Realization:
     if not realization.is_exact:
         raise InputError("make_faithful needs an exact-regime realization")
     n = realization.graph.vertex_count
-    d = realization.space_dim
-    dim = d + n
     projections = {}
     for x in range(n):
-        p = realization.projections[x]
-        num = np.zeros((dim, dim), dtype=object)
-        num[:d, :d] = p._num.astype(object)
-        num[d + x, d + x] = p.denominator
-        projections[x] = RationalMatrix(num, p.denominator)
-    return Realization(realization.graph, dim, METHOD_FAITHFUL, projections)
+        private = np.zeros((n, n), dtype=np.int64)
+        private[x, x] = 1
+        projections[x] = direct_sum([realization.projections[x], RationalMatrix(private)])
+    return Realization(realization.graph, realization.space_dim + n, METHOD_FAITHFUL, projections)
 
 
 def lift_to_pvms(realization: Realization) -> PvmRealization:
@@ -241,11 +223,10 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
     dim = at
 
     def embed(p: RationalMatrix, diag_ones) -> RationalMatrix:
-        num = np.zeros((dim, dim), dtype=object)
-        num[:d, :d] = p._num.astype(object)
+        appended = np.zeros((dim - d, dim - d), dtype=np.int64)
         for i in diag_ones:
-            num[i, i] = p.denominator
-        return RationalMatrix(num, p.denominator)
+            appended[i - d, i - d] = 1
+        return direct_sum([p, RationalMatrix(appended)])
 
     eye = RationalMatrix.identity(d)
     pvms = {}
@@ -255,7 +236,7 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
         elements = [embed(realization.projections[x], ())]
         elements.append(embed(eye - realization.projections[x], foreign))
         for i in own:
-            num = np.zeros((dim, dim), dtype=object)
+            num = np.zeros((dim, dim), dtype=np.int64)
             num[i, i] = 1
             elements.append(RationalMatrix(num, 1))
         pvms[x] = elements
@@ -265,63 +246,95 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
 # -- verification ---------------------------------------------------------
 
 
-def _pair_commutes(a, b, tol: float) -> tuple[bool, str]:
-    if isinstance(a, RationalMatrix):
-        c = commutator(a, b)
-        if c.is_zero():
-            return True, "commutator = 0 (exact)"
-        return False, "commutator != 0 (exact)"
-    norm = float(np.linalg.norm(commutator(a, b)))
-    return norm <= tol, f"commutator norm {norm:.3e}"
+_EXACT_COMMUTE = {True: "commutator = 0 (exact)", False: "commutator != 0 (exact)"}
+_PVM_COMMUTE = {True: "all cross commutators = 0", False: "commutator != 0 (exact)"}
+
+
+def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
+    """For each vertex pair x < y: does every element of family x commute
+    with every element of family y?  Raises InputError unless each element is
+    a projection and, for PVM families (`pvms`), the elements are orthogonal
+    and sum to 1.
+
+    Denominators cancel in AB - BA, so the test runs on the integer numerators
+    N: one stack, each element multiplied against itself and all later ones.
+    Projections are symmetric, so N_j N_i = (N_i N_j)^T and a pair commutes
+    exactly when N_i N_j is symmetric; N^2 = D N is idempotency.
+    """
+    mats = [m for family in families for m in family]
+    starts = np.cumsum([0] + [len(family) for family in families])
+    stack = numerator_stack(mats, dim)
+    symmetric = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
+    cross = np.ones((len(mats), len(mats)), dtype=bool)
+    for x, family in enumerate(families):
+        end = starts[x + 1]
+        for k, p in enumerate(family):
+            i = starts[x] + k
+            prod = np.matmul(stack[i], stack[i:])  # N_i N_j for every j >= i
+            if not (symmetric[i] and np.array_equal(prod[0], p.denominator * stack[i])):
+                raise InputError(f"vertex {x}: element {k} is not a projection")
+            if prod[1 : end - i].any():
+                raise InputError(f"vertex {x}: elements are not orthogonal")
+            later = prod[end - i :]
+            cross[i, end:] = (later == later.transpose(0, 2, 1)).all(axis=(1, 2))
+        if pvms and sum(family, RationalMatrix.zeros(dim, dim)) != RationalMatrix.identity(dim):
+            raise InputError(f"vertex {x}: elements do not sum to the identity")
+    n = len(families)
+    return {
+        (x, y): bool(cross[starts[x] : starts[x + 1], starts[y] : starts[y + 1]].all())
+        for x in range(n)
+        for y in range(x + 1, n)
+    }
+
+
+def _float_commutator_norms(ops: list, tol: float) -> dict:
+    """Commutator norm for each vertex pair x < y of float operators, each
+    checked to be Hermitian and idempotent within tol first."""
+    for x, a in enumerate(ops):
+        if not (np.linalg.norm(a - a.conj().T) <= tol and np.linalg.norm(a @ a - a) <= tol):
+            raise InputError(f"vertex {x}: element 0 is not a projection within {tol}")
+    n = len(ops)
+    return {
+        (x, y): float(np.linalg.norm(commutator(ops[x], ops[y])))
+        for x in range(n)
+        for y in range(x + 1, n)
+    }
 
 
 def verify_realization(graph: Graph, realization, tol: float = 1e-9) -> VerificationReport:
-    """Check commute-iff-edge over all vertex pairs; exact when possible."""
-    if isinstance(realization, PvmRealization):
-        return _verify_pvms(graph, realization, tol)
+    """Check that every operator is a projection (exactly, or within tol for
+    float matrices) and every PVM family is orthogonal and sums to 1, raising
+    InputError if not; then report commute-iff-edge over all vertex pairs."""
     r = realization
     if r.graph.vertex_count != graph.vertex_count:
         raise InputError(
             f"vertex sets differ: graph has {graph.vertex_count}, realization has {r.graph.vertex_count}"
         )
+    pvms = isinstance(r, PvmRealization)
+    families = [list(r.pvms[x]) if pvms else [r.projections[x]] for x in range(graph.vertex_count)]
+    for x, family in enumerate(families):
+        for m in family:
+            if m.shape != (r.space_dim, r.space_dim):
+                raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {r.space_dim}")
+    exact = [isinstance(m, RationalMatrix) for family in families for m in family]
+    if all(exact):
+        words = _PVM_COMMUTE if pvms else _EXACT_COMMUTE
+        checked = {
+            pair: (commutes, words[commutes])
+            for pair, commutes in _exact_commutation(families, r.space_dim, pvms).items()
+        }
+    elif pvms:
+        raise InputError("pvm realizations are exact: rational matrices expected")
+    elif any(exact):
+        raise InputError("a realization cannot mix exact and float matrices")
+    else:
+        norms = _float_commutator_norms([family[0] for family in families], tol)
+        checked = {pair: (norm <= tol, f"commutator norm {norm:.3e}") for pair, norm in norms.items()}
     violations = []
-    n = graph.vertex_count
-    for x in range(n):
-        for y in range(x + 1, n):
-            commutes, observed = _pair_commutes(r.projections[x], r.projections[y], tol)
-            expected = graph.adjacent(x, y)
-            if commutes != expected:
-                violations.append(
-                    Violation((x, y), "commute" if expected else "non-commute", observed)
-                )
-    return VerificationReport(not violations, violations)
-
-
-def _verify_pvms(graph: Graph, realization: PvmRealization, tol: float) -> VerificationReport:
-    if realization.graph.vertex_count != graph.vertex_count:
-        raise InputError(
-            f"vertex sets differ: graph has {graph.vertex_count}, "
-            f"realization has {realization.graph.vertex_count}"
-        )
-    violations = []
-    n = graph.vertex_count
-    for x in range(n):
-        for y in range(x + 1, n):
-            commutes = True
-            observed = "all cross commutators = 0"
-            for a in realization.pvms[x]:
-                for b in realization.pvms[y]:
-                    ok, detail = _pair_commutes(a, b, tol)
-                    if not ok:
-                        commutes, observed = False, detail
-                        break
-                if not commutes:
-                    break
-            expected = graph.adjacent(x, y)
-            if commutes != expected:
-                violations.append(
-                    Violation((x, y), "commute" if expected else "non-commute", observed)
-                )
+    for (x, y), (commutes, observed) in checked.items():
+        expected = graph.adjacent(x, y)
+        if commutes != expected:
+            violations.append(Violation((x, y), "commute" if expected else "non-commute", observed))
     return VerificationReport(not violations, violations)
 
 
@@ -486,9 +499,8 @@ def realization_from_json_obj(obj) -> Realization:
     projections = {}
     for x, mobj in enumerate(mats):
         m = matrix_from_json_obj(mobj)
-        shape = m.shape if isinstance(m, RationalMatrix) else m.shape
-        if shape != (space_dim, space_dim):
-            raise InputError(f"vertex {x}: matrix shape {shape} != space_dim {space_dim}")
+        if m.shape != (space_dim, space_dim):
+            raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
         projections[x] = m
     vectors = None
     if obj.get("vectors") is not None:

@@ -7,8 +7,8 @@ locale- or hash-order-dependent state is involved.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 
@@ -37,7 +37,7 @@ def _write(obj, out: list[str], depth: int, pretty: bool) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
         _write_seq(list(obj), out, depth, pretty)
     elif isinstance(obj, dict):
@@ -50,13 +50,17 @@ def _write_seq(items: list, out: list[str], depth: int, pretty: bool) -> None:
     if not items:
         out.append("[]")
         return
-    out.append("[")
-    for i, item in enumerate(items):
-        if i:
-            out.append("," if not pretty else ",")
-        if pretty:
-            out.append("\n" + "  " * (depth + 1))
-        _write(item, out, depth + 1, pretty)
+    indent = "\n" + "  " * (depth + 1) if pretty else ""
+    out.append("[" + indent)
+    try:
+        # an all-string list (the entries of a rational matrix) in one join;
+        # the encoder raises TypeError at the first item that is not a str
+        out.append(("," + indent).join(map(encode_basestring_ascii, items)))
+    except TypeError:
+        for i, item in enumerate(items):
+            if i:
+                out.append("," + indent)
+            _write(item, out, depth + 1, pretty)
     if pretty:
         out.append("\n" + "  " * depth)
     out.append("]")
@@ -76,7 +80,7 @@ def _write_map(obj: dict, out: list[str], depth: int, pretty: bool) -> None:
             out.append(",")
         if pretty:
             out.append("\n" + "  " * (depth + 1))
-        out.append(json.dumps(k, ensure_ascii=True))
+        out.append(encode_basestring_ascii(k))
         out.append(": " if pretty else ":")
         _write(obj[k], out, depth + 1, pretty)
     if pretty:

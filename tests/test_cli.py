@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jmg import cli
 from jmg.cli import main
 from jmg.povm import POVM, noisy_orthogonal_triple, povm_to_json_obj
 from jmg.serialize import dumps
@@ -275,3 +276,37 @@ class TestErrorPaths:
             path = tmp_path / "fuzz.json"
             path.write_text(payload)
             assert main(["dilate", str(path)]) == 2
+
+    def test_verify_rejects_non_projections(self, fork_file, tmp_path, capsys):
+        def rational(rows):
+            return {"rows": 2, "cols": 2, "scalar": "rational",
+                    "entries": [f"{x}/1" for row in rows for x in row]}
+
+        payload = {
+            "graph": {"vertices": 3, "edges": [[0, 1], [0, 2]]},
+            "space_dim": 2,
+            "method": "direct_sum",
+            "projections": [rational([[2, 0], [0, 2]]), rational([[1, 0], [0, 0]]),
+                             rational([[1, 1], [1, 1]])],
+            "vectors": None,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", fork_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex 0: element 0 is not a projection\n"
+
+    def test_internal_error_is_not_called_input_error(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("kaput")
+
+        monkeypatch.setitem(cli._DISPATCH, "demo", broken)
+        monkeypatch.delenv("JMG_DEBUG", raising=False)
+        assert main(["demo", "fork"]) == 2
+        assert capsys.readouterr().err == "internal error: RuntimeError: kaput\n"
+        monkeypatch.setenv("JMG_DEBUG", "1")
+        assert main(["demo", "fork"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: kaput\n")
+        assert "Traceback (most recent call last)" in err and "kaput" in err.splitlines()[-1]

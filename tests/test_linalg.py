@@ -9,6 +9,7 @@ from jmg.errors import InputError
 from jmg.linalg import (
     HermitianCheckReport,
     RationalMatrix,
+    _as_fraction,
     commutator,
     direct_sum,
     hermitian_check,
@@ -248,3 +249,66 @@ class TestJson:
     def test_unknown_scalar(self):
         with pytest.raises(InputError, match="scalar"):
             matrix_from_json_obj({"rows": 0, "cols": 0, "scalar": "octonion", "entries": []})
+
+
+def fraction_literals(m: RationalMatrix) -> list:
+    """The wire entries as Fraction formats them, entry by entry."""
+    return [f"{f.numerator}/{f.denominator}" for row in m.to_fractions() for f in row]
+
+
+def wide_fractions():
+    small = st.integers(-9, 9)
+    huge = st.tuples(st.integers(-3, 3), st.integers(-9, 9)).map(lambda t: t[0] * 2**63 + t[1])
+    return st.tuples(st.one_of(small, huge), st.integers(1, 12)).map(lambda t: Fraction(*t))
+
+
+def one_entry(literal):
+    return matrix_from_json_obj({"rows": 1, "cols": 1, "scalar": "rational", "entries": [literal]})
+
+
+class TestRationalWire:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(fractions_strategy(), min_size=3, max_size=3), min_size=1, max_size=3))
+    def test_to_json_matches_fraction_formatting_int64(self, rows):
+        m = RationalMatrix.from_rows(rows)
+        assert m._num.dtype == np.int64
+        assert matrix_to_json_obj(m)["entries"] == fraction_literals(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(wide_fractions(), min_size=3, max_size=3), min_size=1, max_size=3))
+    def test_to_json_matches_fraction_formatting_big(self, rows):
+        m = RationalMatrix.from_rows(rows)
+        assert matrix_to_json_obj(m)["entries"] == fraction_literals(m)
+        assert matrix_from_json_obj(matrix_to_json_obj(m)) == m
+
+    def test_entries_above_2_62_stay_python_ints(self):
+        m = RationalMatrix.from_rows([[2**62, Fraction(-1, 3)], [0, 2**70 + 1]])
+        assert m._num.dtype == object
+        assert matrix_to_json_obj(m)["entries"] == [f"{2**62}/1", "-1/3", "0/1", f"{2**70 + 1}/1"]
+
+    @pytest.mark.parametrize("literal", [" 1/2 ", "3", "1.5", "-0/5", "+7/14", 4, -12])
+    def test_from_json_accepts_what_as_fraction_accepts(self, literal):
+        assert one_entry(literal).entry(0, 0) == _as_fraction(literal)
+
+    @pytest.mark.parametrize("literal", ["1/-2", "1/0", "", True, 1.5, None, [1, 2]])
+    def test_from_json_rejects_what_as_fraction_rejects(self, literal):
+        with pytest.raises(InputError):
+            _as_fraction(literal)
+        with pytest.raises(InputError):
+            one_entry(literal)
+
+    def test_equal_keys_are_not_pooled_across_types(self):
+        # 1 == True == 1.0 as dict keys, but only 1 is a rational literal
+        for bad in (True, 1.0):
+            with pytest.raises(InputError):
+                matrix_from_json_obj(
+                    {"rows": 1, "cols": 2, "scalar": "rational", "entries": [1, bad]}
+                )
+        m = matrix_from_json_obj({"rows": 1, "cols": 3, "scalar": "rational", "entries": ["1", 1, "2/4"]})
+        assert m.to_fractions() == [[1, 1, HALF]]
+
+    def test_empty_shapes(self):
+        for rows, cols in ((0, 0), (0, 3), (2, 0)):
+            m = matrix_from_json_obj({"rows": rows, "cols": cols, "scalar": "rational", "entries": []})
+            assert m.shape == (rows, cols)
+            assert matrix_to_json_obj(m)["entries"] == []

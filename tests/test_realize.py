@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from jmg.errors import InputError
 from jmg.graphs import parse_graph
-from jmg.linalg import RationalMatrix, commutator, is_projection, numerical_rank
+from jmg.linalg import RationalMatrix, commutator, is_projection, numerator_stack, numerical_rank
 from jmg.realize import (
+    METHOD_DIRECT_SUM,
+    METHOD_RANK_ONE,
     METHOD_RANK_ONE_RESTRICTED,
+    PvmRealization,
     Realization,
     enumerate_partitions,
     extend_outcomes,
@@ -114,6 +117,22 @@ class TestRankOne:
             for y in range(x + 1, n):
                 dot = sum(a * b for a, b in zip(r.vectors[x], r.vectors[y]))
                 assert dot == (0 if g.adjacent(x, y) else 1)
+
+
+class TestRankOneGram:
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_strategy())
+    def test_matches_fraction_sums(self, g):
+        r = realize_rank_one(g)
+        vecs = [r.vectors[x] for x in range(g.vertex_count)]
+        rows = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+        assert rank_one_gram(r) == RationalMatrix.from_rows(rows)
+
+    def test_fractional_and_huge_vectors(self):
+        vecs = {0: (HALF, Fraction(1, 3), 0), 1: (Fraction(2**70, 7), -1, Fraction(5, 6))}
+        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, {}, vecs)
+        rows = [[sum(a * b for a, b in zip(vecs[i], vecs[j])) for j in range(2)] for i in range(2)]
+        assert rank_one_gram(r) == RationalMatrix.from_rows(rows)
 
 
 class TestRestrictToSpan:
@@ -287,6 +306,148 @@ class TestVerifyRealization:
 
     def test_triangle_rank_one_passes(self):
         assert verify_realization(TRIANGLE, realize_rank_one(TRIANGLE)).passed
+
+
+def per_pair_violations(graph, realization):
+    """Oracle: one exact commutator per pair of operators."""
+    if isinstance(realization, PvmRealization):
+        families = realization.pvms
+    else:
+        families = {x: [p] for x, p in realization.projections.items()}
+    out = []
+    n = graph.vertex_count
+    for x in range(n):
+        for y in range(x + 1, n):
+            commutes = all(
+                commutator(a, b).is_zero() for a in families[x] for b in families[y]
+            )
+            if commutes != graph.adjacent(x, y):
+                out.append((x, y))
+    return out
+
+
+CONSTRUCTIONS = {
+    "direct-sum": realize_direct_sum,
+    "rank-one": realize_rank_one,
+    "faithful": lambda g: make_faithful(realize_rank_one(g)),
+    "outcomes-3": lambda g: extend_outcomes(realize_rank_one(g), {x: 3 for x in range(g.vertex_count)}),
+}
+
+
+def rank_one_projection(u) -> RationalMatrix:
+    return RationalMatrix.outer(u, u, sum(c * c for c in u))
+
+
+# a^2 + b^2 is about 2^41, so the numerators of the projection onto (a, b)
+# are about 2^40 and 2 * max|num|^2 is far above 2^53
+BIG_A, BIG_B = 1_048_583, 1_048_573
+
+
+class TestBatchedVerify:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(
+                st.integers(0, (1 << (n * (n - 1) // 2)) - 1),
+                st.integers(0, (1 << (n * (n - 1) // 2)) - 1),
+            ).map(lambda masks: (graph_from_mask(n, masks[0]), graph_from_mask(n, masks[1])))
+        ),
+        st.sampled_from(sorted(CONSTRUCTIONS)),
+    )
+    def test_matches_per_pair_commutators(self, graphs, method):
+        # realize one graph, verify against another on the same vertices, so
+        # both verdicts occur
+        built, checked = graphs
+        r = CONSTRUCTIONS[method](built)
+        report = verify_realization(checked, r)
+        assert [v.pair for v in report.violations] == per_pair_violations(checked, r)
+        assert report.passed == (not report.violations)
+
+    def test_constructions_take_the_float64_path(self):
+        r = realize_rank_one(FORK)
+        ps = [r.projections[x] for x in range(3)]
+        assert numerator_stack(ps, r.space_dim).dtype == np.float64
+
+    def test_big_int_fallback_commuting_pair(self):
+        p = rank_one_projection((BIG_A, BIG_B))
+        q = RationalMatrix.identity(2) - p
+        assert numerator_stack([p, q], 2).dtype == object
+        edge = parse_graph("2; 0-1")
+        r = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: q})
+        assert verify_realization(edge, r).passed
+        report = verify_realization(parse_graph("2;"), r)
+        assert [(v.pair, v.observed) for v in report.violations] == [
+            ((0, 1), "commutator = 0 (exact)")
+        ]
+        assert verify_realization(edge, lift_to_pvms(r)).passed
+
+    def test_big_int_fallback_non_commuting_pair(self):
+        p = rank_one_projection((BIG_A, BIG_B))
+        q = rank_one_projection((BIG_B, BIG_A))
+        assert numerator_stack([p, q], 2).dtype == object
+        assert not commutator(p, q).is_zero()
+        empty = parse_graph("2;")
+        r = Realization(empty, 2, METHOD_RANK_ONE, {0: p, 1: q})
+        assert verify_realization(empty, r).passed
+        report = verify_realization(parse_graph("2; 0-1"), r)
+        assert [(v.pair, v.observed) for v in report.violations] == [
+            ((0, 1), "commutator != 0 (exact)")
+        ]
+        pvm_report = verify_realization(parse_graph("2; 0-1"), lift_to_pvms(r))
+        assert [v.pair for v in pvm_report.violations] == [(0, 1)]
+
+
+class TestVerifyChecksStructure:
+    def test_fork_with_non_projections_rejected(self):
+        ones = RationalMatrix.from_rows([[1, 1], [1, 1]])
+        ops = {0: RationalMatrix.identity(2) * 2, 1: RationalMatrix.from_rows([[1, 0], [0, 0]]), 2: ones}
+        r = Realization(FORK, 2, METHOD_DIRECT_SUM, ops)
+        with pytest.raises(InputError, match="vertex 0: element 0 is not a projection"):
+            verify_realization(FORK, r)
+        r.projections[0] = RationalMatrix.identity(2)
+        with pytest.raises(InputError, match="vertex 2: element 0 is not a projection"):
+            verify_realization(FORK, r)
+
+    def test_asymmetric_idempotent_rejected(self):
+        oblique = RationalMatrix.from_rows([[1, 1], [0, 0]])
+        assert oblique @ oblique == oblique
+        r = Realization(parse_graph("1;"), 2, METHOD_DIRECT_SUM, {0: oblique})
+        with pytest.raises(InputError, match="not a projection"):
+            verify_realization(parse_graph("1;"), r)
+
+    def test_pvm_messages_match_validate_exact(self):
+        pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
+        eye = RationalMatrix.identity(2)
+        cases = {
+            "element 1 is not a projection": [pin, (eye - pin) * 2],
+            "elements are not orthogonal": [pin, pin, eye - pin],
+            "elements do not sum to the identity": [pin],
+        }
+        g = parse_graph("1;")
+        for message, family in cases.items():
+            pv = PvmRealization(g, 2, {0: family})
+            for check in (pv.validate_exact, lambda: verify_realization(g, pv)):
+                with pytest.raises(InputError, match=f"vertex 0: {message}"):
+                    check()
+
+    def test_restricted_checked_within_tol(self):
+        rr = restrict_to_span(realize_rank_one(FORK))
+        assert verify_realization(FORK, rr).passed
+        bent = dict(rr.projections)
+        bent[1] = bent[1] * 1.001  # Hermitian, no longer idempotent
+        with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
+            verify_realization(FORK, Realization(FORK, rr.space_dim, rr.method, bent))
+        skew = dict(rr.projections)
+        skew[2] = skew[2] + 1e-6j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        with pytest.raises(InputError, match="vertex 2: element 0 is not a projection"):
+            verify_realization(FORK, Realization(FORK, rr.space_dim, rr.method, skew))
+
+    def test_mixed_regimes_rejected(self):
+        r = realize_rank_one(FORK)
+        mixed = dict(r.projections)
+        mixed[0] = mixed[0].to_ndarray().astype(complex)
+        with pytest.raises(InputError, match="mix"):
+            verify_realization(FORK, Realization(FORK, r.space_dim, r.method, mixed))
 
 
 class TestPartitions:

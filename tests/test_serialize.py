@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmg.errors import InputError
 from jmg.serialize import dumps, format_float
@@ -48,3 +50,20 @@ class TestDumps:
     def test_rejects_unknown_types(self):
         with pytest.raises(InputError):
             dumps({"x": object()})
+
+
+class TestStringLists:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text()))
+    def test_matches_json_dumps(self, items):
+        assert dumps(items) == json.dumps(items, separators=(",", ":"))
+        assert dumps(items, pretty=True) == json.dumps(items, indent=2)
+
+    def test_non_ascii_and_control_characters(self):
+        items = ["\u00e9", "\n\t\x00\x1f", '"\\', "\U0001f600", "\ud800", "1/2"]
+        assert dumps(items) == json.dumps(items, separators=(",", ":"))
+
+    def test_mixed_lists_fall_back(self):
+        doc = {"m": ["a", 1, None, ["b", 2.5]], "s": ["x", "y"]}
+        assert dumps(doc) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        assert dumps(doc, pretty=True) == json.dumps(doc, indent=2, sort_keys=True)
