@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success (verification passed / query feasible), 1 = a
 verification or feasibility query came back negative, 2 = input error (or an
-internal error, reported as such; set JMG_DEBUG for its traceback).
+internal error, reported as such with its traceback).
 Machine output is deterministic JSON; ``--pretty`` switches stdout to a
 human-readable report.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -316,11 +315,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not bad input; still never crash the process
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if os.environ.get("JMG_DEBUG"):
-            import traceback
+        import traceback
 
-            traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

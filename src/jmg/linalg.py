@@ -237,15 +237,22 @@ _FLOAT64_EXACT = 2**53
 def numerator_stack(mats, dim: int) -> np.ndarray:
     """The numerators of `mats` (dim x dim each) as one (len, dim, dim) stack.
 
-    The stack is float64 when dim * max|num|^2 and max(den) * max|num| are
-    below 2^53: every entry of a product N_i N_j, every partial sum on the way,
-    and every entry of D_i N_i is then an integer that float64 holds exactly,
-    so BLAS products compare exactly.  Otherwise the stack holds Python ints.
+    With B = max(dim * max|num|^2, max(den) * max|num|), every entry of a
+    product N_i N_j, every partial sum on the way, and every entry of D_i N_i
+    is an integer below B.  The stack is float64 when B < 2^53 (float64 holds
+    these integers exactly, so BLAS products compare exactly), int64 when
+    B < 2^62, and Python ints otherwise.
     """
     big = max((_max_abs(m._num) for m in mats), default=0)
     den = max((m._den for m in mats), default=1)
-    exact_float = max(dim * big * big, den * big) < _FLOAT64_EXACT
-    stack = np.empty((len(mats), dim, dim), dtype=np.float64 if exact_float else object)
+    bound = max(dim * big * big, den * big)
+    if bound < _FLOAT64_EXACT:
+        dtype = np.float64
+    elif bound < _INT64_SAFE:
+        dtype = np.int64
+    else:
+        dtype = object
+    stack = np.empty((len(mats), dim, dim), dtype=dtype)
     for k, m in enumerate(mats):
         stack[k] = m._num
     return stack

@@ -19,6 +19,7 @@ from .errors import InputError
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, maximal_cliques, non_edges
 from .linalg import (
     RationalMatrix,
+    _as_fraction,
     commutator,
     direct_sum,
     matrix_from_json_obj,
@@ -135,7 +136,9 @@ def rank_one_gram(realization: Realization) -> RationalMatrix:
     """Exact Gram matrix V V^T of the stored rank-one vectors (the rows of V)."""
     if realization.vectors is None:
         raise InputError("realization has no stored vectors")
-    vecs = [[Fraction(c) for c in realization.vectors[x]] for x in range(realization.graph.vertex_count)]
+    vecs = [[_as_fraction(c) for c in realization.vectors[x]] for x in range(realization.graph.vertex_count)]
+    if any(len(vec) != realization.space_dim for vec in vecs):
+        raise InputError(f"rank-one vectors must have length space_dim {realization.space_dim}")
     den = math.lcm(*(c.denominator for vec in vecs for c in vec))
     scaled = [[int(c * den) for c in vec] for vec in vecs]
     v = RationalMatrix(np.array(scaled, dtype=object).reshape(len(vecs), realization.space_dim), den)
@@ -508,6 +511,9 @@ def realization_from_json_obj(obj) -> Realization:
         if not isinstance(raw, list) or len(raw) != graph.vertex_count:
             raise InputError("vectors must list one vector per vertex")
         vectors = {x: rational_vector_from_json_obj(v) for x, v in enumerate(raw)}
+        for x, vec in vectors.items():
+            if len(vec) != space_dim:
+                raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
     return Realization(graph, space_dim, method, projections, vectors)
 
 

@@ -302,10 +302,6 @@ class TestErrorPaths:
             raise RuntimeError("kaput")
 
         monkeypatch.setitem(cli._DISPATCH, "demo", broken)
-        monkeypatch.delenv("JMG_DEBUG", raising=False)
-        assert main(["demo", "fork"]) == 2
-        assert capsys.readouterr().err == "internal error: RuntimeError: kaput\n"
-        monkeypatch.setenv("JMG_DEBUG", "1")
         assert main(["demo", "fork"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: kaput\n")

@@ -159,6 +159,16 @@ class TestRestrictToSpan:
         assert rr.space_dim == 3
         assert verify_realization(g, rr).passed
 
+    def test_float_components_rejected(self):
+        r = Realization(parse_graph("1;"), 2, METHOD_RANK_ONE, {}, {0: (0.5, 1)})
+        with pytest.raises(InputError, match="exact rational expected"):
+            rank_one_gram(r)
+
+    def test_wrong_length_rejected(self):
+        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, {}, {0: (1, 0, 0), 1: (0, 1)})
+        with pytest.raises(InputError, match="length"):
+            rank_one_gram(r)
+
     def test_requires_vectors(self):
         r = realize_direct_sum(FORK)
         with pytest.raises(InputError):
@@ -341,6 +351,7 @@ def rank_one_projection(u) -> RationalMatrix:
 # a^2 + b^2 is about 2^41, so the numerators of the projection onto (a, b)
 # are about 2^40 and 2 * max|num|^2 is far above 2^53
 BIG_A, BIG_B = 1_048_583, 1_048_573
+MID_A, MID_B = 11_580, 11_573
 
 
 class TestBatchedVerify:
@@ -395,6 +406,27 @@ class TestBatchedVerify:
         ]
         pvm_report = verify_realization(parse_graph("2; 0-1"), lift_to_pvms(r))
         assert [v.pair for v in pvm_report.violations] == [(0, 1)]
+
+
+    def test_int64_band_pair(self):
+        # a^2 + b^2 is about 2^28: 2 * max|num|^2 is above 2^53, below 2^62
+        p = rank_one_projection((MID_A, MID_B))
+        q = rank_one_projection((MID_B, MID_A))
+        assert numerator_stack([p, q], 2).dtype == np.int64
+        assert numerator_stack([p, RationalMatrix.identity(2) - p], 2).dtype == np.int64
+        edge, empty = parse_graph("2; 0-1"), parse_graph("2;")
+        commuting = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: RationalMatrix.identity(2) - p})
+        assert verify_realization(edge, commuting).passed
+        assert verify_realization(edge, lift_to_pvms(commuting)).passed
+        assert [v.pair for v in verify_realization(empty, commuting).violations] == [(0, 1)]
+        tilted = Realization(empty, 2, METHOD_RANK_ONE, {0: p, 1: q})
+        assert verify_realization(empty, tilted).passed
+        assert [(v.pair, v.observed) for v in verify_realization(edge, tilted).violations] == [
+            ((0, 1), "commutator != 0 (exact)")
+        ]
+        bent = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: p * 2})
+        with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
+            verify_realization(edge, bent)
 
 
 class TestVerifyChecksStructure:
@@ -549,6 +581,12 @@ class TestJsonFormats:
         back = pvm_realization_from_json_obj(pvm_realization_to_json_obj(pv))
         assert back.space_dim == pv.space_dim
         assert all(back.pvms[x] == pv.pvms[x] for x in range(3))
+
+    def test_wrong_vector_length_rejected(self):
+        obj = realization_to_json_obj(realize_rank_one(parse_graph("3; 0-1")))
+        obj["vectors"][1] = obj["vectors"][1][:-1]
+        with pytest.raises(InputError, match="vertex 1: vector length 4 != space_dim 5"):
+            realization_from_json_obj(obj)
 
     def test_bad_method_rejected(self):
         obj = realization_to_json_obj(realize_direct_sum(FORK))
