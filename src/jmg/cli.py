@@ -121,14 +121,18 @@ def _load_graph(path: str) -> Graph:
 
 
 def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None = None) -> None:
+    report_text = None
     if args.out and payload_obj is not None:
+        payload_text = serialize.dumps(payload_obj)
+        if payload_obj is report_obj:
+            report_text = payload_text  # one document for both: serialize it once
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(payload_obj) + "\n")
+            fh.write(payload_text + "\n")
     if args.pretty:
         for line in pretty_lines:
             print(line)
     else:
-        print(serialize.dumps(report_obj))
+        print(report_text if report_text is not None else serialize.dumps(report_obj))
 
 
 def _parse_outcome_spec(spec: str, vertex_count: int) -> dict:

@@ -75,7 +75,8 @@ class RationalMatrix:
     def __init__(self, numerators, denominator: int = 1):
         if denominator == 0:
             raise InputError("denominator must be nonzero")
-        num = numerators if isinstance(numerators, np.ndarray) else _entry_array(numerators)
+        # an array is copied, so changing it later cannot change the matrix
+        num = numerators.copy() if isinstance(numerators, np.ndarray) else _entry_array(numerators)
         if num.ndim != 2:
             raise InputError("matrix data must be two-dimensional")
         den = int(denominator)
@@ -371,7 +372,8 @@ def _as_complex(a) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    """Hermitian part of a matrix, or of each matrix in a stack."""
+    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
 
 
 def hermitian_check(a, require_psd: bool = False, tol: float = DEFAULT_TOL) -> HermitianCheckReport:

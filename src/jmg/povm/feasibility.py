@@ -8,6 +8,19 @@ cone (batched eigenvalue clamping).  A residual at tolerance certifies
 feasibility together with the witness; hitting the iteration cap only
 *suggests* infeasibility (the residual history shows the plateau), it proves
 nothing.
+
+One step costs two thin real matrix products, one batched ``eigh`` and one
+batched product to rebuild the clamped iterate.  With M the K x T indicator of
+the marginal sums (K outcomes in all, T joint outcomes), b the stacked targets
+and C the T x K least-norm correction, the hermitized affine step
+herm(x - C(Mx - b)) equals x - C(Mx) + q on Hermitian x, where q = C herm(b) is
+built once.  M and C act on the real and imaginary parts of all d*d entries of
+each joint element at once; the T x T map I - CM is never formed, so memory
+and time per step stay O(K T d^2).  The residual needs no subtraction: for
+Hermitian A with eigenvalues w, the PSD clamp A+ keeps the eigenvectors and
+zeroes the negative eigenvalues, so ||A - A+||_F = ||min(w, 0)||_2.  The
+clamped iterate is Hermitian only up to rounding; ``eigh`` reads one triangle,
+so it is hermitized once, when it is returned as the witness.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from itertools import product
 import numpy as np
 
 from ..errors import InputError
+from ..linalg import hermitize
 from .model import JointPOVM, POVM, joint_povm_to_json_obj, validate_povm
 
 DEFAULT_SOLVER_TOL = 1e-7
@@ -106,28 +120,29 @@ def jm_feasible(
     tuples = list(product(*outcome_sets))
 
     m, b, _ = _marginal_system(povms, tuples)
+    t = len(tuples)
     correction = m.T @ np.linalg.pinv(m @ m.T)  # least-norm affine step
+    # the hermitized target term of the affine step, on the stacked real entries
+    offset = np.tensordot(correction, hermitize(b), axes=(1, 0)).reshape(t, -1).view(float)
 
-    x = np.broadcast_to(np.eye(d, dtype=complex) / len(tuples), (len(tuples), d, d)).copy()
+    x = np.broadcast_to(np.eye(d, dtype=complex) / t, (t, d, d)).copy()
     history: list[float] = []
     verdict = "infeasible_stalled"
     witness = None
     iterations = max_iter
     residual = np.inf
     for it in range(max_iter):
-        slack = np.tensordot(m, x, axes=(1, 0)) - b
-        affine = x - np.tensordot(correction, slack, axes=(1, 0))
-        affine = (affine + np.conj(np.swapaxes(affine, 1, 2))) / 2
+        xf = x.reshape(t, -1).view(float)
+        affine = (xf - correction @ (m @ xf) + offset).view(complex).reshape(t, d, d)
         w, v = np.linalg.eigh(affine)
-        clamped = (v * np.clip(w, 0.0, None)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-        clamped = (clamped + np.conj(np.swapaxes(clamped, 1, 2))) / 2
-        residual = float(np.sqrt(np.sum(np.abs(affine - clamped) ** 2)))
+        negative = np.minimum(w, 0.0).ravel()
+        residual = math.sqrt(negative @ negative)
         history.append(residual)
-        x = clamped
+        x = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
         if residual <= tol:
             verdict = "feasible"
             iterations = it + 1
-            witness = JointPOVM(d, outcome_sets, dict(zip(tuples, clamped)))
+            witness = JointPOVM(d, outcome_sets, dict(zip(tuples, hermitize(x))))
             break
     return JmReport(verdict, witness, iterations, residual, _summarize(history))
 

@@ -167,13 +167,17 @@ def povm_to_json_obj(e: POVM) -> dict:
     }
 
 
+def _check_space_dim(dim) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InputError("space_dim must be a positive integer")
+
+
 def povm_from_json_obj(obj) -> POVM:
     try:
         dim, outcomes, elements = obj["space_dim"], obj["outcomes"], obj["elements"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"POVM object missing field: {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("space_dim must be a positive integer")
+    _check_space_dim(dim)
     if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
         raise InputError("outcomes must be a list of strings")
     if not isinstance(elements, dict):
@@ -206,14 +210,22 @@ def joint_povm_from_json_obj(obj) -> JointPOVM:
         dim, factors, elements = obj["space_dim"], obj["factor_outcomes"], obj["elements"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"joint POVM object missing field: {exc}") from exc
-    if not isinstance(factors, list):
+    _check_space_dim(dim)
+    if not isinstance(factors, list) or not all(isinstance(s, list) for s in factors):
         raise InputError("factor_outcomes must be a list of outcome lists")
+    if not isinstance(elements, dict):
+        raise InputError("elements must be an object keyed by outcome tuple")
     parsed = {}
     for key, mobj in elements.items():
         try:
-            tup = tuple(json.loads(key))
+            labels = json.loads(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad joint outcome key {key!r}") from exc
+        if not isinstance(labels, list):
+            raise InputError(f"bad joint outcome key {key!r}: not a list of outcome labels")
+        tup = tuple(str(x) for x in labels)  # the labels JointPOVM keys by
+        if tup in parsed:
+            raise InputError(f"joint outcome {list(tup)} appears under two keys")
         m = matrix_from_json_obj(mobj)
         parsed[tup] = m if isinstance(m, np.ndarray) else m.to_ndarray().astype(complex)
     return JointPOVM(dim, tuple(tuple(s) for s in factors), parsed)

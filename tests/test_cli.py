@@ -209,6 +209,15 @@ class TestJmCheck:
         main(["jm-check", *paths])
         assert capsys.readouterr().out == first
 
+    def test_out_file_is_the_stdout_line(self, tmp_path, capsys):
+        povms = noisy_orthogonal_triple(0.6)[:2]
+        paths = [write_povm(tmp_path, f"o{k}.json", povms[k]) for k in range(2)]
+        out = tmp_path / "report.json"
+        assert main(["jm-check", *paths, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert json.loads(stdout)["witness"] is not None
+        assert out.read_bytes() == stdout.encode("utf-8")
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         a = write_povm(tmp_path, "a.json", noisy_orthogonal_triple(0.4)[0])
         eye3 = np.eye(3, dtype=complex)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from jmg.errors import InputError
 from jmg.graphs import is_graph_induced
 from jmg.povm import (
+    DEFAULT_SOLVER_TOL,
     GUARD_ENV_VAR,
     POVM,
+    JointPOVM,
     demo_hollow_triangle,
     jm_feasible,
     marginal,
@@ -21,8 +25,9 @@ from jmg.povm import (
     triple_jm_threshold,
     validate_povm,
 )
+from jmg.povm.feasibility import _marginal_system
 
-from helpers import basis_pvm, haar_unitary, product_outcome_error, random_blocks
+from helpers import basis_pvm, haar_unitary, product_outcome_error, random_blocks, random_povm
 
 EYE2 = np.eye(2, dtype=complex)
 GRID = [round(0.1 * k, 1) for k in range(11)]
@@ -241,3 +246,108 @@ class TestDemoHollowTriangle:
         assert "not a hollow triangle" in rep.conclusion
         assert not any(r.feasible for r in rep.pair_reports.values())
         assert rep.hypergraph_graph_induced  # edgeless skeleton induces it
+
+
+def reference_solve(povms, tol=DEFAULT_SOLVER_TOL, max_iter=50_000):
+    """The solver loop as first written: two tensordots, a hermitized affine
+    iterate, a hermitized clamp and a full-size residual every step.  It is
+    the parity reference for the folded step, not a library path."""
+    d = povms[0].space_dim
+    outcome_sets = tuple(tuple(e.outcomes) for e in povms)
+    tuples = list(product(*outcome_sets))
+    m, b, _ = _marginal_system(povms, tuples)
+    correction = m.T @ np.linalg.pinv(m @ m.T)
+    x = np.broadcast_to(np.eye(d, dtype=complex) / len(tuples), (len(tuples), d, d)).copy()
+    history = []
+    for it in range(max_iter):
+        slack = np.tensordot(m, x, axes=(1, 0)) - b
+        affine = x - np.tensordot(correction, slack, axes=(1, 0))
+        affine = (affine + np.conj(np.swapaxes(affine, 1, 2))) / 2
+        w, v = np.linalg.eigh(affine)
+        clamped = (v * np.clip(w, 0.0, None)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        clamped = (clamped + np.conj(np.swapaxes(clamped, 1, 2))) / 2
+        residual = float(np.sqrt(np.sum(np.abs(affine - clamped) ** 2)))
+        history.append(residual)
+        x = clamped
+        if residual <= tol:
+            witness = JointPOVM(d, outcome_sets, dict(zip(tuples, clamped)))
+            return "feasible", it + 1, history, witness
+    return "infeasible_stalled", max_iter, history, None
+
+
+def _noisy_family(rng, kind, d, m, k):
+    """k random POVMs or PVMs with m outcomes on dimension d, mixed with white
+    noise at 0.85-1.0 of the cloning visibility (k + d) / (k (d + 1))."""
+    visibility = rng.uniform(0.85, 1.0) * (k + d) / (k * (d + 1))
+    family = []
+    for _ in range(k):
+        if kind == "povm":
+            e = random_povm(rng, d, m)
+        else:
+            labels = rng.permutation(np.arange(d) % m)
+            e = basis_pvm(d, [np.flatnonzero(labels == i) for i in range(m)], haar_unitary(rng, d))
+        noisy = {
+            o: visibility * a + (1 - visibility) * np.trace(a).real / d * np.eye(d)
+            for o, a in e.elements.items()
+        }
+        family.append(POVM(d, e.outcomes, noisy))
+    return family
+
+
+def _parity_cases():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for kind in ("povm", "pvm"):
+        for d in (2, 3, 4):
+            for m in (2, 3):
+                for k in (2, 3):
+                    family = _noisy_family(rng, kind, d, m, k)
+                    cases.append(pytest.param(family, 50_000, id=f"{kind}-d{d}-m{m}-k{k}"))
+    for eta in (0.55, 0.60):
+        cases.append(pytest.param(noisy_orthogonal_triple(eta), STALL_ITERS, id=f"triple-{eta}"))
+    return cases
+
+
+@pytest.mark.parametrize("family, cap", _parity_cases())
+def test_folded_step_matches_reference_loop(family, cap):
+    verdict, iterations, history, witness = reference_solve(family, max_iter=cap)
+    report = jm_feasible(family, max_iter=cap)
+    assert report.verdict == verdict
+    assert report.iterations == iterations
+    for i, r in report.residual_history_summary:
+        # the reference residual is a difference of O(1) matrices, exact only
+        # to a few ulps: hence the absolute floor far below the tolerance
+        assert r == pytest.approx(history[i], rel=1e-9, abs=1e-14), f"iteration {i}"
+    if witness is None:
+        assert report.witness is None
+        return
+    for t, a in report.witness.elements.items():
+        assert np.abs(a - witness.elements[t]).max() <= 1e-9
+        assert np.array_equal(a, a.conj().T)
+
+
+def test_many_factor_family_stays_thin():
+    """Twelve binary qubit observables: T = 4096 joint outcomes, inside the
+    default guard.  A step must stay O(K T d^2) in memory; a T x T map alone
+    would be 128 MiB here."""
+    rng = np.random.default_rng(12)
+    pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    family = []
+    for _ in range(12):
+        n = rng.normal(size=3)
+        a = 0.2 * np.tensordot(n / np.linalg.norm(n), pauli, axes=1)
+        family.append(POVM(2, ("+", "-"), {"+": (EYE2 + a) / 2, "-": (EYE2 - a) / 2}))
+    verdict, iterations, history, witness = reference_solve(family, max_iter=5)
+    tracemalloc.start()
+    try:
+        report = jm_feasible(family, max_iter=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert (report.verdict, report.iterations) == (verdict, iterations)
+    for i, r in report.residual_history_summary:
+        assert r == pytest.approx(history[i], rel=1e-9, abs=1e-14), f"iteration {i}"
+    if witness is not None:
+        for t, a in report.witness.elements.items():
+            assert np.abs(a - witness.elements[t]).max() <= 1e-9

@@ -38,6 +38,15 @@ def rational_matrices(n: int):
 
 
 class TestRationalMatrix:
+    def test_caller_array_not_aliased(self):
+        a = np.eye(2, dtype=np.int64)
+        m = RationalMatrix(a)
+        before = hash(m)
+        a[0, 0] = 5
+        assert m.entry(0, 0) == 1
+        assert hash(m) == before
+        assert m == RationalMatrix.identity(2)
+
     def test_entries_normalized(self):
         m = RationalMatrix.from_rows([[Fraction(2, 4), Fraction(-6, 4)]])
         assert m.entry(0, 0) == HALF

@@ -197,6 +197,10 @@ class TestJointDilation:
         assert report.witness is None
 
 
+def joint_witness_obj() -> dict:
+    return joint_povm_to_json_obj(jm_feasible(noisy_orthogonal_triple(0.5)[:2]).witness)
+
+
 class TestJsonFormats:
     def test_povm_round_trip(self):
         e = trine_povm()
@@ -219,3 +223,39 @@ class TestJsonFormats:
         del obj["elements"]["2"]
         with pytest.raises(InputError, match="missing element"):
             povm_from_json_obj(obj)
+
+    def test_joint_elements_not_an_object_rejected(self):
+        obj = joint_witness_obj()
+        obj["elements"] = list(obj["elements"].values())
+        with pytest.raises(InputError, match="elements must be an object"):
+            joint_povm_from_json_obj(obj)
+
+    @pytest.mark.parametrize("dim", [0, -2, "2", 2.0, True, None])
+    def test_joint_space_dim_must_be_positive_integer(self, dim):
+        obj = joint_witness_obj()
+        obj["space_dim"] = dim
+        with pytest.raises(InputError, match="space_dim must be a positive integer"):
+            joint_povm_from_json_obj(obj)
+
+    def test_joint_factor_not_a_list_rejected(self):
+        obj = joint_witness_obj()
+        obj["factor_outcomes"][1] = "+-"
+        with pytest.raises(InputError, match="factor_outcomes"):
+            joint_povm_from_json_obj(obj)
+
+    def test_povm_boolean_space_dim_rejected(self):
+        obj = povm_to_json_obj(trine_povm())
+        obj["space_dim"] = True
+        with pytest.raises(InputError, match="space_dim must be a positive integer"):
+            povm_from_json_obj(obj)
+
+    @pytest.mark.parametrize("key, message", [
+        ('"++"', "not a list"),
+        ('[ "+", "-" ]', "two keys"),
+    ])
+    def test_joint_bad_outcome_key_rejected(self, key, message):
+        obj = joint_witness_obj()
+        elements = obj["elements"]
+        elements[key] = elements['["+","+"]']
+        with pytest.raises(InputError, match=message):
+            joint_povm_from_json_obj(obj)
