@@ -10,7 +10,9 @@ human-readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,13 +53,26 @@ from .realize import (
 )
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: built on the first call, then shared, since
+    ``parse_args`` keeps no parsed state in it."""
     parser = argparse.ArgumentParser(
         prog="jmg",
         description="Realize graphs as quantum observables and decide joint measurability.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
+    common.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="solver iteration cap")
     common.add_argument("--pretty", action="store_true", help="human-readable stdout")
     common.add_argument("--out", default=None, help="write the full result JSON to this path")
@@ -308,9 +323,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

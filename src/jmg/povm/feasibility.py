@@ -4,23 +4,39 @@ A family of observables is jointly measurable exactly when some joint
 observable over the product outcome space has them as marginals.  The stacked
 joint elements are driven back and forth between the affine set "marginals
 equal the inputs" (a closed-form least-norm correction) and the product PSD
-cone (batched eigenvalue clamping).  A residual at tolerance certifies
-feasibility together with the witness; hitting the iteration cap only
-*suggests* infeasibility (the residual history shows the plateau), it proves
-nothing.
+cone (clamping each element's negative eigenvalues to zero).  A residual at
+tolerance certifies feasibility together with the witness; hitting the
+iteration cap only *suggests* infeasibility (the residual history shows the
+plateau), it proves nothing.
 
-One step costs two thin real matrix products, one batched ``eigh`` and one
-batched product to rebuild the clamped iterate.  With M the K x T indicator of
-the marginal sums (K outcomes in all, T joint outcomes), b the stacked targets
-and C the T x K least-norm correction, the hermitized affine step
-herm(x - C(Mx - b)) equals x - C(Mx) + q on Hermitian x, where q = C herm(b) is
-built once.  M and C act on the real and imaginary parts of all d*d entries of
-each joint element at once; the T x T map I - CM is never formed, so memory
-and time per step stay O(K T d^2).  The residual needs no subtraction: for
-Hermitian A with eigenvalues w, the PSD clamp A+ keeps the eigenvectors and
-zeroes the negative eigenvalues, so ||A - A+||_F = ||min(w, 0)||_2.  The
-clamped iterate is Hermitian only up to rounding; ``eigh`` reads one triangle,
-so it is hermitized once, when it is returned as the witness.
+The iterate is held as real coordinates, one row per joint element.  With M
+the K x T indicator of the marginal sums (K outcomes in all, T joint
+outcomes), b the stacked targets and C the T x K least-norm correction, the
+hermitized affine step herm(x - C(Mx - b)) equals y - C(My) + q on the
+coordinates y of Hermitian x, where q is the coordinates of C herm(b), built
+once.  M and C mix rows and act on every coordinate column alike, so any
+linear change of coordinates within each element commutes with them: the step
+is the same two thin real products whichever coordinates are used.  The T x T
+map I - CM is never formed, so memory and time per step stay O(K T d^2).
+
+For d >= 3 the coordinates are the float view of all d*d complex entries and
+the clamp is a batched ``eigh``: A+ keeps the eigenvectors and zeroes the
+negative eigenvalues.  The clamped iterate is Hermitian only up to rounding;
+``eigh`` reads one triangle, so it is hermitized once, when it is returned as
+the witness.
+
+For d = 2 the coordinates are Bloch coordinates, H = a0 I + a.sigma with
+a0 = (H00 + H11)/2, a1 = Re H01, a2 = -Im H01 and a3 = (H00 - H11)/2, and
+the clamp needs no ``eigh``.  The eigenvalues are l+- = a0 +- |a|, with
+eigenprojectors (I +- a.sigma/|a|)/2, so the clamp is
+a0 <- (l+^+ + l-^+)/2 and a <- a (l+^+ - l-^+)/(2|a|), where
+x^+ = max(x, 0).  When |a| = 0 both eigenvalues are a0, the factor's
+numerator is exactly 0, and dividing by max(|a|, tiny) instead of |a| keeps
+the vector part 0 without a NaN.  The witness is rebuilt from the
+coordinates, so its elements are exactly Hermitian.
+
+In both cases the residual needs no subtraction: for Hermitian A with
+eigenvalues w, ||A - A+||_F = ||min(w, 0)||_2.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -82,6 +99,75 @@ def _marginal_system(povms, tuples):
     return m, b, d
 
 
+# Bloch coordinates (a0, a1, a2, a3) of the Hermitian part of a 2x2 matrix,
+# from its float view (Re H00, Im H00, Re H01, Im H01, Re H10, Im H10,
+# Re H11, Im H11), and back
+_TO_BLOCH = np.array(
+    [
+        [0.5, 0, 0, 0.5],
+        [0, 0, 0, 0],
+        [0, 0.5, 0, 0],
+        [0, 0, -0.5, 0],
+        [0, 0.5, 0, 0],
+        [0, 0, 0.5, 0],
+        [0.5, 0, 0, -0.5],
+        [0, 0, 0, 0],
+    ]
+)
+_FROM_BLOCH = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 1, 0, 1, 0, 0, 0],
+        [0, 0, 0, -1, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0, 0, -1, 0],
+    ],
+    dtype=float,
+)
+_VECTOR_NORM2 = np.array([[0.0], [1.0], [1.0], [1.0]])  # (a0, a) -> |a|^2
+_SIGNS = np.array([-1.0, 1.0])  # l- = a0 - |a|, l+ = a0 + |a|
+# (l-^+, l+^+) -> ((l+^+ + l-^+)/2, then (l+^+ - l-^+)/2 for each component of a)
+_FROM_EIGENVALUES = np.array([[0.5, -0.5, -0.5, -0.5], [0.5, 0.5, 0.5, 0.5]])
+_TINY = np.finfo(float).tiny
+
+
+def _real_view(h: np.ndarray) -> np.ndarray:
+    """The entries of a stack of complex matrices as one float row each."""
+    return h.reshape(len(h), -1).view(float)
+
+
+def _bloch(h: np.ndarray) -> np.ndarray:
+    return _real_view(h) @ _TO_BLOCH
+
+
+def _from_bloch(y: np.ndarray) -> np.ndarray:
+    return (y @ _FROM_BLOCH).view(complex).reshape(len(y), 2, 2)
+
+
+def _bloch_clamp(y: np.ndarray):
+    """PSD clamp of each row's 2x2 matrix in Bloch coordinates, and the
+    residual: the clamped eigenvalues mapped to (a0, (l+^+ - l-^+)/2, ...)
+    and multiplied by (1, a/|a|)."""
+    r = np.sqrt((y * y) @ _VECTOR_NORM2)  # |a|, as a column
+    eigenvalues = y[:, :1] + r * _SIGNS  # l-, l+
+    positive = np.maximum(eigenvalues, 0.0)
+    direction = y / np.maximum(r, _TINY)  # a / |a|, and 0 when a = 0
+    direction[:, 0] = 1.0
+    negative = (eigenvalues - positive).ravel()
+    return (positive @ _FROM_EIGENVALUES) * direction, math.sqrt(negative @ negative)
+
+
+def _eigh_clamp(y: np.ndarray, d: int):
+    """PSD clamp of each row's d x d matrix by ``eigh``, and the residual."""
+    w, v = np.linalg.eigh(y.view(complex).reshape(len(y), d, d))
+    negative = np.minimum(w, 0.0).ravel()
+    clamped = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return _real_view(clamped), math.sqrt(negative @ negative)
+
+
+def _from_real_view(y: np.ndarray, d: int) -> np.ndarray:
+    return hermitize(y.view(complex).reshape(len(y), d, d))
+
+
 def jm_feasible(
     povms,
     tol: float = DEFAULT_SOLVER_TOL,
@@ -117,32 +203,33 @@ def jm_feasible(
         )
     if max_iter < 1:
         raise InputError("max_iter must be positive")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and non-negative, got {tol!r}")
     tuples = list(product(*outcome_sets))
 
+    if d == 2:
+        coords, clamp, joint = _bloch, _bloch_clamp, _from_bloch
+    else:
+        coords, clamp, joint = _real_view, partial(_eigh_clamp, d=d), partial(_from_real_view, d=d)
     m, b, _ = _marginal_system(povms, tuples)
     t = len(tuples)
     correction = m.T @ np.linalg.pinv(m @ m.T)  # least-norm affine step
-    # the hermitized target term of the affine step, on the stacked real entries
-    offset = np.tensordot(correction, hermitize(b), axes=(1, 0)).reshape(t, -1).view(float)
+    # the hermitized target term of the affine step, in coordinates
+    offset = coords(np.tensordot(correction, hermitize(b), axes=(1, 0)))
 
-    x = np.broadcast_to(np.eye(d, dtype=complex) / t, (t, d, d)).copy()
+    y = coords(np.broadcast_to(np.eye(d, dtype=complex) / t, (t, d, d)).copy())
     history: list[float] = []
     verdict = "infeasible_stalled"
     witness = None
     iterations = max_iter
     residual = np.inf
     for it in range(max_iter):
-        xf = x.reshape(t, -1).view(float)
-        affine = (xf - correction @ (m @ xf) + offset).view(complex).reshape(t, d, d)
-        w, v = np.linalg.eigh(affine)
-        negative = np.minimum(w, 0.0).ravel()
-        residual = math.sqrt(negative @ negative)
+        y, residual = clamp(y - correction @ (m @ y) + offset)
         history.append(residual)
-        x = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
         if residual <= tol:
             verdict = "feasible"
             iterations = it + 1
-            witness = JointPOVM(d, outcome_sets, dict(zip(tuples, hermitize(x))))
+            witness = JointPOVM(d, outcome_sets, dict(zip(tuples, joint(y))))
             break
     return JmReport(verdict, witness, iterations, residual, _summarize(history))
 

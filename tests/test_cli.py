@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jmg
 from jmg import cli
 from jmg.cli import main
 from jmg.povm import POVM, noisy_orthogonal_triple, povm_to_json_obj
@@ -54,6 +59,15 @@ class TestRealize:
         payload = json.loads(out.read_text())
         assert payload["space_dim"] == 2 + 3 + 3  # faithful block + one extra slot each
         assert all(len(family) == 3 for family in payload["pvms"])
+
+    def test_calls_share_no_parsed_state(self, fork_file, tmp_path, capsys):
+        out = tmp_path / "first.json"
+        assert main(["realize", fork_file, "--faithful", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["faithful"] is True
+        out.unlink()
+        assert main(["realize", fork_file]) == 0
+        assert json.loads(capsys.readouterr().out)["faithful"] is False
+        assert not out.exists()
 
     def test_outcomes_per_vertex(self, fork_file, capsys):
         assert main(["realize", fork_file, "--outcomes", "0:4,2:3"]) == 0
@@ -150,6 +164,11 @@ class TestDilate:
         assert main(["dilate", path]) == 0
         assert json.loads(capsys.readouterr().out)["enlarged_dim"] == 6
 
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys):
+        path = write_povm(tmp_path, "e.json", noisy_orthogonal_triple(0.4)[0])
+        assert main(["dilate", path, "--tol", "nan"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_non_psd_rejected(self, tmp_path, capsys):
         bad = POVM(
             2,
@@ -217,6 +236,20 @@ class TestJmCheck:
         stdout = capsys.readouterr().out
         assert json.loads(stdout)["witness"] is not None
         assert out.read_bytes() == stdout.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "eta, tol",
+        [(0.95, "inf"), (0.3, "nan"), (0.3, "-1"), (0.3, "-inf")],
+    )
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, eta, tol):
+        # inf would call the incompatible 0.95 pair feasible, nan and -1 the
+        # compatible 0.3 pair infeasible
+        povms = noisy_orthogonal_triple(eta)[:2]
+        paths = [write_povm(tmp_path, f"t{k}.json", povms[k]) for k in range(2)]
+        assert main(["jm-check", *paths, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         a = write_povm(tmp_path, "a.json", noisy_orthogonal_triple(0.4)[0])
@@ -315,3 +348,30 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: kaput\n")
         assert "Traceback (most recent call last)" in err and "kaput" in err.splitlines()[-1]
+
+
+class TestModuleEntry:
+    """``python -m jmg.cli`` in a fresh interpreter, through the ``__main__`` path."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(jmg.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "jmg.cli", *argv],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_demo_fork(self):
+        proc = self.run("demo", "fork")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["derivation_valid"] is True
+
+    def test_nan_tolerance(self, tmp_path):
+        povms = noisy_orthogonal_triple(0.3)[:2]
+        paths = [write_povm(tmp_path, f"m{k}.json", povms[k]) for k in range(2)]
+        proc = self.run("jm-check", *paths, "--tol", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--tol" in proc.stderr

@@ -25,7 +25,7 @@ from jmg.povm import (
     triple_jm_threshold,
     validate_povm,
 )
-from jmg.povm.feasibility import _marginal_system
+from jmg.povm.feasibility import _bloch, _bloch_clamp, _from_bloch, _marginal_system
 
 from helpers import basis_pvm, haar_unitary, product_outcome_error, random_blocks, random_povm
 
@@ -157,6 +157,11 @@ class TestSolverBasics:
         monkeypatch.setenv(GUARD_ENV_VAR, "junk")
         with pytest.raises(InputError, match=GUARD_ENV_VAR):
             jm_feasible(noisy_orthogonal_triple(0.3))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InputError, match="tol"):
+            jm_feasible(noisy_orthogonal_triple(0.3)[:2], tol=tol)
 
     def test_residual_history_recorded(self):
         report = jm_feasible(noisy_orthogonal_triple(0.7), max_iter=400)
@@ -305,6 +310,10 @@ def _parity_cases():
                     cases.append(pytest.param(family, 50_000, id=f"{kind}-d{d}-m{m}-k{k}"))
     for eta in (0.55, 0.60):
         cases.append(pytest.param(noisy_orthogonal_triple(eta), STALL_ITERS, id=f"triple-{eta}"))
+    # the incompatible sigma_x / sigma_y pair, and a triple whose Bloch vectors
+    # are exactly 0 (the clamp's |a| = 0 case)
+    cases.append(pytest.param(noisy_orthogonal_triple(0.8)[:2], STALL_ITERS, id="pair-0.8"))
+    cases.append(pytest.param(noisy_orthogonal_triple(0.0), STALL_ITERS, id="triple-0.0"))
     return cases
 
 
@@ -324,6 +333,35 @@ def test_folded_step_matches_reference_loop(family, cap):
     for t, a in report.witness.elements.items():
         assert np.abs(a - witness.elements[t]).max() <= 1e-9
         assert np.array_equal(a, a.conj().T)
+
+
+def test_bloch_clamp_matches_eigh():
+    """The closed-form qubit clamp against ``eigh`` on PSD, indefinite,
+    negative-definite and scalar elements, at a float64 tolerance fixed here:
+    64 ulps of the largest eigenvalue magnitude of each element."""
+    rng = np.random.default_rng(2026)
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    a0 = rng.uniform(-2, 2, size=64)
+    vec = rng.normal(size=(64, 3)) * rng.uniform(0, 2, size=(64, 1))
+    a0[:8] = np.linalg.norm(vec[:8], axis=1) + rng.uniform(0, 1, 8)  # PSD
+    a0[8:16] = -np.linalg.norm(vec[8:16], axis=1) - rng.uniform(0, 1, 8)  # negative definite
+    a0[16:20] = np.linalg.norm(vec[16:20], axis=1)  # rank one
+    vec[20:28] = 0.0  # scalar: positive, negative and zero
+    a0[26:28] = 0.0
+    h = a0[:, None, None] * EYE2 + np.tensordot(vec, pauli, axes=1)
+
+    clamped, residual = _bloch_clamp(_bloch(h))
+    got = _from_bloch(clamped)
+
+    w, v = np.linalg.eigh(h)
+    want = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    scale = np.abs(w).max(axis=1)
+    tol = 64 * np.finfo(float).eps * np.maximum(scale, np.finfo(float).tiny)
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= tol)
+    assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+    assert not np.isnan(got).any()
+    assert np.array_equal(got[26:28], np.zeros((2, 2, 2)))
+    assert residual == pytest.approx(np.linalg.norm(np.minimum(w, 0.0)), rel=64 * np.finfo(float).eps)
 
 
 def test_many_factor_family_stays_thin():
