@@ -57,7 +57,6 @@ from .realize import (
 )
 from .povm import (
     POVM,
-    PVM,
     DilationResult,
     JmReport,
     JointPOVM,

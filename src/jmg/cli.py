@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import serialize
-from .errors import InputError
+from .errors import InputError, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, parse_graph
 from .linalg import DEFAULT_TOL
 from .povm import (
@@ -36,7 +35,6 @@ from .povm import (
 from .realize import (
     METHOD_RANK_ONE_RESTRICTED,
     PvmRealization,
-    Realization,
     extend_outcomes,
     fork_obstruction,
     lower_bound_graph,
@@ -55,12 +53,9 @@ from .realize import (
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
-    return value
+        return tolerance(float(text))
+    except ValueError as exc:  # not a number, or an InputError from the tolerance rule
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -182,7 +177,7 @@ def _cmd_realize(args) -> int:
             raise InputError("--faithful needs an exact method (direct-sum or rank-one)")
         result = make_faithful(result)
     if args.outcomes is not None:
-        if isinstance(result, Realization) and result.method == METHOD_RANK_ONE_RESTRICTED:
+        if result.method == METHOD_RANK_ONE_RESTRICTED:
             raise InputError("--outcomes needs an exact method (direct-sum or rank-one)")
         counts = _parse_outcome_spec(args.outcomes, graph.vertex_count)
         result = extend_outcomes(result, counts)

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, count, fields
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,7 @@ class Graph:
     vertex_labels: tuple = ()
 
     def __post_init__(self):
-        n = self.vertex_count
-        if not isinstance(n, int) or n < 0:
-            raise InputError("vertex count must be a nonnegative integer")
+        n = count(self.vertex_count, "vertex count", 0)
         norm = set()
         for e in self.edges:
             try:
@@ -125,9 +123,7 @@ class Hypergraph:
     downward_closed: bool = False
 
     def __post_init__(self):
-        n = self.vertex_count
-        if not isinstance(n, int) or n < 0:
-            raise InputError("vertex count must be a nonnegative integer")
+        n = count(self.vertex_count, "vertex count", 0)
         norm = set()
         for h in self.hyperedges:
             hs = frozenset(int(v) for v in h)
@@ -202,8 +198,7 @@ def parse_graph(text: str) -> Graph:
         n = int(head.strip())
     except ValueError:
         raise InputError(f"bad vertex count {head.strip()!r}") from None
-    if n < 0:
-        raise InputError("vertex count must be nonnegative")
+    count(n, "vertex count", 0)
     edges = []
     if tail.strip():
         pos = len(head) + 1
@@ -234,17 +229,13 @@ def graph_to_json_obj(graph: Graph) -> dict:
 
 
 def graph_from_json_obj(obj) -> Graph:
-    try:
-        n, edges = obj["vertices"], obj["edges"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"graph object missing field: {exc}") from exc
-    if not isinstance(n, int):
-        raise InputError("'vertices' must be an integer")
+    n, edges = fields(obj, "graph", "vertices", "edges")
+    count(n, "vertices", 0)
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of pairs")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2):
             raise InputError(f"bad edge entry {e!r}")
-        pairs.append((e[0], e[1]))
+        pairs.append((count(e[0], "edge vertex", 0), count(e[1], "edge vertex", 0)))
     return Graph(n, frozenset(pairs))

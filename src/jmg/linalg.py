@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, count, fields, tolerance
 
 DEFAULT_TOL = 1e-9
 
@@ -323,6 +323,7 @@ def is_projection(p: RationalMatrix) -> bool:
 
 def numerical_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Singular values above tol (float) or exact pivot count (rational)."""
+    tolerance(tol)
     if isinstance(a, RationalMatrix):
         return _exact_rank(a)
     arr = _as_complex(a)
@@ -378,6 +379,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def hermitian_check(a, require_psd: bool = False, tol: float = DEFAULT_TOL) -> HermitianCheckReport:
     """Asymmetry / spectrum report; to test a <= 1, pass 1 - a with PSD on."""
+    tolerance(tol)
     arr = _as_complex(a)
     if arr.shape[0] != arr.shape[1]:
         raise InputError("hermitian_check needs a square matrix")
@@ -391,6 +393,7 @@ def hermitian_check(a, require_psd: bool = False, tol: float = DEFAULT_TOL) -> H
 
 def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-tol, 0) clamp to zero."""
+    tolerance(tol)
     arr = _as_complex(a)
     if arr.shape[0] != arr.shape[1]:
         raise InputError("psd_sqrt needs a square matrix")
@@ -445,12 +448,9 @@ def _rational_entries(literals: list) -> tuple[np.ndarray, int]:
 
 
 def matrix_from_json_obj(obj):
-    try:
-        rows, cols, scalar, entries = obj["rows"], obj["cols"], obj["scalar"], obj["entries"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"matrix object missing field: {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
-        raise InputError("matrix rows/cols must be nonnegative integers")
+    rows, cols, scalar, entries = fields(obj, "matrix", "rows", "cols", "scalar", "entries")
+    count(rows, "matrix rows", 0)
+    count(cols, "matrix cols", 0)
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
     if scalar == "rational":

@@ -11,21 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, tolerance
 from ..linalg import DEFAULT_TOL, hermitize, matrix_to_json_obj, psd_sqrt
-from .model import POVM, PVM, JointPOVM, marginal, povm_to_json_obj, validate_povm
+from .model import POVM, JointPOVM, marginal, povm_to_json_obj, validate_povm
 
 
 @dataclass
 class DilationResult:
     isometry: np.ndarray
-    pvm: PVM
+    pvm: POVM
     enlarged_dim: int
 
 
 def neumark_dilate(e: POVM, tol: float = 1e-8) -> DilationResult:
     """Stack sqrt(E(i)) row blocks into an isometry; block projectors compress
     back to the original elements."""
+    tolerance(tol)
     report = validate_povm(e, tol)
     if not report.valid:
         raise InputError(
@@ -43,14 +44,14 @@ def neumark_dilate(e: POVM, tol: float = 1e-8) -> DilationResult:
         proj = np.zeros((enlarged, enlarged), dtype=complex)
         proj[idx * d : (idx + 1) * d, idx * d : (idx + 1) * d] = np.eye(d)
         blocks[label] = proj
-    pvm = PVM(enlarged, e.outcomes, blocks)
+    pvm = POVM(enlarged, e.outcomes, blocks)
     return DilationResult(isometry, pvm, enlarged)
 
 
 @dataclass
 class JointDilationResult:
     isometry: np.ndarray
-    joint_pvm: PVM
+    joint_pvm: POVM
     coarse_pvms: tuple
     enlarged_dim: int
 
@@ -59,6 +60,7 @@ def joint_dilation(povms, witness: JointPOVM, tol: float = 1e-6) -> JointDilatio
     """Dilate a joint observable once; summing its block projectors over all
     but one factor yields commuting sharp observables that compress to the
     original family."""
+    tolerance(tol)
     povms = list(povms)
     if len(povms) != len(witness.factor_outcome_sets):
         raise InputError("witness factor count does not match the family")
@@ -86,7 +88,7 @@ def joint_dilation(povms, witness: JointPOVM, tol: float = 1e-6) -> JointDilatio
                 if t[n] == o:
                     total += base.pvm.elements[label]
             elems[o] = total
-        coarse.append(PVM(base.enlarged_dim, e.outcomes, elems))
+        coarse.append(POVM(base.enlarged_dim, e.outcomes, elems))
     return JointDilationResult(base.isometry, base.pvm, tuple(coarse), base.enlarged_dim)
 
 

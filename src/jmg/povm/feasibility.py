@@ -49,7 +49,7 @@ from itertools import product
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, count, tolerance
 from ..linalg import hermitize
 from .model import JointPOVM, POVM, joint_povm_to_json_obj, validate_povm
 
@@ -87,7 +87,6 @@ def resource_guard() -> int:
 
 def _marginal_system(povms, tuples):
     """Indicator matrix of the slice sums and the stacked targets."""
-    d = povms[0].space_dim
     rows = []
     targets = []
     for n, e in enumerate(povms):
@@ -96,7 +95,7 @@ def _marginal_system(povms, tuples):
             targets.append(e.elements[o])
     m = np.array(rows, dtype=float)
     b = np.stack(targets).astype(complex)
-    return m, b, d
+    return m, b
 
 
 # Bloch coordinates (a0, a1, a2, a3) of the Hermitian part of a 2x2 matrix,
@@ -201,17 +200,15 @@ def jm_feasible(
             f"joint problem needs {variables} real variables, over the guard {guard} "
             f"(override with {GUARD_ENV_VAR})"
         )
-    if max_iter < 1:
-        raise InputError("max_iter must be positive")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be finite and non-negative, got {tol!r}")
+    count(max_iter, "max_iter", 1)
+    tolerance(tol)
     tuples = list(product(*outcome_sets))
 
     if d == 2:
         coords, clamp, joint = _bloch, _bloch_clamp, _from_bloch
     else:
         coords, clamp, joint = _real_view, partial(_eigh_clamp, d=d), partial(_from_real_view, d=d)
-    m, b, _ = _marginal_system(povms, tuples)
+    m, b = _marginal_system(povms, tuples)
     t = len(tuples)
     correction = m.T @ np.linalg.pinv(m @ m.T)  # least-norm affine step
     # the hermitized target term of the affine step, in coordinates

@@ -1,4 +1,4 @@
-"""POVM / PVM / joint-observable data model and structural checks."""
+"""POVM / joint-observable data model and structural checks."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, count, fields, tolerance
 from ..linalg import DEFAULT_TOL, commutator, hermitize, matrix_from_json_obj, matrix_to_json_obj
 
 
@@ -52,10 +52,6 @@ class POVM:
         return sum(self.element_list(), np.zeros((self.space_dim, self.space_dim), dtype=complex))
 
 
-class PVM(POVM):
-    """A POVM whose elements are mutually orthogonal projections."""
-
-
 @dataclass(frozen=True)
 class PovmCheckReport:
     max_asymmetry: float
@@ -67,6 +63,7 @@ class PovmCheckReport:
 
 def validate_povm(e: POVM, tol: float = DEFAULT_TOL) -> PovmCheckReport:
     """Hermiticity, 0 <= element <= 1, and sum-to-identity, all within tol."""
+    tolerance(tol)
     asym, lo, hi = 0.0, np.inf, -np.inf
     for arr in e.element_list():
         asym = max(asym, float(np.abs(arr - arr.conj().T).max()))
@@ -94,6 +91,7 @@ def pvm_defects(p: POVM) -> tuple[float, float]:
 
 def pvm_jointly_measurable(pvms, tol: float = DEFAULT_TOL) -> bool:
     """Pairwise elementwise commutation decides the whole family."""
+    tolerance(tol)
     pvms = list(pvms)
     dims = {p.space_dim for p in pvms}
     if len(dims) > 1:
@@ -167,17 +165,9 @@ def povm_to_json_obj(e: POVM) -> dict:
     }
 
 
-def _check_space_dim(dim) -> None:
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError("space_dim must be a positive integer")
-
-
 def povm_from_json_obj(obj) -> POVM:
-    try:
-        dim, outcomes, elements = obj["space_dim"], obj["outcomes"], obj["elements"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"POVM object missing field: {exc}") from exc
-    _check_space_dim(dim)
+    dim, outcomes, elements = fields(obj, "POVM", "space_dim", "outcomes", "elements")
+    count(dim, "space_dim", 1)
     if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
         raise InputError("outcomes must be a list of strings")
     if not isinstance(elements, dict):
@@ -206,11 +196,8 @@ def joint_povm_to_json_obj(j: JointPOVM) -> dict:
 
 
 def joint_povm_from_json_obj(obj) -> JointPOVM:
-    try:
-        dim, factors, elements = obj["space_dim"], obj["factor_outcomes"], obj["elements"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"joint POVM object missing field: {exc}") from exc
-    _check_space_dim(dim)
+    dim, factors, elements = fields(obj, "joint POVM", "space_dim", "factor_outcomes", "elements")
+    count(dim, "space_dim", 1)
     if not isinstance(factors, list) or not all(isinstance(s, list) for s in factors):
         raise InputError("factor_outcomes must be a list of outcome lists")
     if not isinstance(elements, dict):

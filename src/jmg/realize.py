@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, count, fields, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, maximal_cliques, non_edges
 from .linalg import (
     RationalMatrix,
@@ -192,13 +192,7 @@ def make_faithful(realization: Realization) -> Realization:
 
 def lift_to_pvms(realization: Realization) -> PvmRealization:
     """Binary sharp observable {p, 1-p} per vertex."""
-    if not realization.is_exact:
-        raise InputError("lift_to_pvms needs an exact-regime realization")
-    eye = RationalMatrix.identity(realization.space_dim)
-    pvms = {
-        x: [p, eye - p] for x, p in realization.projections.items()
-    }
-    return PvmRealization(realization.graph, realization.space_dim, pvms)
+    return extend_outcomes(realization, {x: 2 for x in range(realization.graph.vertex_count)})
 
 
 def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealization:
@@ -226,6 +220,8 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
     dim = at
 
     def embed(p: RationalMatrix, diag_ones) -> RationalMatrix:
+        if dim == d:  # no vertex has more than two outcomes: nothing is appended
+            return p
         appended = np.zeros((dim - d, dim - d), dtype=np.int64)
         for i in diag_ones:
             appended[i - d, i - d] = 1
@@ -308,6 +304,7 @@ def verify_realization(graph: Graph, realization, tol: float = 1e-9) -> Verifica
     """Check that every operator is a projection (exactly, or within tol for
     float matrices) and every PVM family is orthogonal and sums to 1, raising
     InputError if not; then report commute-iff-edge over all vertex pairs."""
+    tolerance(tol)
     r = realization
     if r.graph.vertex_count != graph.vertex_count:
         raise InputError(
@@ -486,17 +483,13 @@ def realization_to_json_obj(r: Realization) -> dict:
 
 
 def realization_from_json_obj(obj) -> Realization:
-    try:
-        graph = graph_from_json_obj(obj["graph"])
-        space_dim = obj["space_dim"]
-        method = obj["method"]
-        mats = obj["projections"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"realization object missing field: {exc}") from exc
+    graph_obj, space_dim, method, mats = fields(
+        obj, "realization", "graph", "space_dim", "method", "projections"
+    )
+    graph = graph_from_json_obj(graph_obj)
     if method not in _EXACT_METHODS | {METHOD_RANK_ONE_RESTRICTED}:
         raise InputError(f"unknown method {method!r}")
-    if not isinstance(space_dim, int) or space_dim < 0:
-        raise InputError("space_dim must be a nonnegative integer")
+    count(space_dim, "space_dim", 0)
     if not isinstance(mats, list) or len(mats) != graph.vertex_count:
         raise InputError("projections must list one matrix per vertex")
     projections = {}
@@ -527,14 +520,9 @@ def pvm_realization_to_json_obj(r: PvmRealization) -> dict:
 
 
 def pvm_realization_from_json_obj(obj) -> PvmRealization:
-    try:
-        graph = graph_from_json_obj(obj["graph"])
-        space_dim = obj["space_dim"]
-        pvms = obj["pvms"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"pvm realization object missing field: {exc}") from exc
-    if not isinstance(space_dim, int) or space_dim < 0:
-        raise InputError("space_dim must be a nonnegative integer")
+    graph_obj, space_dim, pvms = fields(obj, "pvm realization", "graph", "space_dim", "pvms")
+    graph = graph_from_json_obj(graph_obj)
+    count(space_dim, "space_dim", 0)
     if not isinstance(pvms, list) or len(pvms) != graph.vertex_count:
         raise InputError("pvms must list one family per vertex")
     parsed = {}

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from jmg.graphs import Graph
-from jmg.povm import POVM, PVM
+from jmg.povm import POVM
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -102,7 +102,7 @@ def random_povm(rng: np.random.Generator, dim: int, outcomes: int) -> POVM:
     return POVM(dim, tuple(str(i) for i in range(outcomes)), elements)
 
 
-def basis_pvm(dim: int, blocks, unitary=None) -> PVM:
+def basis_pvm(dim: int, blocks, unitary=None) -> POVM:
     """PVM of coordinate projectors (optionally conjugated)."""
     elements = {}
     for i, idxs in enumerate(blocks):
@@ -112,7 +112,7 @@ def basis_pvm(dim: int, blocks, unitary=None) -> PVM:
         if unitary is not None:
             m = unitary @ m @ unitary.conj().T
         elements[str(i)] = m
-    return PVM(dim, tuple(str(i) for i in range(len(blocks))), elements)
+    return POVM(dim, tuple(str(i) for i in range(len(blocks))), elements)
 
 
 def random_blocks(rng: np.random.Generator, dim: int) -> list:
@@ -130,11 +130,11 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def exact_pvm_to_float(elements) -> PVM:
+def exact_pvm_to_float(elements) -> POVM:
     """Lift exact PVM elements from the realizer into the float regime."""
     dim = elements[0].rows
     labels = tuple(str(i) for i in range(len(elements)))
-    return PVM(dim, labels, {str(i): m.to_ndarray().astype(complex) for i, m in enumerate(elements)})
+    return POVM(dim, labels, {str(i): m.to_ndarray().astype(complex) for i, m in enumerate(elements)})
 
 
 def product_outcome_error(joint, povms) -> float:

@@ -339,6 +339,32 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == "error: vertex 0: element 0 is not a projection\n"
 
+    @pytest.mark.parametrize("field", ["space_dim", "rows"])
+    def test_verify_boolean_count_is_input_error(self, tmp_path, capsys, field):
+        triangle = tmp_path / "triangle.txt"
+        triangle.write_text("3; 0-1, 0-2, 1-2")  # direct-sum dimension 1, which True equals
+        path = tmp_path / "real.json"
+        main(["realize", str(triangle), "--out", str(path)])
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        if field == "space_dim":
+            payload["space_dim"] = True
+        else:
+            payload["projections"][0]["rows"] = True
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(triangle), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_realize_boolean_vertex_count_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": true, "edges": []}')
+        assert main(["realize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_internal_error_is_not_called_input_error(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("kaput")

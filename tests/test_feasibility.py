@@ -260,7 +260,7 @@ def reference_solve(povms, tol=DEFAULT_SOLVER_TOL, max_iter=50_000):
     d = povms[0].space_dim
     outcome_sets = tuple(tuple(e.outcomes) for e in povms)
     tuples = list(product(*outcome_sets))
-    m, b, _ = _marginal_system(povms, tuples)
+    m, b = _marginal_system(povms, tuples)
     correction = m.T @ np.linalg.pinv(m @ m.T)
     x = np.broadcast_to(np.eye(d, dtype=complex) / len(tuples), (len(tuples), d, d)).copy()
     history = []

@@ -5,7 +5,6 @@ from jmg.errors import InputError
 from jmg.graphs import parse_graph
 from jmg.povm import (
     POVM,
-    PVM,
     JointPOVM,
     compression,
     jm_feasible,
