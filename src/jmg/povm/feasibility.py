@@ -37,6 +37,21 @@ coordinates, so its elements are exactly Hermitian.
 
 In both cases the residual needs no subtraction: for Hermitian A with
 eigenvalues w, ||A - A+||_F = ||min(w, 0)||_2.
+
+When the two sets do not meet, the iterates approach a gap pair (Bauschke &
+Borwein, Set-Valued Anal. 1, 185 (1993)), and in float64 the iterate usually
+repeats bitwise.  Each step is a pure function of the previous iterate (C, M,
+q and the clamp are fixed for the query), so after a repeat with period p
+every later step repeats an earlier one.  The loop keeps one checkpoint
+(Brent's cycle detection): the residual and iterate after steps 0, 1, 3, 7,
+15, ..., held by reference, which is safe because both clamps return fresh
+arrays.  When a later step matches it bitwise, the rest of the residual
+history is filled by history[i] = history[i - p] and the loop stops.  Every
+state of the cycle was already compared with the tolerance, so the verdict,
+the iteration count, the final residual and the summary are exactly those of
+the full loop, not estimates.  The verdict stays ``infeasible_stalled``: a
+repeating iterate shows that this iteration will not reach the tolerance, not
+that no joint observable exists.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import cycle, islice, product
 
 import numpy as np
 
@@ -178,7 +193,8 @@ def jm_feasible(
     Starts from the uniform joint assignment and alternates the affine
     projection with the PSD clamp.  The residual is the Frobenius distance
     between the two projected iterates; at or below `tol` the clamped iterate
-    is returned as the witness.
+    is returned as the witness.  Once the iterate repeats bitwise, the rest of
+    the run is replayed from the cycle, with the report the full loop gives.
     """
     povms = list(povms)
     if not povms:
@@ -194,7 +210,7 @@ def jm_feasible(
     outcome_sets = tuple(tuple(e.outcomes) for e in povms)
     joint_size = math.prod(len(s) for s in outcome_sets)
     variables = joint_size * d * d
-    guard = resource_guard() if guard_vars is None else guard_vars
+    guard = resource_guard() if guard_vars is None else count(guard_vars, "guard_vars", 1)
     if variables > guard:
         raise InputError(
             f"joint problem needs {variables} real variables, over the guard {guard} "
@@ -220,6 +236,7 @@ def jm_feasible(
     witness = None
     iterations = max_iter
     residual = np.inf
+    saved_at, saved_residual, saved_y = -1, math.nan, None  # Brent's checkpoint
     for it in range(max_iter):
         y, residual = clamp(y - correction @ (m @ y) + offset)
         history.append(residual)
@@ -228,6 +245,14 @@ def jm_feasible(
             iterations = it + 1
             witness = JointPOVM(d, outcome_sets, dict(zip(tuples, joint(y))))
             break
+        if residual == saved_residual and np.array_equal(y, saved_y):
+            # the iterate repeats bitwise: the rest of the run replays the cycle
+            period = it - saved_at
+            history += islice(cycle(history[-period:]), max_iter - 1 - it)
+            residual = history[-1]
+            break
+        if it & (it + 1) == 0:  # it = 2^k - 1: the gap to the next checkpoint doubles
+            saved_at, saved_residual, saved_y = it, residual, y
     return JmReport(verdict, witness, iterations, residual, _summarize(history))
 
 

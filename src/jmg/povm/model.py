@@ -30,6 +30,7 @@ class POVM:
     elements: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        count(self.space_dim, "space_dim", 1)
         self.outcomes = tuple(str(o) for o in self.outcomes)
         if len(set(self.outcomes)) != len(self.outcomes):
             raise InputError("duplicate outcome labels")
@@ -114,6 +115,7 @@ class JointPOVM:
     elements: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        count(self.space_dim, "space_dim", 1)
         self.factor_outcome_sets = tuple(tuple(str(o) for o in s) for s in self.factor_outcome_sets)
         expected = set(product(*self.factor_outcome_sets))
         got = {tuple(str(x) for x in key) for key in self.elements}
@@ -167,7 +169,6 @@ def povm_to_json_obj(e: POVM) -> dict:
 
 def povm_from_json_obj(obj) -> POVM:
     dim, outcomes, elements = fields(obj, "POVM", "space_dim", "outcomes", "elements")
-    count(dim, "space_dim", 1)
     if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
         raise InputError("outcomes must be a list of strings")
     if not isinstance(elements, dict):
@@ -197,7 +198,6 @@ def joint_povm_to_json_obj(j: JointPOVM) -> dict:
 
 def joint_povm_from_json_obj(obj) -> JointPOVM:
     dim, factors, elements = fields(obj, "joint POVM", "space_dim", "factor_outcomes", "elements")
-    count(dim, "space_dim", 1)
     if not isinstance(factors, list) or not all(isinstance(s, list) for s in factors):
         raise InputError("factor_outcomes must be a list of outcome lists")
     if not isinstance(elements, dict):

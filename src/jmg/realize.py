@@ -210,8 +210,7 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
     for x in range(n):
         if x not in outcome_counts:
             raise InputError(f"missing outcome count for vertex {x}")
-        if outcome_counts[x] < 2:
-            raise InputError(f"vertex {x}: outcome count {outcome_counts[x]} < 2")
+        count(outcome_counts[x], f"vertex {x}: outcome count", 2)
     d = realization.space_dim
     offsets, at = {}, d
     for x in range(n):
@@ -402,7 +401,7 @@ def lower_bound_graph(d: int) -> LowerBoundGraph:
     (least significant bit first) is set; control vertices are mutually
     disconnected.
     """
-    if d < 1 or d > MAX_LOWER_BOUND_DIM:
+    if count(d, "d", 1) > MAX_LOWER_BOUND_DIM:
         raise InputError(f"d must be in 1..{MAX_LOWER_BOUND_DIM}")
     bell = len(enumerate_partitions(d))
     n_action = bell + 1

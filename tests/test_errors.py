@@ -15,6 +15,8 @@ from jmg.linalg import (
     psd_sqrt,
 )
 from jmg.povm import (
+    POVM,
+    JointPOVM,
     jm_feasible,
     joint_dilation,
     joint_povm_from_json_obj,
@@ -27,7 +29,9 @@ from jmg.povm import (
     validate_povm,
 )
 from jmg.realize import (
+    extend_outcomes,
     lift_to_pvms,
+    lower_bound_graph,
     pvm_realization_from_json_obj,
     pvm_realization_to_json_obj,
     realization_from_json_obj,
@@ -132,3 +136,32 @@ def test_boolean_edge_vertices_rejected():
 def test_jm_feasible_rejects_bad_max_iter(max_iter):
     with pytest.raises(InputError, match="max_iter must be a positive integer"):
         jm_feasible(_pair(), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True])
+def test_extend_outcomes_rejects_bad_counts(bad):
+    realization = realize_direct_sum(FORK)
+    extend_outcomes(realization, {0: 3, 1: 2, 2: 2})
+    with pytest.raises(InputError, match="vertex 0: outcome count must be an integer >= 2"):
+        extend_outcomes(realization, {0: bad, 1: 2, 2: 2})
+
+
+# Each call succeeds with the count 2.
+LIBRARY_COUNTS = {
+    "POVM": ("space_dim", lambda n: POVM(n, ("0",), {"0": np.eye(2)})),
+    "JointPOVM": ("space_dim", lambda n: JointPOVM(n, (("0",),), {("0",): np.eye(2)})),
+    "lower_bound_graph": ("d", lower_bound_graph),
+    "jm_feasible": (
+        "guard_vars",
+        lambda n: jm_feasible([POVM(1, ("0",), {"0": [[1]]})] * 2, guard_vars=n),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_COUNTS))
+@pytest.mark.parametrize("bad", [True, 2.0, "2", 0])
+def test_library_counts_rejected(name, bad):
+    what, call = LIBRARY_COUNTS[name]
+    call(2)
+    with pytest.raises(InputError, match=f"^{what} must be a positive integer"):
+        call(bad)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,19 @@ from jmg.povm import (
     triple_jm_threshold,
     validate_povm,
 )
-from jmg.povm.feasibility import _bloch, _bloch_clamp, _from_bloch, _marginal_system
+from jmg.linalg import hermitize
+from jmg.povm import feasibility
+from jmg.povm.feasibility import (
+    JmReport,
+    _bloch,
+    _bloch_clamp,
+    _eigh_clamp,
+    _from_bloch,
+    _from_real_view,
+    _marginal_system,
+    _real_view,
+    _summarize,
+)
 
 from helpers import basis_pvm, haar_unitary, product_outcome_error, random_blocks, random_povm
 
@@ -389,3 +402,144 @@ def test_many_factor_family_stays_thin():
     if witness is not None:
         for t, a in report.witness.elements.items():
             assert np.abs(a - witness.elements[t]).max() <= 1e-9
+
+
+def unreplayed_solve(povms, tol=DEFAULT_SOLVER_TOL, max_iter=50_000):
+    """The library loop without cycle replay: all `max_iter` steps are
+    computed, however early the iterate repeats.  It is the exact parity
+    reference for the replay, not a library path."""
+    d = povms[0].space_dim
+    outcome_sets = tuple(tuple(e.outcomes) for e in povms)
+    tuples = list(product(*outcome_sets))
+    if d == 2:
+        coords, clamp, joint = _bloch, _bloch_clamp, _from_bloch
+    else:
+        coords, clamp, joint = _real_view, partial(_eigh_clamp, d=d), partial(_from_real_view, d=d)
+    m, b = _marginal_system(povms, tuples)
+    t = len(tuples)
+    correction = m.T @ np.linalg.pinv(m @ m.T)
+    offset = coords(np.tensordot(correction, hermitize(b), axes=(1, 0)))
+    y = coords(np.broadcast_to(np.eye(d, dtype=complex) / t, (t, d, d)).copy())
+    history = []
+    for it in range(max_iter):
+        y, residual = clamp(y - correction @ (m @ y) + offset)
+        history.append(residual)
+        if residual <= tol:
+            witness = JointPOVM(d, outcome_sets, dict(zip(tuples, joint(y))))
+            return JmReport("feasible", witness, it + 1, residual, _summarize(history))
+    return JmReport("infeasible_stalled", None, max_iter, residual, _summarize(history))
+
+
+def _count_clamps(monkeypatch) -> list:
+    """Make both clamps log a call; the list grows by one per computed step."""
+    calls = []
+    for name in ("_bloch_clamp", "_eigh_clamp"):
+
+        def counted(*args, _clamp=getattr(feasibility, name), **kwargs):
+            calls.append(None)
+            return _clamp(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, name, counted)
+    return calls
+
+
+def _assert_same_report(report, expected):
+    assert report.verdict == expected.verdict
+    assert report.iterations == expected.iterations
+    assert report.final_residual == expected.final_residual
+    assert report.residual_history_summary == expected.residual_history_summary
+    if expected.witness is None:
+        assert report.witness is None
+        return
+    assert report.witness.elements.keys() == expected.witness.elements.keys()
+    for t, a in expected.witness.elements.items():
+        assert np.array_equal(report.witness.elements[t], a)
+
+
+def _bench_style(seed):
+    """The noisy Pauli pair (eta 0.72-0.95) and triple (eta 0.59-0.80) that
+    the benchmark's solver workload draws for `seed`: both incompatible."""
+    rng = np.random.default_rng([seed, 3])
+    axes = [(0, 1), (0, 2), (1, 2)][rng.integers(3)]
+    pair_eta, triple_eta = float(rng.uniform(0.72, 0.95)), float(rng.uniform(0.59, 0.80))
+    pair = [noisy_orthogonal_triple(pair_eta)[a] for a in axes]
+    return pair, noisy_orthogonal_triple(triple_eta)
+
+
+def _embedded_pair(eta):
+    """The noisy sigma_x / sigma_z pair on a qutrit, with (1/2) 1 on the third
+    level: incompatible, and solved by the ``eigh`` clamp."""
+    x, _, z = noisy_orthogonal_triple(eta)
+    povms = []
+    for e in (x, z):
+        elements = {}
+        for o, a in e.elements.items():
+            elements[o] = np.zeros((3, 3), dtype=complex)
+            elements[o][:2, :2] = a
+            elements[o][2, 2] = 0.5
+        povms.append(POVM(3, e.outcomes, elements))
+    return povms
+
+
+def _cycling_cases():
+    """Stalling families whose iterate repeats bitwise before the cap."""
+    cases = []
+    for seed in (1, 977, 5, 6):
+        pair, triple = _bench_style(seed)
+        cases.append(pytest.param(pair, 5_000, id=f"bench-pair-seed{seed}"))
+        cases.append(pytest.param(triple, 5_000, id=f"bench-triple-seed{seed}"))
+    # period 754, entered at iteration 1,237: found at the checkpoint after 2,047
+    cases.append(pytest.param(noisy_orthogonal_triple(0.60), 50_000, id="triple-0.60"))
+    # period 9,832, entered at iteration 8,901: found at the checkpoint after 16,383
+    cases.append(pytest.param(_bench_style(11)[1], 30_000, id="bench-triple-seed11"))
+    cases.append(pytest.param(_embedded_pair(0.9), 5_000, id="qutrit-pair-0.9"))
+    return cases
+
+
+@pytest.mark.parametrize("family, cap", _cycling_cases())
+def test_cycle_replay_matches_full_loop(family, cap, monkeypatch):
+    expected = unreplayed_solve(family, max_iter=cap)
+    calls = _count_clamps(monkeypatch)
+    report = jm_feasible(family, max_iter=cap)
+    assert expected.verdict == "infeasible_stalled"
+    assert len(calls) < cap  # the cycle was replayed, not computed
+    _assert_same_report(report, expected)
+
+
+@pytest.mark.parametrize("family", [_bench_style(1)[0], _embedded_pair(0.9)], ids=["qubit", "qutrit"])
+def test_caps_around_the_cycle(family, monkeypatch):
+    """Caps before the repeat is found, on the step that finds it (nothing left
+    to replay) and just after it (the final residual is a replayed one)."""
+    calls = _count_clamps(monkeypatch)
+    jm_feasible(family, max_iter=5_000)
+    found = len(calls)  # the step whose iterate matched the checkpoint
+    assert found > 5
+    for cap in (5, found - 1, found, found + 1, found + 2):
+        calls.clear()
+        report = jm_feasible(family, max_iter=cap)
+        assert len(calls) == min(cap, found)
+        _assert_same_report(report, unreplayed_solve(family, max_iter=cap))
+
+
+@pytest.mark.parametrize(
+    "family, cap",
+    [c for c in _parity_cases() if c.id.startswith(("povm", "pvm"))]
+    + [pytest.param(noisy_orthogonal_triple(0.55), 50_000, id="triple-0.55")],
+)
+def test_feasible_families_unchanged_by_replay(family, cap):
+    expected = unreplayed_solve(family, max_iter=cap)
+    assert expected.verdict == "feasible"
+    _assert_same_report(jm_feasible(family, max_iter=cap), expected)
+
+
+def test_clamps_return_fresh_arrays():
+    """The cycle check keeps a reference to an earlier iterate, so no step may
+    write into the array it was given."""
+    rng = np.random.default_rng(7)
+    qubit = rng.normal(size=(6, 4))
+    qutrit = rng.normal(size=(6, 18))
+    for y, clamp in ((qubit, _bloch_clamp), (qutrit, partial(_eigh_clamp, d=3))):
+        before = y.copy()
+        clamped, _ = clamp(y)
+        assert not np.shares_memory(clamped, y)
+        assert np.array_equal(y, before)

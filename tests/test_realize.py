@@ -277,7 +277,7 @@ class TestExtendOutcomes:
         pv.validate_exact()
 
     def test_rejects_small_count(self):
-        with pytest.raises(InputError, match="< 2"):
+        with pytest.raises(InputError, match="vertex 0: outcome count must be an integer >= 2"):
             extend_outcomes(realize_direct_sum(FORK), {0: 1, 1: 2, 2: 2})
 
     def test_rejects_missing_vertex(self):
