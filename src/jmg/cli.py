@@ -112,18 +112,21 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(path: str):
-    text = _read_text(path)
+def _parse_json(text: str, path: str):
     try:
         return json.loads(text)
     except ValueError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _load_json(path: str):
+    return _parse_json(_read_text(path), path)
+
+
 def _load_graph(path: str) -> Graph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return graph_from_json_obj(_load_json(path))
+        return graph_from_json_obj(_parse_json(text, path))
     try:
         return parse_graph(text.strip())
     except InputError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -29,7 +30,8 @@ _INT64_SAFE = 2**62
 
 
 def _max_abs(num: np.ndarray) -> int:
-    return int(np.abs(num).max()) if num.size else 0
+    # two reductions, with no temporary array of absolute values
+    return max(int(num.max()), -int(num.min())) if num.size else 0
 
 
 def _store(num: np.ndarray) -> np.ndarray:
@@ -82,17 +84,14 @@ class RationalMatrix:
         den = int(denominator)
         if den < 0:
             num, den = -num, -den
-        self._num, self._den = self._normalize(num, den)
+        (self._num,), (self._den,) = _normalize(num[None], [den])
 
-    @staticmethod
-    def _normalize(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-        if num.size == 0 or not np.any(num):
-            return np.zeros(num.shape, dtype=np.int64), 1
-        g = math.gcd(int(np.gcd.reduce(num.ravel())), den)
-        if g > 1:
-            num = num // g
-            den //= g
-        return _store(num), den
+    @classmethod
+    def _of(cls, num: np.ndarray, den: int) -> "RationalMatrix":
+        """A matrix from numerators and a denominator already normalized."""
+        m = object.__new__(cls)
+        m._num, m._den = num, den
+        return m
 
     # -- constructors -----------------------------------------------------
 
@@ -217,6 +216,54 @@ class RationalMatrix:
         return f"RationalMatrix({self.to_fractions()!r})"
 
 
+def _normalize(num: np.ndarray, dens: list) -> tuple[list, list]:
+    """Each matrix num[k] / dens[k] of a (k, rows, cols) integer stack divided
+    by the gcd of its entries and its positive denominator, and stored by the
+    one storage rule; a zero matrix gets denominator 1.  One gcd reduction
+    covers the whole stack, and the division is made in place, so `num` must
+    belong to the caller.  The numerators returned are views of one array,
+    so they share no memory with each other, but may with `num`."""
+    k = len(num)
+    if k == 0:
+        return [], []
+    entry_gcds = np.gcd.reduce(num.reshape(k, -1), axis=1).tolist()
+    # a zero matrix keeps divisor 1 (its numerators stay 0) and gets den 1;
+    # otherwise the divisor is at most max|num|, so it fits num's dtype
+    divisors = [math.gcd(g, d) if g else 1 for g, d in zip(entry_gcds, dens)]
+    dens = [d // q if g else 1 for g, d, q in zip(entry_gcds, dens, divisors)]
+    if any(q > 1 for q in divisors):
+        num //= np.array(divisors, dtype=num.dtype).reshape(k, 1, 1)
+    if num.dtype == np.int64 and _max_abs(num) < _INT64_SAFE:
+        return list(num), dens
+    return [_store(m) for m in num], dens
+
+
+def matrices_from_stack(num: np.ndarray, denominators) -> list:
+    """The matrices num[k] / denominators[k] of a (k, rows, cols) integer
+    stack (one denominator may stand for all), normalized together.  The
+    stack is taken over, not copied: the caller must not change it after."""
+    dens = [denominators] * len(num) if isinstance(denominators, int) else list(denominators)
+    mats, dens = _normalize(num, dens)
+    return [RationalMatrix._of(m, d) for m, d in zip(mats, dens)]
+
+
+def padded_numerators(mats, dim: int) -> tuple[np.ndarray, list]:
+    """The numerators of `mats` in the top-left corners of a zero
+    (len(mats), dim, dim) stack, with their denominators; None stands for the
+    zero matrix over 1.  The stack is int64 when every numerator and every
+    denominator is below 2^62, so a sum or difference of two of them cannot
+    overflow, and holds Python integers otherwise."""
+    dens = [1 if m is None else m._den for m in mats]
+    narrow = max(dens, default=1) < _INT64_SAFE and all(
+        m is None or m._num.dtype == np.int64 for m in mats
+    )
+    stack = np.zeros((len(mats), dim, dim), dtype=np.int64 if narrow else object)
+    for k, m in enumerate(mats):
+        if m is not None:
+            stack[k, : m.rows, : m.cols] = m._num
+    return stack, dens
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -333,20 +380,26 @@ def numerical_rank(a, tol: float = DEFAULT_TOL) -> int:
 
 
 def _exact_rank(m: RationalMatrix) -> int:
-    grid = [[Fraction(int(x), 1) for x in row] for row in m._num]
+    """Pivot count of fraction-free (Bareiss) elimination on the numerators.
+
+    After each step every entry below the pivot rows is a minor of the
+    matrix, so (lead * x - f * y) is divisible by the previous pivot and the
+    entries stay integers no larger than those minors.
+    """
+    grid = m._num.tolist()
     rows, cols = m.shape
-    rank = 0
+    rank, prev = 0, 1
     for c in range(cols):
-        piv = next((r for r in range(rank, rows) if grid[r][c] != 0), None)
+        piv = next((r for r in range(rank, rows) if grid[r][c]), None)
         if piv is None:
             continue
         grid[rank], grid[piv] = grid[piv], grid[rank]
-        lead = grid[rank][c]
+        top = grid[rank]
+        lead = top[c]
         for r in range(rank + 1, rows):
             f = grid[r][c]
-            if f:
-                scale = f / lead
-                grid[r] = [x - scale * y for x, y in zip(grid[r], grid[rank])]
+            grid[r] = [(lead * x - f * y) // prev for x, y in zip(grid[r], top)]
+        prev = lead
         rank += 1
         if rank == rows:
             break
@@ -412,58 +465,107 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 # -- JSON wire format ---------------------------------------------------------
 
 
-def matrix_to_json_obj(m) -> dict:
-    if isinstance(m, RationalMatrix):
-        # entries share one denominator, so each distinct numerator is reduced
-        # and formatted once
-        values, index = np.unique(m._num.ravel(), return_inverse=True)
-        den = m._den
+def matrices_to_json_obj(mats) -> list:
+    """Wire objects of `mats`.  The rational matrices of one denominator
+    share one literal table: one np.unique over all their numerators, and
+    each distinct value reduced and formatted once.  A literal is the
+    lowest-terms fraction, so the table does not change it."""
+    objs: list = [None] * len(mats)
+    by_den: dict = {}
+    for i, m in enumerate(mats):
+        if isinstance(m, RationalMatrix):
+            by_den.setdefault(m._den, []).append(i)
+        else:
+            arr = _as_complex(m)
+            entries = np.column_stack((arr.real.ravel(), arr.imag.ravel())).tolist()
+            objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
+    for den, group in by_den.items():
+        values, index = np.unique(
+            np.concatenate([mats[i]._num.ravel() for i in group]), return_inverse=True
+        )
         literals = []
         for v in values.tolist():
             g = math.gcd(v, den)
             literals.append(f"{v // g}/{den // g}")
-        entries = np.array(literals, dtype=object)[index].tolist()
-        return {"rows": m.rows, "cols": m.cols, "scalar": "rational", "entries": entries}
-    arr = _as_complex(m)
-    entries = [[float(x.real), float(x.imag)] for x in arr.flat]
-    return {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
+        table = np.array(literals, dtype=object)
+        at = 0
+        for i in group:
+            rows, cols = mats[i].shape
+            entries = table[index[at : at + rows * cols]].tolist()
+            at += rows * cols
+            objs[i] = {"rows": rows, "cols": cols, "scalar": "rational", "entries": entries}
+    return objs
 
 
-def _rational_entries(literals: list) -> tuple[np.ndarray, int]:
-    """Flat integer numerators over one common denominator.
+def matrix_to_json_obj(m) -> dict:
+    return matrices_to_json_obj([m])[0]
+
+
+def _rational_entries(chunks: list) -> tuple[np.ndarray, int]:
+    """Flat integer numerators of the literal lists `chunks`, in order, over
+    one common denominator.
 
     Each distinct literal is parsed once by `_as_fraction`, so the accepted set
     is exactly its.  Only str and int literals are pooled: 1, 1.0 and True are
     equal as dict keys but not as literals.
     """
-    if set(map(type, literals)) <= {str, int}:
-        distinct = list(dict.fromkeys(literals))
+    size = sum(map(len, chunks))
+    if set(map(type, chain.from_iterable(chunks))) <= {str, int}:
+        distinct = list(dict.fromkeys(chain.from_iterable(chunks)))
         slot = dict(zip(distinct, range(len(distinct))))
-        index = np.fromiter(map(slot.__getitem__, literals), dtype=np.intp, count=len(literals))
+        index = np.fromiter(map(slot.__getitem__, chain.from_iterable(chunks)), dtype=np.intp, count=size)
     else:
-        distinct, index = literals, np.arange(len(literals))
+        distinct, index = list(chain.from_iterable(chunks)), np.arange(size)
     values = [_as_fraction(x) for x in distinct]
     den = math.lcm(*(f.denominator for f in values))
     return _int_vector([f.numerator * (den // f.denominator) for f in values])[index], den
 
 
+def _complex_matrix(entries: list, rows: int, cols: int) -> np.ndarray:
+    flat = []
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 2):
+            raise InputError("complex entries must be [re, im] pairs")
+        flat.append(complex(float(e[0]), float(e[1])))
+    return np.array(flat, dtype=complex).reshape(rows, cols)
+
+
+def matrices_from_json_obj(objs: list) -> list:
+    """Matrices of wire objects.  Each object's structure is checked in
+    order; then the rational literals of all of them are parsed by one
+    `_rational_entries` call, and each run of consecutive matrices of one
+    shape is normalized together."""
+    out: list = []
+    rational, chunks = [], []
+    for obj in objs:
+        rows, cols, scalar, entries = fields(obj, "matrix", "rows", "cols", "scalar", "entries")
+        count(rows, "matrix rows", 0)
+        count(cols, "matrix cols", 0)
+        if not isinstance(entries, list) or len(entries) != rows * cols:
+            raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
+        if scalar == "rational":
+            rational.append((len(out), (rows, cols)))
+            chunks.append(entries)
+            out.append(None)
+        elif scalar == "complex":
+            out.append(_complex_matrix(entries, rows, cols))
+        else:
+            raise InputError(f"unknown scalar regime {scalar!r}")
+    if rational:
+        num, den = _rational_entries(chunks)
+        at = 0
+        # consecutive rational matrices of one shape are one slice of `num`
+        for (rows, cols), run in groupby(rational, key=lambda r: r[1]):
+            run = list(run)
+            end = at + len(run) * rows * cols
+            for (i, _), m in zip(run, matrices_from_stack(num[at:end].reshape(len(run), rows, cols), den)):
+                out[i] = m
+            at = end
+    return out
+
+
 def matrix_from_json_obj(obj):
-    rows, cols, scalar, entries = fields(obj, "matrix", "rows", "cols", "scalar", "entries")
-    count(rows, "matrix rows", 0)
-    count(cols, "matrix cols", 0)
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
-    if scalar == "rational":
-        num, den = _rational_entries(entries)
-        return RationalMatrix(num.reshape(rows, cols), den)
-    if scalar == "complex":
-        flat = []
-        for e in entries:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise InputError("complex entries must be [re, im] pairs")
-            flat.append(complex(float(e[0]), float(e[1])))
-        return np.array(flat, dtype=complex).reshape(rows, cols)
-    raise InputError(f"unknown scalar regime {scalar!r}")
+    return matrices_from_json_obj([obj])[0]
 
 
 def rational_vector_to_json_obj(vec) -> list[str]:

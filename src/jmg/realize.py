@@ -21,11 +21,12 @@ from .linalg import (
     RationalMatrix,
     _as_fraction,
     commutator,
-    direct_sum,
-    matrix_from_json_obj,
-    matrix_to_json_obj,
+    matrices_from_json_obj,
+    matrices_from_stack,
+    matrices_to_json_obj,
     numerator_stack,
     numerical_rank,
+    padded_numerators,
     rational_vector_from_json_obj,
     rational_vector_to_json_obj,
 )
@@ -83,13 +84,11 @@ class VerificationReport:
 # -- constructions ---------------------------------------------------------
 
 
-def _qubit_pin() -> RationalMatrix:
-    return RationalMatrix.from_rows([[1, 0], [0, 0]])
-
-
-def _qubit_tilt() -> RationalMatrix:
-    half = Fraction(1, 2)
-    return RationalMatrix.from_rows([[half, half], [half, half]])
+# The qubit blocks of a non-edge over denominator 2: the pin [[1, 0], [0, 0]]
+# and the tilt [[1/2, 1/2], [1/2, 1/2]], as (row, col, numerator) offsets.
+_PIN = ((0, 0, 2),)
+_TILT = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def realize_direct_sum(graph: Graph) -> Realization:
@@ -100,12 +99,15 @@ def realize_direct_sum(graph: Graph) -> Realization:
         # no obstruction needed: one-dimensional space, all projections zero
         projections = {x: RationalMatrix.zeros(1, 1) for x in range(graph.vertex_count)}
         return Realization(graph, 1, METHOD_DIRECT_SUM, projections)
-    pin, tilt, zero = _qubit_pin(), _qubit_tilt(), RationalMatrix.zeros(2, 2)
-    projections = {
-        x: direct_sum([pin if x == v else tilt if x == w else zero for v, w in pairs])
-        for x in range(graph.vertex_count)
-    }
-    return Realization(graph, 2 * len(pairs), METHOD_DIRECT_SUM, projections)
+    n, dim = graph.vertex_count, 2 * len(pairs)
+    num = np.zeros((n, dim, dim), dtype=np.int64)
+    first, second = np.array(pairs).T
+    at = np.arange(0, dim, 2)
+    for owner, block in ((first, _PIN), (second, _TILT)):
+        for i, j, value in block:
+            num[owner, at + i, at + j] = value
+    projections = dict(enumerate(matrices_from_stack(num, 2)))
+    return Realization(graph, dim, METHOD_DIRECT_SUM, projections)
 
 
 def realize_rank_one(graph: Graph) -> Realization:
@@ -118,17 +120,14 @@ def realize_rank_one(graph: Graph) -> Realization:
     n = graph.vertex_count
     pairs = non_edges(graph).pairs
     dim = n + len(pairs)
-    slot = {pair: n + k for k, pair in enumerate(pairs)}
-    projections, vectors = {}, {}
-    for x in range(n):
-        vec = [0] * dim
-        vec[x] = 1
-        for pair, idx in slot.items():
-            if x in pair:
-                vec[idx] = 1
-        norm_sq = sum(vec)
-        projections[x] = RationalMatrix.outer(vec, vec, norm_sq)
-        vectors[x] = tuple(Fraction(v) for v in vec)
+    vecs = np.zeros((n, dim), dtype=np.int64)
+    vecs[np.arange(n), np.arange(n)] = 1
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    vecs[first, np.arange(n, dim)] = 1
+    vecs[second, np.arange(n, dim)] = 1
+    num = vecs[:, :, None] * vecs[:, None, :]  # the outer product of each row
+    projections = dict(enumerate(matrices_from_stack(num, vecs.sum(axis=1).tolist())))
+    vectors = {x: tuple(_ONE if c else _ZERO for c in row) for x, row in enumerate(vecs.tolist())}
     return Realization(graph, dim, METHOD_RANK_ONE, projections, vectors)
 
 
@@ -176,18 +175,28 @@ def restrict_to_span(realization: Realization) -> Realization:
     return Realization(realization.graph, rank, METHOD_RANK_ONE_RESTRICTED, projections)
 
 
+def _exact_projections(realization: Realization, what: str) -> list:
+    """The vertices' projections, each checked to be exact and space_dim square."""
+    if not realization.is_exact:
+        raise InputError(f"{what} needs an exact-regime realization")
+    d = realization.space_dim
+    ps = [realization.projections[x] for x in range(realization.graph.vertex_count)]
+    for x, p in enumerate(ps):
+        if not isinstance(p, RationalMatrix) or p.shape != (d, d):
+            raise InputError(f"vertex {x}: exact {d}x{d} matrix expected")
+    return ps
+
+
 def make_faithful(realization: Realization) -> Realization:
     """Append one private basis projector per vertex so all images differ
     while every commutation relation survives."""
-    if not realization.is_exact:
-        raise InputError("make_faithful needs an exact-regime realization")
-    n = realization.graph.vertex_count
-    projections = {}
-    for x in range(n):
-        private = np.zeros((n, n), dtype=np.int64)
-        private[x, x] = 1
-        projections[x] = direct_sum([realization.projections[x], RationalMatrix(private)])
-    return Realization(realization.graph, realization.space_dim + n, METHOD_FAITHFUL, projections)
+    ps = _exact_projections(realization, "make_faithful")
+    n, d = len(ps), realization.space_dim
+    num, dens = padded_numerators(ps, d + n)
+    private = np.arange(d, d + n)
+    num[np.arange(n), private, private] = dens  # 1 = D / D
+    projections = dict(enumerate(matrices_from_stack(num, dens)))
+    return Realization(realization.graph, d + n, METHOD_FAITHFUL, projections)
 
 
 def lift_to_pvms(realization: Realization) -> PvmRealization:
@@ -204,40 +213,35 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
     still sums to the identity.  All appended parts are diagonal, so the
     commutation pattern is untouched.
     """
-    if not realization.is_exact:
-        raise InputError("extend_outcomes needs an exact-regime realization")
-    n = realization.graph.vertex_count
+    ps = _exact_projections(realization, "extend_outcomes")
+    n = len(ps)
     for x in range(n):
         if x not in outcome_counts:
             raise InputError(f"missing outcome count for vertex {x}")
         count(outcome_counts[x], f"vertex {x}: outcome count", 2)
+    counts = [outcome_counts[x] for x in range(n)]
     d = realization.space_dim
-    offsets, at = {}, d
-    for x in range(n):
-        offsets[x] = at
-        at += outcome_counts[x] - 2
-    dim = at
-
-    def embed(p: RationalMatrix, diag_ones) -> RationalMatrix:
-        if dim == d:  # no vertex has more than two outcomes: nothing is appended
-            return p
-        appended = np.zeros((dim - d, dim - d), dtype=np.int64)
-        for i in diag_ones:
-            appended[i - d, i - d] = 1
-        return direct_sum([p, RationalMatrix(appended)])
-
-    eye = RationalMatrix.identity(d)
-    pvms = {}
-    for x in range(n):
-        own = range(offsets[x], offsets[x] + outcome_counts[x] - 2)
-        foreign = [i for i in range(d, dim) if i not in own]
-        elements = [embed(realization.projections[x], ())]
-        elements.append(embed(eye - realization.projections[x], foreign))
-        for i in own:
-            num = np.zeros((dim, dim), dtype=np.int64)
-            num[i, i] = 1
-            elements.append(RationalMatrix(num, 1))
-        pvms[x] = elements
+    extra = [c - 2 for c in counts]
+    dim = d + sum(extra)
+    # every element of every family, in order: p_x, then 1 - p_x (starting
+    # from the numerators of p_x), then one zero per private projector
+    slots = [e for p, k in zip(ps, extra) for e in [p, p] + [None] * k]
+    num, dens = padded_numerators(slots, dim)
+    first = np.cumsum([0] + counts)[:-1]
+    rest = first + 1
+    den = np.array(dens, dtype=num.dtype)[rest, None]
+    # 1 - p_x = (D I - N) / D on the original space ...
+    num[rest, :d, :d] *= -1
+    diag = np.arange(d)
+    num[rest[:, None], diag, diag] += den
+    # ... and 1 on every appended index but the vertex's own
+    appended = np.arange(d, dim)
+    num[rest[:, None], appended, appended] = den
+    num[np.repeat(rest, extra), appended, appended] = 0
+    own = np.flatnonzero([e is None for e in slots])  # in the order of `appended`
+    num[own, appended, appended] = 1
+    elements = matrices_from_stack(num, dens)
+    pvms = {x: elements[first[x] : first[x] + counts[x]] for x in range(n)}
     return PvmRealization(realization.graph, dim, pvms)
 
 
@@ -275,8 +279,12 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
                 raise InputError(f"vertex {x}: elements are not orthogonal")
             later = prod[end - i :]
             cross[i, end:] = (later == later.transpose(0, 2, 1)).all(axis=(1, 2))
-        if pvms and sum(family, RationalMatrix.zeros(dim, dim)) != RationalMatrix.identity(dim):
-            raise InputError(f"vertex {x}: elements do not sum to the identity")
+        # the family's elements are orthogonal projections, so their sum is a
+        # projection of rank sum_k tr(N_k) / D_k: it is 1 iff that rank is dim
+        if pvms:
+            traces = np.trace(stack[starts[x] : end], axis1=1, axis2=2).tolist()
+            if sum(Fraction(int(t), p.denominator) for t, p in zip(traces, family)) != dim:
+                raise InputError(f"vertex {x}: elements do not sum to the identity")
     n = len(families)
     return {
         (x, y): bool(cross[starts[x] : starts[x + 1], starts[y] : starts[y + 1]].all())
@@ -473,7 +481,7 @@ def realization_to_json_obj(r: Realization) -> dict:
         "graph": graph_to_json_obj(r.graph),
         "space_dim": r.space_dim,
         "method": r.method,
-        "projections": [matrix_to_json_obj(r.projections[x]) for x in range(n)],
+        "projections": matrices_to_json_obj([r.projections[x] for x in range(n)]),
         "vectors": None,
     }
     if r.vectors is not None:
@@ -491,12 +499,10 @@ def realization_from_json_obj(obj) -> Realization:
     count(space_dim, "space_dim", 0)
     if not isinstance(mats, list) or len(mats) != graph.vertex_count:
         raise InputError("projections must list one matrix per vertex")
-    projections = {}
-    for x, mobj in enumerate(mats):
-        m = matrix_from_json_obj(mobj)
+    projections = dict(enumerate(matrices_from_json_obj(mats)))
+    for x, m in projections.items():
         if m.shape != (space_dim, space_dim):
             raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
-        projections[x] = m
     vectors = None
     if obj.get("vectors") is not None:
         raw = obj["vectors"]
@@ -510,11 +516,12 @@ def realization_from_json_obj(obj) -> Realization:
 
 
 def pvm_realization_to_json_obj(r: PvmRealization) -> dict:
-    n = r.graph.vertex_count
+    families = [r.pvms[x] for x in range(r.graph.vertex_count)]
+    objs = iter(matrices_to_json_obj([p for family in families for p in family]))
     return {
         "graph": graph_to_json_obj(r.graph),
         "space_dim": r.space_dim,
-        "pvms": [[matrix_to_json_obj(p) for p in r.pvms[x]] for x in range(n)],
+        "pvms": [[next(objs) for _ in family] for family in families],
     }
 
 
@@ -524,18 +531,18 @@ def pvm_realization_from_json_obj(obj) -> PvmRealization:
     count(space_dim, "space_dim", 0)
     if not isinstance(pvms, list) or len(pvms) != graph.vertex_count:
         raise InputError("pvms must list one family per vertex")
-    parsed = {}
     for x, family in enumerate(pvms):
         if not isinstance(family, list) or not family:
             raise InputError(f"vertex {x}: empty observable")
-        elements = []
-        for mobj in family:
-            m = matrix_from_json_obj(mobj)
+    mats = iter(matrices_from_json_obj([mobj for family in pvms for mobj in family]))
+    parsed = {}
+    for x, family in enumerate(pvms):
+        elements = [next(mats) for _ in family]
+        for m in elements:
             if not isinstance(m, RationalMatrix):
                 raise InputError("pvm realizations are exact: rational matrices expected")
             if m.shape != (space_dim, space_dim):
                 raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
-            elements.append(m)
         parsed[x] = elements
     return PvmRealization(graph, space_dim, parsed)
 

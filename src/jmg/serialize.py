@@ -52,15 +52,21 @@ def _write_seq(items: list, out: list[str], depth: int, pretty: bool) -> None:
         return
     indent = "\n" + "  " * (depth + 1) if pretty else ""
     out.append("[" + indent)
-    try:
-        # an all-string list (the entries of a rational matrix) in one join;
-        # the encoder raises TypeError at the first item that is not a str
-        out.append(("," + indent).join(map(encode_basestring_ascii, items)))
-    except TypeError:
-        for i, item in enumerate(items):
-            if i:
-                out.append("," + indent)
-            _write(item, out, depth + 1, pretty)
+    sep = "," + indent
+    if type(items[0]) is float and set(map(type, items)) == {float}:
+        # an all-float list (an [re, im] pair) in one join; a list holding a
+        # bool or an int takes the item-by-item path, which spells those
+        out.append(sep.join(map(format_float, items)))
+    else:
+        try:
+            # an all-string list (the entries of a rational matrix) in one join;
+            # the encoder raises TypeError at the first item that is not a str
+            out.append(sep.join(map(encode_basestring_ascii, items)))
+        except TypeError:
+            for i, item in enumerate(items):
+                if i:
+                    out.append(sep)
+                _write(item, out, depth + 1, pretty)
     if pretty:
         out.append("\n" + "  " * depth)
     out.append("]")

@@ -293,6 +293,28 @@ class TestDemo:
         assert main(["demo", "mystery"]) == 2
 
 
+class TestJsonGraphFiles:
+    def test_read_once_and_same_as_text(self, fork_file, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fork.json"
+        path.write_text('{"vertices": 3, "edges": [[0, 1], [0, 2]]}')
+        assert main(["realize", fork_file]) == 0
+        from_text = capsys.readouterr().out
+        reads = []
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda p: reads.append(p) or read_text(p))
+        assert main(["realize", str(path)]) == 0
+        assert reads == [str(path)]
+        assert capsys.readouterr().out == from_text
+
+    def test_invalid_json_graph(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"vertices": 3, "edges": [')
+        assert main(["realize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON (")
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize(
         "payload",
@@ -401,3 +423,12 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--tol" in proc.stderr
+
+    def test_realize_outcomes_then_verify(self, fork_file, tmp_path):
+        out = tmp_path / "pvm.json"
+        proc = self.run("realize", fork_file, "--method", "rank-one", "--outcomes", "3", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verification"]["passed"] is True
+        proc = self.run("verify", fork_file, str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"passed": True, "violations": []}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from jmg.linalg import (
     direct_sum,
     hermitian_check,
     is_projection,
+    matrices_from_json_obj,
+    matrices_to_json_obj,
     matrix_from_json_obj,
     matrix_to_json_obj,
     numerical_rank,
@@ -70,6 +73,12 @@ class TestRationalMatrix:
             PIN + RationalMatrix.zeros(3, 3)
         with pytest.raises(InputError):
             PIN @ RationalMatrix.zeros(3, 3)
+
+    def test_int64_input_at_2_62_is_lifted(self):
+        m = RationalMatrix(np.array([[2**62, 3], [0, 1]], dtype=np.int64))
+        assert m._num.dtype == object
+        assert m.entry(0, 0) == 2**62
+        assert RationalMatrix(np.array([[2**62 - 1]], dtype=np.int64))._num.dtype == np.int64
 
     def test_huge_entries_stay_exact(self):
         big = 10**30
@@ -240,6 +249,76 @@ class TestNumericalRank:
         assert numerical_rank(u @ m) == numerical_rank(m)
 
 
+def fraction_rank(m: RationalMatrix) -> int:
+    """Gaussian elimination on Fractions: the exact rank before fraction-free
+    elimination, kept as the reference."""
+    grid = [[Fraction(int(x), 1) for x in row] for row in m._num]
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if grid[r][c] != 0), None)
+        if piv is None:
+            continue
+        grid[rank], grid[piv] = grid[piv], grid[rank]
+        lead = grid[rank][c]
+        for r in range(rank + 1, rows):
+            f = grid[r][c]
+            if f:
+                scale = f / lead
+                grid[r] = [x - scale * y for x, y in zip(grid[r], grid[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+RANK_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(lambda k: k * 2**63 + 1),  # above 2^62
+)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A (rows x k)(k x cols) integer product, so the rank is at most k, with
+    some columns zeroed and a random denominator."""
+    rows, cols, k = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    a = draw(st.lists(st.lists(RANK_ENTRIES, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(RANK_ENTRIES, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    zeroed = draw(st.sets(st.integers(0, 5)))
+    grid = [
+        [0 if j in zeroed else sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    den = draw(st.integers(1, 2**70))
+    return RationalMatrix(np.array(grid, dtype=object).reshape(rows, cols), den)
+
+
+class TestBareissRank:
+    @settings(max_examples=200, deadline=None)
+    @given(low_rank_matrices())
+    def test_matches_fraction_elimination(self, m):
+        assert numerical_rank(m) == fraction_rank(m)
+
+    def test_huge_rank_deficient(self):
+        m = RationalMatrix([[2**70, 2**70 + 1, 0], [2**71, 2**71 + 2, 0], [3, 5, 0]], 7)
+        assert m._num.dtype == object
+        assert numerical_rank(m) == fraction_rank(m) == 2
+
+    def test_rows_the_pivot_column_misses_are_scaled(self):
+        # after the first step row 1 must become 5 * row 1; left unscaled, the
+        # next exact division by 5 would floor a nonzero entry to zero
+        m = RationalMatrix([[5, 1, 0], [0, 1, 1], [0, 1, 2]])
+        assert numerical_rank(m) == fraction_rank(m) == 3
+
+    def test_zero_columns_and_empty(self):
+        for rows in ([[0, 0, 1], [0, 0, 2]], [[0, 0], [0, 0]]):
+            m = RationalMatrix(rows)
+            assert numerical_rank(m) == fraction_rank(m)
+        assert numerical_rank(RationalMatrix.zeros(0, 3)) == 0
+
+
 class TestJson:
     def test_rational_entries_are_strings(self):
         obj = matrix_to_json_obj(TILT)
@@ -321,3 +400,95 @@ class TestRationalWire:
             m = matrix_from_json_obj({"rows": rows, "cols": cols, "scalar": "rational", "entries": []})
             assert m.shape == (rows, cols)
             assert matrix_to_json_obj(m)["entries"] == []
+
+
+def reference_to_json_obj(m) -> dict:
+    """One matrix at a time, entry by entry: the codec before literal tables."""
+    if isinstance(m, RationalMatrix):
+        return {"rows": m.rows, "cols": m.cols, "scalar": "rational", "entries": fraction_literals(m)}
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "scalar": "complex",
+        "entries": [[float(x.real), float(x.imag)] for x in m.flat],
+    }
+
+
+def reference_from_json_obj(obj):
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    if obj["scalar"] == "complex":
+        return np.array([complex(*e) for e in entries], dtype=complex).reshape(rows, cols)
+    values = [_as_fraction(x) for x in entries]
+    den = math.lcm(*(f.denominator for f in values))
+    num = np.array([f.numerator * (den // f.denominator) for f in values], dtype=object)
+    return RationalMatrix(num.reshape(rows, cols), den)
+
+
+def same_matrix(a, b) -> bool:
+    if isinstance(a, RationalMatrix):
+        return isinstance(b, RationalMatrix) and a == b and a._num.dtype == b._num.dtype
+    return isinstance(b, np.ndarray) and b.dtype == complex and np.array_equal(a, b)
+
+
+# about 2^41: the rank-one projection onto (a, b) has numerators near 2^40
+BIG_A, BIG_B = 1_048_583, 1_048_573
+MIXED = [
+    TILT,
+    PIN,
+    RationalMatrix.from_rows([[Fraction(1, 3), 0], [Fraction(-2, 9), 1]]),
+    RationalMatrix.outer((BIG_A, BIG_B), (BIG_A, BIG_B), BIG_A**2 + BIG_B**2),
+    RationalMatrix.from_rows([[2**62, Fraction(-1, 3)], [0, 2**70 + 1]]),
+    np.array([[1 + 2j, -0.0], [0.5j, 1 / 3]], dtype=complex),
+    RationalMatrix.zeros(0, 0),
+    RationalMatrix.from_rows([[HALF, 0], [0, Fraction(3, 2)]]),
+    RationalMatrix.zeros(2, 2),
+]
+
+
+def small_or_wide_matrices():
+    return st.integers(0, 3).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.one_of(fractions_strategy(), wide_fractions()), min_size=cols, max_size=cols),
+            max_size=3,
+        ).map(RationalMatrix.from_rows)
+    )
+
+
+class TestBatchedCodec:
+    def test_writer_matches_per_matrix(self):
+        assert matrices_to_json_obj(MIXED) == [reference_to_json_obj(m) for m in MIXED]
+        assert all(matrix_to_json_obj(m) == reference_to_json_obj(m) for m in MIXED)
+
+    def test_reader_matches_per_matrix(self):
+        objs = [reference_to_json_obj(m) for m in MIXED]
+        batched = matrices_from_json_obj(objs)
+        for m, got in zip(MIXED, batched):
+            assert same_matrix(got, reference_from_json_obj(reference_to_json_obj(m)))
+            assert same_matrix(got, m)
+        assert batched[4]._num.dtype == object and batched[3]._num.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_or_wide_matrices(), max_size=5))
+    def test_round_trip_matches_per_matrix(self, mats):
+        objs = matrices_to_json_obj(mats)
+        assert objs == [reference_to_json_obj(m) for m in mats]
+        for m, got in zip(mats, matrices_from_json_obj(objs)):
+            assert same_matrix(got, m)
+            assert same_matrix(got, reference_from_json_obj(reference_to_json_obj(m)))
+
+    def test_bad_literal_in_last_matrix(self):
+        objs = [reference_to_json_obj(m) for m in (TILT, PIN, TILT)]
+        objs[-1]["entries"][3] = "1/0"
+        with pytest.raises(InputError) as single:
+            matrix_from_json_obj(objs[-1])
+        with pytest.raises(InputError) as batched:
+            matrices_from_json_obj(objs)
+        assert str(batched.value) == str(single.value) == "bad rational literal '1/0'"
+
+    def test_pooled_matrices_share_no_memory(self):
+        objs = [reference_to_json_obj(m) for m in (TILT, PIN, TILT, RationalMatrix.identity(2))]
+        mats = matrices_from_json_obj(objs)
+        for i, a in enumerate(mats):
+            for b in mats[i + 1 :]:
+                assert not np.shares_memory(a._num, b._num)
+        assert mats[0] == mats[2] == TILT

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jmg.errors import InputError
-from jmg.graphs import parse_graph
-from jmg.linalg import RationalMatrix, commutator, is_projection, numerator_stack, numerical_rank
+from jmg.graphs import non_edges, parse_graph
+from jmg.linalg import (
+    RationalMatrix,
+    commutator,
+    direct_sum,
+    is_projection,
+    numerator_stack,
+    numerical_rank,
+)
 from jmg.realize import (
     METHOD_DIRECT_SUM,
     METHOD_RANK_ONE,
@@ -427,6 +434,171 @@ class TestBatchedVerify:
         bent = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: p * 2})
         with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
             verify_realization(edge, bent)
+
+
+# a^2 + b^2 is about 2^67, so these numerators are Python integers
+HUGE_A, HUGE_B = 2**33 + 1, 2**33 - 3
+
+
+def exact_pair(a: int, b: int) -> Realization:
+    """p onto (a, b) and 1 - p, on the single edge."""
+    p = rank_one_projection((a, b))
+    return Realization(parse_graph("2; 0-1"), 2, METHOD_RANK_ONE, {0: p, 1: RationalMatrix.identity(2) - p})
+
+
+class TestPvmSumCheck:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [RationalMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+             RationalMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])],
+            [rank_one_projection((1, 1, 0)), rank_one_projection((1, -1, 0))],
+            [rank_one_projection((1, 2, 2))],
+        ],
+    )
+    def test_orthogonal_projections_short_of_identity(self, family):
+        # orthogonal projections whose sum is a rank-2 projection in dimension 3
+        g = parse_graph("1;")
+        pv = PvmRealization(g, 3, {0: family})
+        for check in (pv.validate_exact, lambda: verify_realization(g, pv)):
+            with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
+                check()
+
+    def test_non_orthogonal_reported_first(self):
+        pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
+        tilt = RationalMatrix.from_rows([[HALF, HALF], [HALF, HALF]])
+        eye = RationalMatrix.identity(2)
+        g = parse_graph("1;")
+        # neither family sums to the identity, but each fails orthogonality first
+        for family in ([pin, pin], [tilt, pin, eye - pin]):
+            with pytest.raises(InputError, match="vertex 0: elements are not orthogonal"):
+                verify_realization(g, PvmRealization(g, 2, {0: family}))
+
+    @pytest.mark.parametrize("a, b", [(BIG_A, BIG_B), (HUGE_A, HUGE_B)])
+    def test_extend_outcomes_on_wide_pairs(self, a, b):
+        r = exact_pair(a, b)
+        if a == HUGE_A:
+            assert r.projections[0]._num.dtype == object
+        edge = r.graph
+        pv = extend_outcomes(r, {0: 3, 1: 4})
+        assert pv.space_dim == 5
+        pv.validate_exact()
+        assert verify_realization(edge, pv).passed
+        assert verify_realization(edge, make_faithful(r)).passed
+        reference = reference_extend_outcomes(r, {0: 3, 1: 4})
+        assert all(same_family(pv.pvms[x], reference[x]) for x in range(2))
+
+
+def test_extend_outcomes_lifts_sums_past_2_62():
+    # not a projection: 1 - p has the entry 2^62, past the int64 storage bound
+    p = RationalMatrix(np.array([[1 - 2**62]], dtype=np.int64))
+    assert p._num.dtype == np.int64
+    r = Realization(parse_graph("1;"), 1, METHOD_RANK_ONE, {0: p})
+    rest = extend_outcomes(r, {0: 3}).pvms[0][1]
+    assert rest._num.dtype == object
+    assert rest.entry(0, 0) == 2**62
+    assert rest == reference_extend_outcomes(r, {0: 3})[0][1]
+
+
+def reference_direct_sum(graph) -> dict:
+    """One direct_sum of 2x2 blocks per vertex: the construction before the
+    numerators were written into one stack, kept as the reference."""
+    pairs = non_edges(graph).pairs
+    if not pairs:
+        return {x: RationalMatrix.zeros(1, 1) for x in range(graph.vertex_count)}
+    pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
+    tilt = RationalMatrix.from_rows([[HALF, HALF], [HALF, HALF]])
+    zero = RationalMatrix.zeros(2, 2)
+    return {
+        x: direct_sum([pin if x == v else tilt if x == w else zero for v, w in pairs])
+        for x in range(graph.vertex_count)
+    }
+
+
+def reference_rank_one(graph) -> tuple[dict, dict]:
+    n = graph.vertex_count
+    pairs = non_edges(graph).pairs
+    projections, vectors = {}, {}
+    for x in range(n):
+        vec = [1 if i == x else 0 for i in range(n)] + [1 if x in pair else 0 for pair in pairs]
+        projections[x] = RationalMatrix.outer(vec, vec, sum(vec))
+        vectors[x] = tuple(Fraction(v) for v in vec)
+    return projections, vectors
+
+
+def reference_make_faithful(r) -> dict:
+    n = r.graph.vertex_count
+    out = {}
+    for x in range(n):
+        private = np.zeros((n, n), dtype=np.int64)
+        private[x, x] = 1
+        out[x] = direct_sum([r.projections[x], RationalMatrix(private)])
+    return out
+
+
+def reference_extend_outcomes(r, counts) -> dict:
+    d = r.space_dim
+    offsets, at = {}, d
+    for x in range(r.graph.vertex_count):
+        offsets[x] = at
+        at += counts[x] - 2
+    dim = at
+
+    def embed(p, diag_ones):
+        appended = np.zeros((dim - d, dim - d), dtype=np.int64)
+        for i in diag_ones:
+            appended[i - d, i - d] = 1
+        return direct_sum([p, RationalMatrix(appended)])
+
+    eye = RationalMatrix.identity(d)
+    pvms = {}
+    for x in range(r.graph.vertex_count):
+        own = range(offsets[x], offsets[x] + counts[x] - 2)
+        foreign = [i for i in range(d, dim) if i not in own]
+        elements = [embed(r.projections[x], ()), embed(eye - r.projections[x], foreign)]
+        for i in own:
+            num = np.zeros((dim, dim), dtype=np.int64)
+            num[i, i] = 1
+            elements.append(RationalMatrix(num, 1))
+        pvms[x] = elements
+    return pvms
+
+
+def same_family(got, want) -> bool:
+    return len(got) == len(want) and all(
+        a == b and a._num.dtype == b._num.dtype for a, b in zip(got, want)
+    )
+
+
+class TestConstructionParity:
+    """The stacked constructions against their per-block references: equal
+    matrices, stored alike."""
+
+    @staticmethod
+    def check(g, code):
+        ds = realize_direct_sum(g)
+        assert same_family(list(ds.projections.values()), list(reference_direct_sum(g).values()))
+        r1 = realize_rank_one(g)
+        projections, vectors = reference_rank_one(g)
+        assert same_family(list(r1.projections.values()), list(projections.values()))
+        assert r1.vectors == vectors
+        for base in (ds, r1):
+            faithful = make_faithful(base)
+            assert same_family(list(faithful.projections.values()), list(reference_make_faithful(base).values()))
+            counts = {x: 2 + (code // 3**x) % 3 for x in range(g.vertex_count)}
+            pv = extend_outcomes(base, counts)
+            reference = reference_extend_outcomes(base, counts)
+            assert all(same_family(pv.pvms[x], reference[x]) for x in range(g.vertex_count))
+
+    def test_all_graphs_up_to_four_vertices(self):
+        for n in range(5):
+            for k, g in enumerate(all_graphs(n)):
+                self.check(g, 7 * k + n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_strategy(7), st.integers(0, 3**7 - 1))
+    def test_random_graphs(self, g, code):
+        self.check(g, code)
 
 
 class TestVerifyChecksStructure:

@@ -67,3 +67,25 @@ class TestStringLists:
         doc = {"m": ["a", 1, None, ["b", 2.5]], "s": ["x", "y"]}
         assert dumps(doc) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
         assert dumps(doc, pretty=True) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestFloatLists:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_matches_item_by_item(self, items):
+        expected = "[" + ",".join(format_float(x) for x in items) + "]"
+        assert dumps(items) == expected
+        assert json.loads(dumps(items)) == items
+        assert json.loads(dumps(items, pretty=True)) == items
+
+    def test_pretty_layout(self):
+        assert dumps({"p": [0.5, -0.0]}, pretty=True) == '{\n  "p": [\n    0.5,\n    -0\n  ]\n}'
+
+    def test_bool_and_int_keep_their_spelling(self):
+        assert dumps([0.5, True, 2, False]) == "[0.5,true,2,false]"
+        assert dumps([1.0, 1]) == "[1,1]"
+        assert dumps([[1.5, -2.0], [0.0, True]]) == "[[1.5,-2],[0,true]]"
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InputError):
+            dumps([0.5, math.nan])

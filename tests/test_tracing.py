@@ -23,14 +23,35 @@ def test_traced_realize_and_verify(tmp_path, capsys):
     graph = tmp_path / "fork.txt"
     graph.write_text("3; 0-1, 0-2")
     realization = tmp_path / "real.json"
+    pvms = tmp_path / "pvms.json"
     assert cli.main(["realize", str(graph), "--out", str(realization)]) == 0
     tracer = load_tracing().instrument(jmg)
     tracer.install()
     try:
         # through the module attribute, as the benchmark calls it
-        assert cli.main(["realize", str(graph), "--outcomes", "3"]) == 0
+        assert cli.main(["realize", str(graph), "--outcomes", "3", "--out", str(pvms)]) == 0
+        assert cli.main(["realize", str(graph), "--method", "rank-one", "--faithful"]) == 0
+        assert cli.main(["realize", str(graph), "--method", "rank-one-restricted"]) == 0
         assert cli.main(["verify", str(graph), str(realization)]) == 0
+        assert cli.main(["verify", str(graph), str(pvms)]) == 0
     finally:
         tracer.uninstall()
     names = {span[3] for span in tracer.spans}
-    assert {"cli.main", "realize.verify_pvm", "realize.verify_exact", "graphs.non_edges"} <= names
+    assert {
+        "cli.main",
+        "graphs.non_edges",
+        "realize.direct_sum",
+        "realize.rank_one",
+        "realize.extend_outcomes",
+        "realize.make_faithful",
+        "realize.restrict_to_span",
+        "realize.verify_exact",
+        "realize.verify_pvm",
+        "realize.verify_float",
+        "linalg.matmul",
+        "linalg.commutator",
+        "realize.to_json_obj",
+        "realize.from_json_obj",
+        "serialize.dumps",
+        "serialize.loads",
+    } <= names
