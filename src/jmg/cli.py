@@ -66,14 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jmg",
         description="Realize graphs as quantum observables and decide joint measurability.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
-    common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="solver iteration cap")
-    common.add_argument("--pretty", action="store_true", help="human-readable stdout")
-    common.add_argument("--out", default=None, help="write the full result JSON to this path")
+    # each parent holds options that every handler it is given to reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--pretty", action="store_true", help="human-readable stdout")
+    output.add_argument("--out", default=None, help="write the full result JSON to this path")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="solver iteration cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("realize", parents=[common], help="construct a realization from a graph file")
+    p = sub.add_parser("realize", parents=[output, tol], help="construct a realization from a graph file")
     p.add_argument("graph_file")
     p.add_argument(
         "--method",
@@ -87,20 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharp-observable outcome counts: a single integer or 'vertex:count,...' (missing vertices get 2)",
     )
 
-    p = sub.add_parser("verify", parents=[common], help="verify a realization file against a graph file")
+    p = sub.add_parser("verify", parents=[output, tol], help="verify a realization file against a graph file")
     p.add_argument("graph_file")
     p.add_argument("realization_file")
 
-    p = sub.add_parser("dilate", parents=[common], help="dilate a POVM file to a sharp observable")
+    p = sub.add_parser("dilate", parents=[output, tol], help="dilate a POVM file to a sharp observable")
     p.add_argument("povm_file")
 
-    p = sub.add_parser("jm-check", parents=[common], help="joint-measurability feasibility query")
+    p = sub.add_parser("jm-check", parents=[output, tol, solver], help="joint-measurability feasibility query")
     p.add_argument("povm_files", nargs="+")
 
-    p = sub.add_parser("demo", parents=[common], help="run a built-in demonstration")
-    p.add_argument("name", choices=["fork", "hollow-triangle", "lower-bound"])
-    p.add_argument("--eta", type=float, default=0.6, help="noise level for hollow-triangle")
-    p.add_argument("--dim", type=int, default=None, help="target dimension for lower-bound")
+    demos = sub.add_parser("demo", help="run a built-in demonstration").add_subparsers(dest="name", required=True)
+    demos.add_parser("fork", parents=[output])
+    p = demos.add_parser("hollow-triangle", parents=[output, tol, solver])
+    p.add_argument("--eta", type=float, default=0.6, help="noise level")
+    p = demos.add_parser("lower-bound", parents=[output])
+    p.add_argument("--dim", type=int, required=True, help="target dimension")
     return parser
 
 
@@ -289,26 +294,23 @@ def _cmd_demo(args) -> int:
         ]
         _emit(args, obj, pretty, obj)
         return 0
-    if args.name == "lower-bound":
-        if args.dim is None:
-            raise InputError("demo lower-bound needs --dim")
-        rep = lower_bound_graph(args.dim)
-        obj = {
-            "graph": graph_to_json_obj(rep.graph),
-            "action_vertices": list(rep.action_vertices),
-            "control_vertices": list(rep.control_vertices),
-            "bitstrings": list(rep.bitstrings),
-            "partition_count": rep.partition_count,
-        }
-        pretty = [
-            f"partitions of a {args.dim}-element set: {rep.partition_count}",
-            f"action vertices: {len(rep.action_vertices)} (complete among themselves)",
-            f"control vertices: {len(rep.control_vertices)} (mutually disconnected)",
-            f"bitstrings (bit k = adjacency to control k): {list(rep.bitstrings)}",
-        ]
-        _emit(args, obj, pretty, obj)
-        return 0
-    raise InputError(f"unknown demo {args.name!r}")
+    # the parser admits only the three demo names; this one is lower-bound
+    rep = lower_bound_graph(args.dim)
+    obj = {
+        "graph": graph_to_json_obj(rep.graph),
+        "action_vertices": list(rep.action_vertices),
+        "control_vertices": list(rep.control_vertices),
+        "bitstrings": list(rep.bitstrings),
+        "partition_count": rep.partition_count,
+    }
+    pretty = [
+        f"partitions of a {args.dim}-element set: {rep.partition_count}",
+        f"action vertices: {len(rep.action_vertices)} (complete among themselves)",
+        f"control vertices: {len(rep.control_vertices)} (mutually disconnected)",
+        f"bitstrings (bit k = adjacency to control k): {list(rep.bitstrings)}",
+    ]
+    _emit(args, obj, pretty, obj)
+    return 0
 
 
 _DISPATCH = {

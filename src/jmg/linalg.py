@@ -23,9 +23,9 @@ from .errors import InputError, count, fields, tolerance
 DEFAULT_TOL = 1e-9
 
 # The one storage rule: numerators are int64 while every entry is below this
-# bound and Python integers (object dtype) otherwise.  Before each sum or
-# product, a bound from the operands' largest entries decides whether int64
-# arithmetic is exact or the operands must be lifted to Python integers.
+# bound and Python integers (object dtype) otherwise.  Single-matrix sums and
+# products compute on Python integers, so they cannot overflow, and their
+# results are stored by this rule.
 _INT64_SAFE = 2**62
 
 
@@ -40,22 +40,8 @@ def _store(num: np.ndarray) -> np.ndarray:
     return num.astype(object, copy=False)
 
 
-def _scaled(num: np.ndarray, factor: int) -> np.ndarray:
-    """num * factor, in int64 when the result provably fits."""
-    if num.dtype == np.int64 and max(_max_abs(num), 1) * abs(factor) < _INT64_SAFE:
-        return num * factor
-    return num.astype(object) * factor
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, in int64 when inner * max|a| * max|b| provably fits."""
-    if a.dtype == b.dtype == np.int64 and a.shape[1] * _max_abs(a) * _max_abs(b) < _INT64_SAFE:
-        return a @ b
-    return a.astype(object) @ b.astype(object)
-
-
-def _int_vector(values) -> np.ndarray:
-    return _store(np.array([int(x) for x in values], dtype=object))
+def _ints(values) -> np.ndarray:
+    return np.array([int(x) for x in values], dtype=object)
 
 
 def _entry_array(values) -> np.ndarray:
@@ -65,7 +51,7 @@ def _entry_array(values) -> np.ndarray:
     for x in arr.flat:
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
             raise InputError(f"integer numerator expected, got {x!r}")
-    return _int_vector(arr.flat).reshape(arr.shape)
+    return _store(_ints(arr.flat)).reshape(arr.shape)
 
 
 class RationalMatrix:
@@ -119,7 +105,7 @@ class RationalMatrix:
     @classmethod
     def outer(cls, u, v, denominator: int = 1) -> "RationalMatrix":
         """Outer product of integer vectors, divided by `denominator`."""
-        return cls(_product(_int_vector(u)[:, None], _int_vector(v)[None, :]), denominator)
+        return cls(np.outer(_ints(u), _ints(v)), denominator)
 
     # -- structure ---------------------------------------------------------
 
@@ -184,9 +170,8 @@ class RationalMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch {self.shape} vs {other.shape}")
         den = math.lcm(self._den, other._den)
-        # two int64 terms below 2^62 each cannot overflow their sum
-        a = _scaled(self._num, den // self._den)
-        b = _scaled(other._num, sign * (den // other._den))
+        a = self._num.astype(object) * (den // self._den)
+        b = other._num.astype(object) * (sign * (den // other._den))
         return RationalMatrix(a + b, den)
 
     def __neg__(self) -> "RationalMatrix":
@@ -194,7 +179,7 @@ class RationalMatrix:
 
     def __mul__(self, scalar) -> "RationalMatrix":
         f = _as_fraction(scalar)
-        return RationalMatrix(_scaled(self._num, f.numerator), self._den * f.denominator)
+        return RationalMatrix(self._num.astype(object) * f.numerator, self._den * f.denominator)
 
     __rmul__ = __mul__
 
@@ -203,7 +188,8 @@ class RationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.shape} by {other.shape}")
-        return RationalMatrix(_product(self._num, other._num), self._den * other._den)
+        num = self._num.astype(object) @ other._num.astype(object)
+        return RationalMatrix(num, self._den * other._den)
 
     @property
     def T(self) -> "RationalMatrix":
@@ -288,19 +274,13 @@ def numerator_stack(mats, dim: int) -> np.ndarray:
     With B = max(dim * max|num|^2, max(den) * max|num|), every entry of a
     product N_i N_j, every partial sum on the way, and every entry of D_i N_i
     is an integer below B.  The stack is float64 when B < 2^53 (float64 holds
-    these integers exactly, so BLAS products compare exactly), int64 when
-    B < 2^62, and Python ints otherwise.
+    these integers exactly, so BLAS products compare exactly), and Python ints
+    otherwise.
     """
     big = max((_max_abs(m._num) for m in mats), default=0)
     den = max((m._den for m in mats), default=1)
-    bound = max(dim * big * big, den * big)
-    if bound < _FLOAT64_EXACT:
-        dtype = np.float64
-    elif bound < _INT64_SAFE:
-        dtype = np.int64
-    else:
-        dtype = object
-    stack = np.empty((len(mats), dim, dim), dtype=dtype)
+    exact = max(dim * big * big, den * big) < _FLOAT64_EXACT
+    stack = np.empty((len(mats), dim, dim), dtype=np.float64 if exact else object)
     for k, m in enumerate(mats):
         stack[k] = m._num
     return stack
@@ -330,33 +310,26 @@ def direct_sum(blocks):
     blocks = list(blocks)
     if not blocks:
         return RationalMatrix.zeros(0, 0)
-    if isinstance(blocks[0], RationalMatrix):
+    exact = isinstance(blocks[0], RationalMatrix)
+    if exact:
         for blk in blocks:
             if not isinstance(blk, RationalMatrix) or blk.rows != blk.cols:
                 raise InputError("direct_sum expects square blocks of one regime")
         den = math.lcm(*(blk.denominator for blk in blocks))
-        parts = [_scaled(blk._num, den // blk.denominator) for blk in blocks]
-        dim = sum(blk.rows for blk in blocks)
-        dtype = object if any(part.dtype == object for part in parts) else np.int64
-        num = np.zeros((dim, dim), dtype=dtype)
-        at = 0
-        for part in parts:
-            d = part.shape[0]
-            num[at : at + d, at : at + d] = part
-            at += d
-        return RationalMatrix(num, den)
-    arrs = [_as_complex(blk) for blk in blocks]
-    for arr in arrs:
-        if arr.shape[0] != arr.shape[1]:
-            raise InputError("direct_sum expects square blocks")
+        arrs = [blk._num.astype(object) * (den // blk.denominator) for blk in blocks]
+    else:
+        arrs = [_as_complex(blk) for blk in blocks]
+        for arr in arrs:
+            if arr.shape[0] != arr.shape[1]:
+                raise InputError("direct_sum expects square blocks")
     dim = sum(arr.shape[0] for arr in arrs)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=arrs[0].dtype)
     at = 0
     for arr in arrs:
         d = arr.shape[0]
         out[at : at + d, at : at + d] = arr
         at += d
-    return out
+    return RationalMatrix(out, den) if exact else out
 
 
 def is_projection(p: RationalMatrix) -> bool:
@@ -518,16 +491,24 @@ def _rational_entries(chunks: list) -> tuple[np.ndarray, int]:
         distinct, index = list(chain.from_iterable(chunks)), np.arange(size)
     values = [_as_fraction(x) for x in distinct]
     den = math.lcm(*(f.denominator for f in values))
-    return _int_vector([f.numerator * (den // f.denominator) for f in values])[index], den
+    return _store(_ints(f.numerator * (den // f.denominator) for f in values))[index], den
 
 
 def _complex_matrix(entries: list, rows: int, cols: int) -> np.ndarray:
-    flat = []
     for e in entries:
         if not (isinstance(e, list) and len(e) == 2):
             raise InputError("complex entries must be [re, im] pairs")
-        flat.append(complex(float(e[0]), float(e[1])))
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    parts = list(chain.from_iterable(entries))
+    # JSON numbers only: bool is an int subclass, so types are compared exactly
+    if not set(map(type, parts)) <= {int, float}:
+        bad = next(x for x in parts if type(x) not in (int, float))
+        raise InputError(f"complex entry parts must be numbers, got {bad!r}")
+    try:
+        pairs = np.array(parts, dtype=np.float64)
+    except OverflowError as exc:
+        raise InputError(f"complex entry part out of float range ({exc})") from exc
+    # each (re, im) pair of doubles is the memory layout of one complex128
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def matrices_from_json_obj(objs: list) -> list:

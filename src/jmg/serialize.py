@@ -19,13 +19,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, pretty: bool = False) -> str:
+def dumps(obj) -> str:
+    """`obj` as compact JSON: no whitespace, keys sorted."""
     pieces: list[str] = []
-    _write(obj, pieces, 0, pretty)
+    _write(obj, pieces)
     return "".join(pieces)
 
 
-def _write(obj, out: list[str], depth: int, pretty: bool) -> None:
+def _write(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -39,56 +40,42 @@ def _write(obj, out: list[str], depth: int, pretty: bool) -> None:
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
-        _write_seq(list(obj), out, depth, pretty)
+        _write_seq(obj, out)
     elif isinstance(obj, dict):
-        _write_map(obj, out, depth, pretty)
+        _write_map(obj, out)
     else:
         raise InputError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _write_seq(items: list, out: list[str], depth: int, pretty: bool) -> None:
-    if not items:
-        out.append("[]")
-        return
-    indent = "\n" + "  " * (depth + 1) if pretty else ""
-    out.append("[" + indent)
-    sep = "," + indent
-    if type(items[0]) is float and set(map(type, items)) == {float}:
+def _write_seq(items, out: list[str]) -> None:
+    out.append("[")
+    if items and type(items[0]) is float and set(map(type, items)) == {float}:
         # an all-float list (an [re, im] pair) in one join; a list holding a
         # bool or an int takes the item-by-item path, which spells those
-        out.append(sep.join(map(format_float, items)))
+        out.append(",".join(map(format_float, items)))
     else:
         try:
             # an all-string list (the entries of a rational matrix) in one join;
             # the encoder raises TypeError at the first item that is not a str
-            out.append(sep.join(map(encode_basestring_ascii, items)))
+            out.append(",".join(map(encode_basestring_ascii, items)))
         except TypeError:
             for i, item in enumerate(items):
                 if i:
-                    out.append(sep)
-                _write(item, out, depth + 1, pretty)
-    if pretty:
-        out.append("\n" + "  " * depth)
+                    out.append(",")
+                _write(item, out)
     out.append("]")
 
 
-def _write_map(obj: dict, out: list[str], depth: int, pretty: bool) -> None:
+def _write_map(obj: dict, out: list[str]) -> None:
     keys = sorted(obj)
     for k in keys:
         if not isinstance(k, str):
             raise InputError("JSON object keys must be strings")
-    if not keys:
-        out.append("{}")
-        return
     out.append("{")
     for i, k in enumerate(keys):
         if i:
             out.append(",")
-        if pretty:
-            out.append("\n" + "  " * (depth + 1))
         out.append(encode_basestring_ascii(k))
-        out.append(": " if pretty else ":")
-        _write(obj[k], out, depth + 1, pretty)
-    if pretty:
-        out.append("\n" + "  " * depth)
+        out.append(":")
+        _write(obj[k], out)
     out.append("}")

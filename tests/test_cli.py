@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -293,6 +294,54 @@ class TestDemo:
         assert main(["demo", "mystery"]) == 2
 
 
+# every option placement the parser accepts; each is read by its handler
+OPTIONS = {
+    "realize": {"--pretty", "--out", "--tol", "--method", "--faithful", "--outcomes"},
+    "verify": {"--pretty", "--out", "--tol"},
+    "dilate": {"--pretty", "--out", "--tol"},
+    "jm-check": {"--pretty", "--out", "--tol", "--max-iter"},
+    "demo fork": {"--pretty", "--out"},
+    "demo hollow-triangle": {"--pretty", "--out", "--tol", "--max-iter", "--eta"},
+    "demo lower-bound": {"--pretty", "--out", "--dim"},
+}
+
+
+def option_table(parser, prefix=""):
+    """Command path -> options, for every parser that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip(): {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}}
+    table = {}
+    for name, sub in subs[0].choices.items():
+        table.update(option_table(sub, f"{prefix}{name} "))
+    return table
+
+
+class TestOptionSurface:
+    def test_parser_matches_table(self):
+        table = option_table(cli.build_parser())
+        assert table == OPTIONS
+        assert sum(map(len, table.values())) == 26
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "{graph}", "--max-iter", "5"],
+            ["verify", "{graph}", "{graph}", "--max-iter", "5"],
+            ["dilate", "{graph}", "--max-iter", "5"],
+            ["demo", "fork", "--eta", "0.5"],
+            ["demo", "lower-bound", "--dim", "2", "--tol", "1e-9"],
+            ["demo", "hollow-triangle", "--dim", "3"],
+            ["demo", "lower-bound"],
+        ],
+    )
+    def test_option_a_command_does_not_read_exits_2(self, argv, fork_file, capsys):
+        assert main([a.format(graph=fork_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
 class TestJsonGraphFiles:
     def test_read_once_and_same_as_text(self, fork_file, tmp_path, capsys, monkeypatch):
         path = tmp_path / "fork.json"
@@ -386,6 +435,20 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("pair", [[None, 0], ["1", True], [0, True]])
+    def test_complex_parts_must_be_numbers(self, tmp_path, capsys, pair):
+        povm = noisy_orthogonal_triple(0.4)[0]
+        payload = json.loads(dumps(povm_to_json_obj(povm)))
+        payload["elements"][povm.outcomes[0]]["entries"][0] = pair
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        good = write_povm(tmp_path, "good.json", povm)
+        for argv in (["dilate", str(bad)], ["jm-check", good, str(bad)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
 
     def test_internal_error_is_not_called_input_error(self, monkeypatch, capsys):
         def broken(args):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jmg.errors import InputError
@@ -103,6 +103,61 @@ class TestRationalMatrix:
     @given(rational_matrices(2))
     def test_json_round_trip(self, m):
         assert matrix_from_json_obj(matrix_to_json_obj(m)) == m
+
+
+def storage_entries():
+    """Numerators of every band: small, int64 near 2^31 and 2^61 (whose sums
+    and products reach 2^62), and Python ints from 2^62 up."""
+    small = st.integers(-9, 9)
+    near = st.tuples(st.sampled_from([2**31, 2**61]), st.integers(-3, 3), st.sampled_from([1, -1]))
+    huge = st.tuples(st.integers(0, 2**64), st.sampled_from([1, -1])).map(lambda t: (2**62 + t[0]) * t[1])
+    return st.one_of(small, near.map(lambda t: (t[0] + t[1]) * t[2]), huge)
+
+
+def storage_matrices(rows: int, cols: int):
+    dens = st.sampled_from([1, 2, 3, 2**31, 2**62])
+    grids = st.lists(storage_entries(), min_size=rows * cols, max_size=rows * cols)
+    return st.builds(lambda g, d: RationalMatrix(np.array(g, dtype=object).reshape(rows, cols), d), grids, dens)
+
+
+def fraction_grid(m: RationalMatrix) -> np.ndarray:
+    return np.array(m.to_fractions(), dtype=object).reshape(m.shape)
+
+
+def assert_stored(m: RationalMatrix, expected: np.ndarray) -> None:
+    """`m` equals the Fraction reference and follows the one storage rule."""
+    assert m.to_fractions() == expected.tolist()
+    largest = max((abs(int(x)) for x in m._num.flat), default=0)
+    assert m._num.dtype == (np.int64 if largest < 2**62 else object)
+
+
+SUM_AT_2_62 = RationalMatrix(np.array([[2**61, 1], [2**61, 2]], dtype=np.int64))
+PRODUCT_AT_2_62 = RationalMatrix(np.array([[2**31, 0], [2**31, 1]], dtype=np.int64))
+
+
+class TestStorageRule:
+    @settings(max_examples=80, deadline=None)
+    @given(storage_matrices(2, 2), storage_matrices(2, 2), fractions_strategy(), storage_entries())
+    @example(SUM_AT_2_62, SUM_AT_2_62, Fraction(2), 2**61)
+    @example(PRODUCT_AT_2_62, PRODUCT_AT_2_62.T, Fraction(1, 2), 2**31)
+    def test_single_matrix_results_match_fractions(self, a, b, q, k):
+        fa, fb = fraction_grid(a), fraction_grid(b)
+        assert_stored(a + b, fa + fb)
+        assert_stored(a - b, fa - fb)
+        assert_stored(a * q, fa * q)
+        assert_stored(a @ b, fa.dot(fb))
+        u, v = [k, 1, -k], [k, 2]
+        assert_stored(RationalMatrix.outer(u, v, 3), np.array([[Fraction(x * y, 3) for y in v] for x in u]))
+        blocks = np.zeros((4, 4), dtype=object) + Fraction(0)
+        blocks[:2, :2], blocks[2:, 2:] = fa, fb
+        assert_stored(direct_sum([a, b]), blocks)
+
+    def test_int64_operands_reaching_2_62_are_lifted(self):
+        assert SUM_AT_2_62._num.dtype == PRODUCT_AT_2_62._num.dtype == np.int64
+        assert (SUM_AT_2_62 + SUM_AT_2_62)._num.dtype == object
+        assert (SUM_AT_2_62 * 2)._num.dtype == object
+        assert (PRODUCT_AT_2_62 @ PRODUCT_AT_2_62.T).entry(0, 0) == 2**62
+        assert RationalMatrix.outer([2**31], [2**31]).entry(0, 0) == 2**62
 
 
 class TestCommutator:
@@ -337,6 +392,22 @@ class TestJson:
     def test_unknown_scalar(self):
         with pytest.raises(InputError, match="scalar"):
             matrix_from_json_obj({"rows": 0, "cols": 0, "scalar": "octonion", "entries": []})
+
+    @pytest.mark.parametrize("part", [None, "1", True, [0]])
+    def test_complex_parts_must_be_numbers(self, part):
+        for pair in ([part, 0], [0, part]):
+            with pytest.raises(InputError, match="complex entry parts must be numbers"):
+                matrix_from_json_obj({"rows": 1, "cols": 1, "scalar": "complex", "entries": [pair]})
+
+    def test_complex_integer_parts_parse(self):
+        m = matrix_from_json_obj({"rows": 1, "cols": 2, "scalar": "complex", "entries": [[1, 0], [-0.0, 2]]})
+        assert m.dtype == complex and m.shape == (1, 2)
+        # bit for bit what complex(float(re), float(im)) gives, signed zero included
+        assert m.tobytes() == np.array([complex(1.0, 0.0), complex(-0.0, 2.0)]).tobytes()
+
+    def test_complex_part_out_of_float_range(self):
+        with pytest.raises(InputError, match="float range"):
+            matrix_from_json_obj({"rows": 1, "cols": 1, "scalar": "complex", "entries": [[10**400, 0]]})
 
 
 def fraction_literals(m: RationalMatrix) -> list:

@@ -37,7 +37,6 @@ class TestDumps:
             "empty": [],
             "none": None,
         }
-        assert json.loads(dumps(doc, pretty=True)) == json.loads(dumps(doc))
 
     def test_deterministic(self):
         doc = {"k": [i * 0.3 for i in range(10)]}
@@ -57,7 +56,6 @@ class TestStringLists:
     @given(st.lists(st.text()))
     def test_matches_json_dumps(self, items):
         assert dumps(items) == json.dumps(items, separators=(",", ":"))
-        assert dumps(items, pretty=True) == json.dumps(items, indent=2)
 
     def test_non_ascii_and_control_characters(self):
         items = ["\u00e9", "\n\t\x00\x1f", '"\\', "\U0001f600", "\ud800", "1/2"]
@@ -66,7 +64,6 @@ class TestStringLists:
     def test_mixed_lists_fall_back(self):
         doc = {"m": ["a", 1, None, ["b", 2.5]], "s": ["x", "y"]}
         assert dumps(doc) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
-        assert dumps(doc, pretty=True) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestFloatLists:
@@ -76,10 +73,6 @@ class TestFloatLists:
         expected = "[" + ",".join(format_float(x) for x in items) + "]"
         assert dumps(items) == expected
         assert json.loads(dumps(items)) == items
-        assert json.loads(dumps(items, pretty=True)) == items
-
-    def test_pretty_layout(self):
-        assert dumps({"p": [0.5, -0.0]}, pretty=True) == '{\n  "p": [\n    0.5,\n    -0\n  ]\n}'
 
     def test_bool_and_int_keep_their_spelling(self):
         assert dumps([0.5, True, 2, False]) == "[0.5,true,2,false]"
