@@ -1,6 +1,6 @@
 """Finite simple graphs and the hypergraphs their cliques induce.
 
-Vertices are integer indices; labels are cosmetic.  Adjacency is reflexive by
+Vertices are the integer indices 0..n-1.  Adjacency is reflexive by
 convention (``adjacent(v, v)`` is true) without storing loops.  All values are
 immutable after construction.
 """
@@ -18,7 +18,6 @@ from .errors import InputError, count, fields
 class Graph:
     vertex_count: int
     edges: frozenset = field(default_factory=frozenset)
-    vertex_labels: tuple = ()
 
     def __post_init__(self):
         n = count(self.vertex_count, "vertex count", 0)
@@ -26,19 +25,16 @@ class Graph:
         for e in self.edges:
             try:
                 a, b = e
-                a, b = int(a), int(b)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad edge {e!r}") from exc
-            if not (0 <= a < n and 0 <= b < n):
+            count(a, "edge vertex", 0)
+            count(b, "edge vertex", 0)
+            if not (a < n and b < n):
                 raise InputError(f"edge {a}-{b} references a vertex outside 0..{n - 1}")
             if a == b:
                 raise InputError(f"self-loop {a}-{a} rejected (adjacency is reflexive by convention)")
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm))
-        labels = tuple(self.vertex_labels) if self.vertex_labels else tuple(str(i) for i in range(n))
-        if len(labels) != n:
-            raise InputError(f"expected {n} labels, got {len(labels)}")
-        object.__setattr__(self, "vertex_labels", labels)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -50,10 +46,6 @@ class Graph:
         if v == w:
             return True
         return (min(v, w), max(v, w)) in self.edges
-
-    def neighbors(self, v: int) -> frozenset:
-        self._check_vertex(v)
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -126,11 +118,11 @@ class Hypergraph:
         n = count(self.vertex_count, "vertex count", 0)
         norm = set()
         for h in self.hyperedges:
-            hs = frozenset(int(v) for v in h)
+            hs = frozenset(count(v, "hyperedge vertex", 0) for v in h)
             if not hs:
                 raise InputError("empty hyperedge is excluded by convention")
             for v in hs:
-                if not (0 <= v < n):
+                if v >= n:
                     raise InputError(f"hyperedge vertex {v} outside 0..{n - 1}")
             norm.add(hs)
         object.__setattr__(self, "hyperedges", frozenset(norm))
@@ -233,9 +225,8 @@ def graph_from_json_obj(obj) -> Graph:
     count(n, "vertices", 0)
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of pairs")
-    pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2):
             raise InputError(f"bad edge entry {e!r}")
-        pairs.append((count(e[0], "edge vertex", 0), count(e[1], "edge vertex", 0)))
-    return Graph(n, frozenset(pairs))
+    # a tuple, not a set: Graph checks each endpoint before it hashes one
+    return Graph(n, tuple(map(tuple, edges)))

@@ -61,16 +61,12 @@ class RationalMatrix:
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerators, denominator: int = 1):
-        if denominator == 0:
-            raise InputError("denominator must be nonzero")
         # an array is copied, so changing it later cannot change the matrix
         num = numerators.copy() if isinstance(numerators, np.ndarray) else _entry_array(numerators)
         if num.ndim != 2:
             raise InputError("matrix data must be two-dimensional")
-        den = int(denominator)
-        if den < 0:
-            num, den = -num, -den
-        (self._num,), (self._den,) = _normalize(num[None], [den])
+        m = self._reduced(num, denominator)
+        self._num, self._den = m._num, m._den
 
     @classmethod
     def _of(cls, num: np.ndarray, den: int) -> "RationalMatrix":
@@ -79,33 +75,43 @@ class RationalMatrix:
         m._num, m._den = num, den
         return m
 
+    @classmethod
+    def _reduced(cls, num: np.ndarray, den: int) -> "RationalMatrix":
+        """num / den normalized, for a fresh 2-d integer array `num`, which
+        the matrix takes over (it is not copied), and a nonzero `den`."""
+        if den == 0:
+            raise InputError("denominator must be nonzero")
+        den = int(den)
+        if den < 0:
+            num, den = -num, -den
+        (num,), (den,) = _normalize(num[None], [den])
+        return cls._of(num, den)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        """Build from nested int / Fraction / "num/den" string entries."""
-        parsed = [[_as_fraction(x) for x in row] for row in rows]
-        ncols = {len(r) for r in parsed}
+        """Build from nested int / Fraction / "num/den" string entries, parsed
+        by the rule of the wire format."""
+        rows = list(rows)
+        ncols = {len(r) for r in rows}
         if len(ncols) > 1:
             raise InputError("ragged rows")
-        den = math.lcm(*(f.denominator for row in parsed for f in row))
-        num = [[int(f * den) for f in row] for row in parsed]
-        shape = (len(parsed), ncols.pop() if parsed else 0)
-        arr = np.array(num, dtype=object).reshape(shape)
-        return cls(arr, den)
+        num, den = _rational_entries(rows)
+        return cls._reduced(num.reshape(len(rows), ncols.pop() if rows else 0), den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), 1)
+        return cls._of(np.zeros((rows, cols), dtype=np.int64), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(np.eye(n, dtype=np.int64), 1)
+        return cls._of(np.eye(n, dtype=np.int64), 1)
 
     @classmethod
     def outer(cls, u, v, denominator: int = 1) -> "RationalMatrix":
         """Outer product of integer vectors, divided by `denominator`."""
-        return cls(np.outer(_ints(u), _ints(v)), denominator)
+        return cls._reduced(np.outer(_ints(u), _ints(v)), denominator)
 
     # -- structure ---------------------------------------------------------
 
@@ -172,14 +178,14 @@ class RationalMatrix:
         den = math.lcm(self._den, other._den)
         a = self._num.astype(object) * (den // self._den)
         b = other._num.astype(object) * (sign * (den // other._den))
-        return RationalMatrix(a + b, den)
+        return RationalMatrix._reduced(a + b, den)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(-self._num, self._den)
+        return RationalMatrix._of(-self._num, self._den)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         f = _as_fraction(scalar)
-        return RationalMatrix(self._num.astype(object) * f.numerator, self._den * f.denominator)
+        return RationalMatrix._reduced(self._num.astype(object) * f.numerator, self._den * f.denominator)
 
     __rmul__ = __mul__
 
@@ -189,11 +195,11 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.shape} by {other.shape}")
         num = self._num.astype(object) @ other._num.astype(object)
-        return RationalMatrix(num, self._den * other._den)
+        return RationalMatrix._reduced(num, self._den * other._den)
 
     @property
     def T(self) -> "RationalMatrix":
-        return RationalMatrix(self._num.T.copy(), self._den)
+        return RationalMatrix._of(self._num.T.copy(), self._den)
 
     def trace(self) -> Fraction:
         return Fraction(sum(int(self._num[i, i]) for i in range(min(self.shape))), self._den)
@@ -277,13 +283,10 @@ def numerator_stack(mats, dim: int) -> np.ndarray:
     these integers exactly, so BLAS products compare exactly), and Python ints
     otherwise.
     """
-    big = max((_max_abs(m._num) for m in mats), default=0)
-    den = max((m._den for m in mats), default=1)
-    exact = max(dim * big * big, den * big) < _FLOAT64_EXACT
-    stack = np.empty((len(mats), dim, dim), dtype=np.float64 if exact else object)
-    for k, m in enumerate(mats):
-        stack[k] = m._num
-    return stack
+    stack, dens = padded_numerators(mats, dim)
+    big = _max_abs(stack)
+    exact = max(dim * big * big, max(dens, default=1) * big) < _FLOAT64_EXACT
+    return stack.astype(np.float64 if exact else object, copy=False)
 
 
 # -- shared operations (dispatch on scalar regime) ---------------------------
@@ -294,11 +297,7 @@ def commutator(a, b):
     if isinstance(a, RationalMatrix) and isinstance(b, RationalMatrix):
         if a.rows != a.cols or a.shape != b.shape:
             raise InputError("commutator needs equal square matrices")
-        ab = a @ b
-        if a.is_symmetric() and b.is_symmetric():
-            # ba = (ab)^T when both factors are symmetric
-            return ab - ab.T
-        return ab - b @ a
+        return a @ b - b @ a
     a, b = _as_complex(a), _as_complex(b)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise InputError("commutator needs equal square matrices")
@@ -329,7 +328,7 @@ def direct_sum(blocks):
         d = arr.shape[0]
         out[at : at + d, at : at + d] = arr
         at += d
-    return RationalMatrix(out, den) if exact else out
+    return RationalMatrix._reduced(out, den) if exact else out
 
 
 def is_projection(p: RationalMatrix) -> bool:
@@ -547,13 +546,3 @@ def matrices_from_json_obj(objs: list) -> list:
 
 def matrix_from_json_obj(obj):
     return matrices_from_json_obj([obj])[0]
-
-
-def rational_vector_to_json_obj(vec) -> list[str]:
-    return [f"{_as_fraction(x).numerator}/{_as_fraction(x).denominator}" for x in vec]
-
-
-def rational_vector_from_json_obj(obj) -> tuple[Fraction, ...]:
-    if not isinstance(obj, list):
-        raise InputError("rational vector must be a list")
-    return tuple(_as_fraction(x) for x in obj)

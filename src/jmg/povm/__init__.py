@@ -44,40 +44,3 @@ from .noise import (
     hollow_triangle_report_to_json_obj,
     triple_jm_threshold,
 )
-
-__all__ = [
-    "DEFAULT_MAX_ITER",
-    "DEFAULT_SOLVER_TOL",
-    "GUARD_ENV_VAR",
-    "DilationResult",
-    "JointDilationResult",
-    "JmReport",
-    "JointPOVM",
-    "POVM",
-    "PovmCheckReport",
-    "HollowTriangleReport",
-    "compression",
-    "demo_hollow_triangle",
-    "dilation_to_json_obj",
-    "jm_feasible",
-    "jm_report_to_json_obj",
-    "joint_dilation",
-    "joint_povm_from_json_obj",
-    "joint_povm_to_json_obj",
-    "marginal",
-    "neumark_dilate",
-    "noisy_orthogonal_triple",
-    "noisy_triple_jm_oracle",
-    "pair_jm_threshold",
-    "povm_from_json_obj",
-    "povm_to_json_obj",
-    "pvm_defects",
-    "pvm_jointly_measurable",
-    "qubit_pair_jm_oracle",
-    "resource_guard",
-    "stalled",
-    "symmetric_triple_candidate",
-    "hollow_triangle_report_to_json_obj",
-    "triple_jm_threshold",
-    "validate_povm",
-]

@@ -186,7 +186,6 @@ def jm_feasible(
     povms,
     tol: float = DEFAULT_SOLVER_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    guard_vars: int | None = None,
 ) -> JmReport:
     """Search for a joint observable with the given marginals.
 
@@ -210,7 +209,7 @@ def jm_feasible(
     outcome_sets = tuple(tuple(e.outcomes) for e in povms)
     joint_size = math.prod(len(s) for s in outcome_sets)
     variables = joint_size * d * d
-    guard = resource_guard() if guard_vars is None else count(guard_vars, "guard_vars", 1)
+    guard = resource_guard()
     if variables > guard:
         raise InputError(
             f"joint problem needs {variables} real variables, over the guard {guard} "

@@ -19,16 +19,14 @@ from .errors import InputError, count, fields, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, maximal_cliques, non_edges
 from .linalg import (
     RationalMatrix,
-    _as_fraction,
     commutator,
     matrices_from_json_obj,
     matrices_from_stack,
     matrices_to_json_obj,
+    matrix_to_json_obj,
     numerator_stack,
     numerical_rank,
     padded_numerators,
-    rational_vector_from_json_obj,
-    rational_vector_to_json_obj,
 )
 
 METHOD_DIRECT_SUM = "direct_sum"
@@ -135,12 +133,10 @@ def rank_one_gram(realization: Realization) -> RationalMatrix:
     """Exact Gram matrix V V^T of the stored rank-one vectors (the rows of V)."""
     if realization.vectors is None:
         raise InputError("realization has no stored vectors")
-    vecs = [[_as_fraction(c) for c in realization.vectors[x]] for x in range(realization.graph.vertex_count)]
+    vecs = [realization.vectors[x] for x in range(realization.graph.vertex_count)]
     if any(len(vec) != realization.space_dim for vec in vecs):
         raise InputError(f"rank-one vectors must have length space_dim {realization.space_dim}")
-    den = math.lcm(*(c.denominator for vec in vecs for c in vec))
-    scaled = [[int(c * den) for c in vec] for vec in vecs]
-    v = RationalMatrix(np.array(scaled, dtype=object).reshape(len(vecs), realization.space_dim), den)
+    v = RationalMatrix.from_rows(vecs)
     return v @ v.T
 
 
@@ -398,7 +394,8 @@ class LowerBoundGraph:
     partition_count: int
 
 
-MAX_LOWER_BOUND_DIM = 8
+# --dim 8 builds an action clique of about 8.6 M edges and runs for minutes
+MAX_LOWER_BOUND_DIM = 7
 
 
 def lower_bound_graph(d: int) -> LowerBoundGraph:
@@ -423,8 +420,7 @@ def lower_bound_graph(d: int) -> LowerBoundGraph:
         for k in range(n_control):
             if (i >> k) & 1:
                 edges.add((i, n_action + k))
-    labels = tuple(f"a{i}" for i in range(n_action)) + tuple(f"c{k}" for k in range(n_control))
-    graph = Graph(n_action + n_control, frozenset(edges), labels)
+    graph = Graph(n_action + n_control, frozenset(edges))
     bitstrings = tuple(format(i, f"0{n_control}b")[::-1] for i in range(n_action))
     return LowerBoundGraph(graph, action, control, bitstrings, bell)
 
@@ -442,7 +438,7 @@ class ForkObstructionReport:
 
 
 def fork_graph() -> Graph:
-    return Graph(3, frozenset({(0, 1), (0, 2)}), ("x", "y", "z"))
+    return Graph(3, frozenset({(0, 1), (0, 2)}))
 
 
 def fork_obstruction() -> ForkObstructionReport:
@@ -475,6 +471,20 @@ def fork_obstruction() -> ForkObstructionReport:
 # -- JSON wire formats -------------------------------------------------------
 
 
+def _operators_from_json_obj(families: list, space_dim: int) -> list:
+    """The matrices of each vertex's list of wire objects, all parsed in one
+    pass, each checked to be space_dim x space_dim."""
+    mats = iter(matrices_from_json_obj([mobj for family in families for mobj in family]))
+    parsed = []
+    for x, family in enumerate(families):
+        elements = [next(mats) for _ in family]
+        for m in elements:
+            if m.shape != (space_dim, space_dim):
+                raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
+        parsed.append(elements)
+    return parsed
+
+
 def realization_to_json_obj(r: Realization) -> dict:
     n = r.graph.vertex_count
     obj = {
@@ -485,7 +495,9 @@ def realization_to_json_obj(r: Realization) -> dict:
         "vectors": None,
     }
     if r.vectors is not None:
-        obj["vectors"] = [rational_vector_to_json_obj(r.vectors[x]) for x in range(n)]
+        v = RationalMatrix.from_rows([r.vectors[x] for x in range(n)])
+        entries = matrix_to_json_obj(v)["entries"]
+        obj["vectors"] = [entries[i * v.cols : (i + 1) * v.cols] for i in range(n)]
     return obj
 
 
@@ -499,19 +511,22 @@ def realization_from_json_obj(obj) -> Realization:
     count(space_dim, "space_dim", 0)
     if not isinstance(mats, list) or len(mats) != graph.vertex_count:
         raise InputError("projections must list one matrix per vertex")
-    projections = dict(enumerate(matrices_from_json_obj(mats)))
-    for x, m in projections.items():
-        if m.shape != (space_dim, space_dim):
-            raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
+    ops = _operators_from_json_obj([[m] for m in mats], space_dim)
+    projections = {x: m for x, (m,) in enumerate(ops)}
+    exact = method in _EXACT_METHODS
+    if any(isinstance(m, RationalMatrix) != exact for m in projections.values()):
+        raise InputError(f"method {method!r} needs {'rational' if exact else 'complex'} matrices")
     vectors = None
     if obj.get("vectors") is not None:
         raw = obj["vectors"]
         if not isinstance(raw, list) or len(raw) != graph.vertex_count:
             raise InputError("vectors must list one vector per vertex")
-        vectors = {x: rational_vector_from_json_obj(v) for x, v in enumerate(raw)}
-        for x, vec in vectors.items():
+        for x, vec in enumerate(raw):
+            if not isinstance(vec, list):
+                raise InputError("rational vector must be a list")
             if len(vec) != space_dim:
                 raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
+        vectors = dict(enumerate(map(tuple, RationalMatrix.from_rows(raw).to_fractions())))
     return Realization(graph, space_dim, method, projections, vectors)
 
 
@@ -534,17 +549,10 @@ def pvm_realization_from_json_obj(obj) -> PvmRealization:
     for x, family in enumerate(pvms):
         if not isinstance(family, list) or not family:
             raise InputError(f"vertex {x}: empty observable")
-    mats = iter(matrices_from_json_obj([mobj for family in pvms for mobj in family]))
-    parsed = {}
-    for x, family in enumerate(pvms):
-        elements = [next(mats) for _ in family]
-        for m in elements:
-            if not isinstance(m, RationalMatrix):
-                raise InputError("pvm realizations are exact: rational matrices expected")
-            if m.shape != (space_dim, space_dim):
-                raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
-        parsed[x] = elements
-    return PvmRealization(graph, space_dim, parsed)
+    families = _operators_from_json_obj(pvms, space_dim)
+    if not all(isinstance(m, RationalMatrix) for family in families for m in family):
+        raise InputError("pvm realizations are exact: rational matrices expected")
+    return PvmRealization(graph, space_dim, dict(enumerate(families)))
 
 
 def verification_report_to_json_obj(report: VerificationReport) -> dict:

@@ -290,6 +290,12 @@ class TestDemo:
     def test_lower_bound_needs_dim(self, capsys):
         assert main(["demo", "lower-bound"]) == 2
 
+    def test_lower_bound_dim_over_the_cap(self, capsys):
+        assert main(["demo", "lower-bound", "--dim", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be in 1..7\n"
+
     def test_unknown_demo(self, capsys):
         assert main(["demo", "mystery"]) == 2
 
@@ -409,6 +415,28 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: vertex 0: element 0 is not a projection\n"
+
+    @pytest.mark.parametrize(
+        "built, claimed, needs",
+        [
+            ("rank-one-restricted", "direct_sum", "rational"),
+            ("rank-one-restricted", "faithful_augmented", "rational"),
+            ("direct-sum", "rank_one_restricted", "complex"),
+        ],
+    )
+    def test_verify_rejects_method_contradicting_matrices(
+        self, fork_file, tmp_path, capsys, built, claimed, needs
+    ):
+        path = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--method", built, "--out", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        payload["method"] = claimed
+        path.write_text(json.dumps(payload))
+        assert main(["verify", fork_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: method {claimed!r} needs {needs} matrices\n"
 
     @pytest.mark.parametrize("field", ["space_dim", "rows"])
     def test_verify_boolean_count_is_input_error(self, tmp_path, capsys, field):

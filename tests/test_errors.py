@@ -151,10 +151,6 @@ LIBRARY_COUNTS = {
     "POVM": ("space_dim", lambda n: POVM(n, ("0",), {"0": np.eye(2)})),
     "JointPOVM": ("space_dim", lambda n: JointPOVM(n, (("0",),), {("0",): np.eye(2)})),
     "lower_bound_graph": ("d", lower_bound_graph),
-    "jm_feasible": (
-        "guard_vars",
-        lambda n: jm_feasible([POVM(1, ("0",), {"0": [[1]]})] * 2, guard_vars=n),
-    ),
 }
 
 

@@ -158,10 +158,14 @@ class TestSolverBasics:
         with pytest.raises(InputError, match="valid POVM"):
             jm_feasible([bad])
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
+        # the triple has 8 joint outcomes on a qubit: 8 * 2 * 2 = 32 real variables
         e = noisy_orthogonal_triple(0.3)
-        with pytest.raises(InputError, match="guard"):
-            jm_feasible(e, guard_vars=10)
+        monkeypatch.setenv(GUARD_ENV_VAR, "31")
+        with pytest.raises(InputError, match="32 real variables, over the guard 31"):
+            jm_feasible(e)
+        monkeypatch.setenv(GUARD_ENV_VAR, "32")
+        assert jm_feasible(e).feasible
 
     def test_guard_env_override(self, monkeypatch):
         monkeypatch.setenv(GUARD_ENV_VAR, "10")

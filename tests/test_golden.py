@@ -1,0 +1,94 @@
+"""Golden outputs of the exact commands: stdout and `--out` bytes of `realize`
+on three small graphs, `verify` of every file written, and two demos.
+
+Every output compared here is exact (rational matrices, or no matrices at
+all), so it does not depend on the BLAS build.  To regenerate the files after
+an intended change of output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from jmg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+GRAPHS = {
+    "fork": "3; 0-1, 0-2",
+    "cycle4": "4; 0-1, 1-2, 2-3, 0-3",
+    "path5": "5; 0-1, 1-2, 2-3, 3-4",
+}
+
+VARIANTS = {
+    "direct-sum": ["--method", "direct-sum"],
+    "rank-one": ["--method", "rank-one"],
+    "rank-one-faithful": ["--method", "rank-one", "--faithful"],
+    "outcomes3": ["--outcomes", "3"],
+    "faithful-outcomes": ["--faithful", "--outcomes", "0:4,1:3"],
+}
+
+DEMOS = {
+    "demo-fork": ["demo", "fork"],
+    "demo-lower-bound-3": ["demo", "lower-bound", "--dim", "3"],
+}
+
+
+def _run(argv: list) -> bytes:
+    """stdout of one CLI call, which must exit 0 and write nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return out.getvalue().encode("utf-8")
+
+
+def outputs(work: Path) -> dict:
+    """File name -> bytes of every golden output, computed in `work`."""
+    found = {}
+    for gname, text in GRAPHS.items():
+        graph = work / f"{gname}.txt"
+        graph.write_text(text, encoding="utf-8")
+        for vname, options in VARIANTS.items():
+            stem = f"{gname}.{vname}"
+            out = work / f"{stem}.json"
+            found[f"{stem}.stdout"] = _run(["realize", str(graph), *options, "--out", str(out)])
+            found[f"{stem}.json"] = out.read_bytes()
+            found[f"{stem}.verify.stdout"] = _run(["verify", str(graph), str(out)])
+    for name, argv in DEMOS.items():
+        found[f"{name}.stdout"] = _run(argv)
+    return found
+
+
+@pytest.fixture(scope="module")
+def computed(tmp_path_factory):
+    return outputs(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_file_set(computed):
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(computed)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{g}.{v}{s}" for g in GRAPHS for v in VARIANTS for s in (".stdout", ".json", ".verify.stdout")]
+    + [f"{d}.stdout" for d in DEMOS],
+)
+def test_golden_bytes(computed, name):
+    assert computed[name] == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name, data in outputs(Path(work)).items():
+            (GOLDEN / name).write_bytes(data)

@@ -87,6 +87,13 @@ class TestGraph:
     def test_edge_normalization(self):
         assert Graph(3, frozenset({(2, 0)})).edges == frozenset({(0, 2)})
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_vertex_indices_are_counts(self, bad):
+        with pytest.raises(InputError, match="^edge vertex must be a nonnegative integer$"):
+            Graph(3, frozenset({(0, bad)}))
+        with pytest.raises(InputError, match="^hyperedge vertex must be a nonnegative integer$"):
+            Hypergraph(3, frozenset({frozenset({bad, 2})}))
+
     @settings(max_examples=150, deadline=None)
     @given(graphs_strategy())
     def test_edge_nonedge_partition(self, g):

@@ -160,6 +160,40 @@ class TestStorageRule:
         assert RationalMatrix.outer([2**31], [2**31]).entry(0, 0) == 2**62
 
 
+# int64 numerators, and Python-int numerators from 2^62 up
+FRESH_OPERANDS = [
+    (TILT, RationalMatrix.from_rows([[2, 0], [Fraction(1, 3), 1]])),
+    (
+        RationalMatrix.from_rows([[2**70, HALF], [0, 1]]),
+        RationalMatrix.from_rows([[1, 2**65], [-3, Fraction(1, 7)]]),
+    ),
+]
+
+
+class TestFreshResults:
+    """Every result owns its numerators: `_reduced` and `_of` take over the
+    arrays that the operation has just built, and none of them is an operand's."""
+
+    @pytest.mark.parametrize("a, b", FRESH_OPERANDS)
+    def test_results_share_no_memory_with_operands(self, a, b):
+        u = np.array([1, -2], dtype=np.int64)
+        results = {
+            "+": a + b,
+            "-": a - b,
+            "*": a * 1,
+            "@": a @ b,
+            "neg": -a,
+            "T": a.T,
+            "outer": RationalMatrix.outer(u, u),
+            "direct_sum": direct_sum([a]),
+        }
+        for name, m in results.items():
+            for operand in (a._num, b._num, u):
+                assert not np.shares_memory(m._num, operand), name
+        assert results["neg"] + a == RationalMatrix.zeros(2, 2)
+        assert results["T"].T == a
+
+
 class TestCommutator:
     def test_pinned_pair(self):
         expected = RationalMatrix.from_rows([[0, HALF], [-HALF, 0]])

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jmg.errors import InputError
-from jmg.graphs import non_edges, parse_graph
+from jmg.graphs import graph_from_json_obj, graph_to_json_obj, non_edges, parse_graph
 from jmg.linalg import (
     RationalMatrix,
     commutator,
@@ -23,6 +23,7 @@ from jmg.realize import (
     Realization,
     enumerate_partitions,
     extend_outcomes,
+    fork_graph,
     fork_obstruction,
     lift_to_pvms,
     lower_bound_graph,
@@ -721,6 +722,8 @@ class TestLowerBoundGraph:
     def test_guard(self):
         with pytest.raises(InputError):
             lower_bound_graph(0)
+        with pytest.raises(InputError, match=r"d must be in 1\.\.7"):
+            lower_bound_graph(8)
         with pytest.raises(InputError):
             lower_bound_graph(9)
 
@@ -767,3 +770,38 @@ class TestJsonFormats:
         obj["method"] = "mystery"
         with pytest.raises(InputError, match="method"):
             realization_from_json_obj(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(wide_fractions(), min_size=dim, max_size=dim), min_size=1, max_size=3
+            )
+        )
+    )
+    @example(
+        [[Fraction(2**70, 7), Fraction(-5, 6), Fraction(3, 2**65)], [Fraction(0), Fraction(1), Fraction(-1)]]
+    )
+    def test_vectors_share_the_matrix_codec(self, rows):
+        n, dim = len(rows), len(rows[0])
+        vecs = {x: tuple(row) for x, row in enumerate(rows)}
+        zeros = {x: RationalMatrix.zeros(dim, dim) for x in range(n)}
+        r = Realization(parse_graph(f"{n};"), dim, METHOD_RANK_ONE, zeros, vecs)
+        obj = realization_to_json_obj(r)
+        # each component in lowest terms, as Fraction formats it
+        assert obj["vectors"] == [[f"{c.numerator}/{c.denominator}" for c in row] for row in rows]
+        assert realization_from_json_obj(obj).vectors == vecs
+        gram = [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in rows] for u in rows]
+        assert rank_one_gram(r).to_fractions() == gram
+
+    @pytest.mark.parametrize("graph", [fork_graph(), lower_bound_graph(2).graph])
+    def test_built_in_graphs_round_trip(self, graph):
+        assert graph_from_json_obj(graph_to_json_obj(graph)) == graph
+
+
+def wide_fractions():
+    """Negative, zero and small values, numerators of 2^62 and more, and
+    denominators of 2^64 and more."""
+    nums = st.one_of(st.integers(-9, 9), st.integers(2**62, 2**80), st.integers(-(2**80), -(2**62)))
+    dens = st.one_of(st.integers(1, 12), st.integers(2**64, 2**70))
+    return st.builds(Fraction, nums, dens)
