@@ -21,6 +21,7 @@ from .errors import InputError, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, parse_graph
 from .linalg import DEFAULT_TOL
 from .povm import (
+    DEFAULT_DILATION_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_SOLVER_TOL,
     compression,
@@ -155,18 +156,24 @@ def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None =
 
 def _parse_outcome_spec(spec: str, vertex_count: int) -> dict:
     spec = spec.strip()
+
+    def number(text: str) -> int:
+        text = text.strip()
+        if not (text.isascii() and text.isdigit()):  # int() also reads "1_0", "+3" and "٣"
+            raise InputError(f"bad --outcomes specification {spec!r}")
+        return int(text)
+
+    if ":" not in spec:
+        return dict.fromkeys(range(vertex_count), number(spec))
     counts = {}
-    try:
-        if ":" in spec:
-            for chunk in spec.split(","):
-                v, _, c = chunk.partition(":")
-                counts[int(v.strip())] = int(c.strip())
-        else:
-            counts = {x: int(spec) for x in range(vertex_count)}
-    except ValueError as exc:
-        raise InputError(f"bad --outcomes specification {spec!r}") from exc
+    for chunk in spec.split(","):
+        v, _, c = chunk.partition(":")
+        v = number(v)
+        if v in counts:
+            raise InputError(f"--outcomes names vertex {v} twice")
+        counts[v] = number(c)
     for v in counts:
-        if not (0 <= v < vertex_count):
+        if v >= vertex_count:
             raise InputError(f"--outcomes names vertex {v} outside 0..{vertex_count - 1}")
     return {x: counts.get(x, 2) for x in range(vertex_count)}
 
@@ -233,7 +240,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dilate(args) -> int:
     povm = povm_from_json_obj(_load_json(args.povm_file))
-    result = neumark_dilate(povm, args.tol if args.tol is not None else 1e-8)
+    result = neumark_dilate(povm, args.tol if args.tol is not None else DEFAULT_DILATION_TOL)
     residual = max(
         float(np.linalg.norm(compression(result.isometry, result.pvm.elements[o]) - povm.elements[o]))
         for o in povm.outcomes

@@ -37,7 +37,7 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(norm))
 
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.vertex_count):
+        if count(v, "vertex", 0) >= self.vertex_count:
             raise InputError(f"vertex {v} outside 0..{self.vertex_count - 1}")
 
     def adjacent(self, v: int, w: int) -> bool:
@@ -60,12 +60,6 @@ class NonEdgeSet:
     @property
     def count(self) -> int:
         return len(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def non_edges(graph: Graph) -> NonEdgeSet:
@@ -128,9 +122,11 @@ class Hypergraph:
         object.__setattr__(self, "hyperedges", frozenset(norm))
 
     def has_hyperedge(self, vertices) -> bool:
-        s = frozenset(int(v) for v in vertices)
+        s = frozenset(count(v, "hyperedge vertex", 0) for v in vertices)
         if not s:
             return False
+        if max(s) >= self.vertex_count:
+            raise InputError(f"hyperedge vertex {max(s)} outside 0..{self.vertex_count - 1}")
         if self.downward_closed:
             return any(s <= h for h in self.hyperedges)
         return s in self.hyperedges

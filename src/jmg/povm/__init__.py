@@ -3,6 +3,7 @@ space, joint observables and marginals, and a joint-measurability feasibility
 solver with independent analytic oracles for the noisy qubit families."""
 
 from .dilation import (
+    DEFAULT_DILATION_TOL,
     DilationResult,
     JointDilationResult,
     compression,

@@ -7,13 +7,16 @@ isometry V that stacks the PSD square roots of the E(i).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, tolerance
-from ..linalg import DEFAULT_TOL, hermitize, matrix_to_json_obj, psd_sqrt
+from ..linalg import hermitize, matrix_to_json_obj, psd_sqrt
 from .model import POVM, JointPOVM, marginal, povm_to_json_obj, validate_povm
+
+DEFAULT_DILATION_TOL = 1e-8
 
 
 @dataclass
@@ -23,7 +26,7 @@ class DilationResult:
     enlarged_dim: int
 
 
-def neumark_dilate(e: POVM, tol: float = 1e-8) -> DilationResult:
+def neumark_dilate(e: POVM, tol: float = DEFAULT_DILATION_TOL) -> DilationResult:
     """Stack sqrt(E(i)) row blocks into an isometry; block projectors compress
     back to the original elements."""
     tolerance(tol)
@@ -44,22 +47,22 @@ def neumark_dilate(e: POVM, tol: float = 1e-8) -> DilationResult:
         proj = np.zeros((enlarged, enlarged), dtype=complex)
         proj[idx * d : (idx + 1) * d, idx * d : (idx + 1) * d] = np.eye(d)
         blocks[label] = proj
-    pvm = POVM(enlarged, e.outcomes, blocks)
+    pvm = copy.copy(e)  # the same outcomes, and for a joint observable the same factors
+    pvm.space_dim, pvm.elements = enlarged, blocks
     return DilationResult(isometry, pvm, enlarged)
 
 
 @dataclass
 class JointDilationResult:
     isometry: np.ndarray
-    joint_pvm: POVM
+    joint_pvm: JointPOVM
     coarse_pvms: tuple
     enlarged_dim: int
 
 
 def joint_dilation(povms, witness: JointPOVM, tol: float = 1e-6) -> JointDilationResult:
-    """Dilate a joint observable once; summing its block projectors over all
-    but one factor yields commuting sharp observables that compress to the
-    original family."""
+    """Dilate a joint observable once; the marginals of the dilated joint PVM
+    are commuting sharp observables that compress to the original family."""
     tolerance(tol)
     povms = list(povms)
     if len(povms) != len(witness.factor_outcome_sets):
@@ -75,21 +78,9 @@ def joint_dilation(povms, witness: JointPOVM, tol: float = 1e-6) -> JointDilatio
         )
         if err > tol:
             raise InputError(f"witness marginal {n} misses the input by {err:.3e} > {tol}")
-    flat = witness.as_flat_povm()
-    base = neumark_dilate(flat, max(tol, 1e-8))
-    tuples = witness.outcome_tuples()
-    labels = flat.outcomes
-    coarse = []
-    for n, e in enumerate(povms):
-        elems = {}
-        for o in e.outcomes:
-            total = np.zeros((base.enlarged_dim, base.enlarged_dim), dtype=complex)
-            for t, label in zip(tuples, labels):
-                if t[n] == o:
-                    total += base.pvm.elements[label]
-            elems[o] = total
-        coarse.append(POVM(base.enlarged_dim, e.outcomes, elems))
-    return JointDilationResult(base.isometry, base.pvm, tuple(coarse), base.enlarged_dim)
+    base = neumark_dilate(witness, max(tol, DEFAULT_DILATION_TOL))
+    coarse = tuple(marginal(base.pvm, n) for n in range(len(povms)))
+    return JointDilationResult(base.isometry, base.pvm, coarse, base.enlarged_dim)
 
 
 def compression(isometry: np.ndarray, operator: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ class POVM:
 
     def __post_init__(self):
         count(self.space_dim, "space_dim", 1)
-        self.outcomes = tuple(str(o) for o in self.outcomes)
+        if not isinstance(self, JointPOVM):  # a JointPOVM's constructor builds its tuple labels
+            self.outcomes = tuple(str(o) for o in self.outcomes)
         if len(set(self.outcomes)) != len(self.outcomes):
             raise InputError("duplicate outcome labels")
         if set(self.elements) != set(self.outcomes):
@@ -43,7 +44,7 @@ class POVM:
                 raise InputError(
                     f"outcome {label!r}: shape {arr.shape} != space_dim {self.space_dim}"
                 )
-            parsed[str(label)] = arr
+            parsed[label] = arr
         self.elements = parsed
 
     def element_list(self) -> list:
@@ -106,46 +107,20 @@ def pvm_jointly_measurable(pvms, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-@dataclass
-class JointPOVM:
-    """POVM over a product outcome space, indexed by label tuples."""
+class JointPOVM(POVM):
+    """POVM whose outcomes are the tuples of the product of its factor outcome
+    sets, in `itertools.product` order."""
 
-    space_dim: int
-    factor_outcome_sets: tuple
-    elements: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        count(self.space_dim, "space_dim", 1)
-        self.factor_outcome_sets = tuple(tuple(str(o) for o in s) for s in self.factor_outcome_sets)
-        expected = set(product(*self.factor_outcome_sets))
-        got = {tuple(str(x) for x in key) for key in self.elements}
-        if got != expected:
-            raise InputError("joint elements must cover exactly the product outcome space")
-        parsed = {}
-        for key, m in self.elements.items():
-            arr = _as_element(m)
-            if arr.shape != (self.space_dim, self.space_dim):
-                raise InputError(f"outcome {key!r}: shape {arr.shape} != space_dim {self.space_dim}")
-            parsed[tuple(str(x) for x in key)] = arr
-        self.elements = parsed
-
-    def outcome_tuples(self) -> list:
-        return list(product(*self.factor_outcome_sets))
-
-    def as_flat_povm(self) -> POVM:
-        """Flatten tuple outcomes to JSON-array string labels."""
-        labels = [json.dumps(list(t), separators=(",", ":")) for t in self.outcome_tuples()]
-        elements = dict(zip(labels, (self.elements[t] for t in self.outcome_tuples())))
-        return POVM(self.space_dim, tuple(labels), elements)
-
-    def validate(self, tol: float = DEFAULT_TOL) -> PovmCheckReport:
-        return validate_povm(self.as_flat_povm(), tol)
+    def __init__(self, space_dim: int, factor_outcome_sets, elements: dict):
+        self.factor_outcome_sets = tuple(tuple(str(o) for o in s) for s in factor_outcome_sets)
+        elements = {tuple(str(x) for x in key): m for key, m in elements.items()}
+        super().__init__(space_dim, tuple(product(*self.factor_outcome_sets)), elements)
 
 
 def marginal(joint: JointPOVM, factor: int) -> POVM:
     """Sum out every index except `factor`."""
     k = len(joint.factor_outcome_sets)
-    if not (0 <= factor < k):
+    if count(factor, "factor index", 0) >= k:
         raise InputError(f"factor index {factor} outside 0..{k - 1}")
     outcomes = joint.factor_outcome_sets[factor]
     sums = {
@@ -191,7 +166,7 @@ def joint_povm_to_json_obj(j: JointPOVM) -> dict:
         "factor_outcomes": [list(s) for s in j.factor_outcome_sets],
         "elements": {
             json.dumps(list(t), separators=(",", ":")): matrix_to_json_obj(j.elements[t])
-            for t in j.outcome_tuples()
+            for t in j.outcomes
         },
     }
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InputError, count, fields, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, maximal_cliques, non_edges
 from .linalg import (
+    DEFAULT_TOL,
     RationalMatrix,
     commutator,
     matrices_from_json_obj,
@@ -59,11 +60,6 @@ class PvmRealization:
     graph: Graph
     space_dim: int
     pvms: dict
-
-    def validate_exact(self) -> None:
-        """Exact sanity of each observable: projections, orthogonal, sum to 1."""
-        families = [self.pvms[x] for x in range(self.graph.vertex_count)]
-        _exact_commutation(families, self.space_dim, pvms=True)
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,7 @@ def _float_commutator_norms(ops: list, tol: float) -> dict:
     }
 
 
-def verify_realization(graph: Graph, realization, tol: float = 1e-9) -> VerificationReport:
+def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check that every operator is a projection (exactly, or within tol for
     float matrices) and every PVM family is orthogonal and sums to 1, raising
     InputError if not; then report commute-iff-edge over all vertex pairs."""

@@ -74,6 +74,23 @@ class TestRealize:
         assert main(["realize", fork_file, "--outcomes", "0:4,2:3"]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "pvm_realization"
 
+    def test_outcomes_spec_with_spaces(self, fork_file, capsys):
+        assert main(["realize", fork_file, "--outcomes", " 0:3, 1 : 4 "]) == 0
+        assert json.loads(capsys.readouterr().out)["space_dim"] == 2 + 1 + 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0:3,0:4", "vertex 0 twice"),
+        ("1_0", "bad --outcomes"),
+        ("+3", "bad --outcomes"),
+        ("\u0663", "bad --outcomes"),
+        ("0:1_0", "bad --outcomes"),
+        ("+1:3", "bad --outcomes"),
+        ("0:\u0663", "bad --outcomes"),
+    ])
+    def test_outcomes_spec_rejected(self, fork_file, capsys, spec, message):
+        assert main(["realize", fork_file, "--outcomes", spec]) == 2
+        assert message in capsys.readouterr().err
+
     def test_faithful_rejected_on_restricted(self, fork_file, capsys):
         code = main(["realize", fork_file, "--method", "rank-one-restricted", "--faithful"])
         assert code == 2

@@ -141,7 +141,7 @@ class TestSolverBasics:
         report = jm_feasible(povms)
         assert report.feasible
         assert product_outcome_error(report.witness, povms) <= 1e-6
-        assert report.witness.validate(1e-6).valid
+        assert validate_povm(report.witness, 1e-6).valid
 
     def test_single_povm_trivially_feasible(self):
         e = POVM(2, ("a", "b"), {"a": EYE2 / 3, "b": 2 * EYE2 / 3})

@@ -94,6 +94,11 @@ class TestGraph:
         with pytest.raises(InputError, match="^hyperedge vertex must be a nonnegative integer$"):
             Hypergraph(3, frozenset({frozenset({bad, 2})}))
 
+    @pytest.mark.parametrize("v, w", [(True, 0), (1.5, 1.5), ("1", 0), (-1, 0), (0, 3)])
+    def test_adjacent_checks_indices(self, v, w):
+        with pytest.raises(InputError, match="vertex"):
+            Graph(3, frozenset({(0, 1)})).adjacent(v, w)
+
     @settings(max_examples=150, deadline=None)
     @given(graphs_strategy())
     def test_edge_nonedge_partition(self, g):
@@ -162,6 +167,11 @@ class TestHypergraph:
         h = induced_hypergraph(FORK)
         assert h.hyperedges == frozenset({frozenset({0, 1}), frozenset({0, 2})})
         assert not h.has_hyperedge({1, 2})
+
+    @pytest.mark.parametrize("vertices", [(0.7, 1.2), (True, 1), (0, -1), (0, 3)])
+    def test_has_hyperedge_checks_indices(self, vertices):
+        with pytest.raises(InputError, match="hyperedge vertex"):
+            hollow_triangle().has_hyperedge(vertices)
 
     def test_hollow_triangle_not_induced(self):
         assert not is_graph_induced(hollow_triangle())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from jmg.povm import (
     pvm_jointly_measurable,
     validate_povm,
 )
+from jmg.linalg import matrix_to_json_obj
 from jmg.realize import lift_to_pvms, realize_direct_sum
 
 from helpers import basis_pvm, exact_pvm_to_float, random_povm
@@ -157,6 +160,38 @@ class TestMarginal:
         with pytest.raises(InputError, match="factor index"):
             marginal(joint, 1)
 
+    @pytest.mark.parametrize("factor", [True, -1, 0.0, "0"])
+    def test_index_must_be_a_count(self, factor):
+        joint = JointPOVM(2, (("0", "1"),), {("0",): EYE2 / 2, ("1",): EYE2 / 2})
+        with pytest.raises(InputError, match="factor index must be a nonnegative integer"):
+            marginal(joint, factor)
+
+    def test_repeated_factor_label_rejected(self):
+        with pytest.raises(InputError, match="duplicate outcome labels"):
+            JointPOVM(2, (("+", "+"),), {("+",): EYE2})
+
+
+def reference_joint_dilation(povms, witness: JointPOVM, tol: float = 1e-6):
+    """Joint dilation as first written: dilate the joint observable flattened
+    to JSON-string labels, then sum its block projectors over every outcome
+    tuple by hand.  It is the parity reference for `joint_dilation`, which
+    takes the marginals of one dilated joint PVM, not a library path."""
+    tuples = list(witness.outcomes)
+    labels = [json.dumps(list(t), separators=(",", ":")) for t in tuples]
+    flat = POVM(witness.space_dim, tuple(labels), dict(zip(labels, witness.element_list())))
+    base = neumark_dilate(flat, max(tol, 1e-8))
+    coarse = []
+    for n, e in enumerate(povms):
+        elems = {}
+        for o in e.outcomes:
+            total = np.zeros((base.enlarged_dim, base.enlarged_dim), dtype=complex)
+            for t, label in zip(tuples, labels):
+                if t[n] == o:
+                    total += base.pvm.elements[label]
+            elems[o] = total
+        coarse.append(POVM(base.enlarged_dim, e.outcomes, elems))
+    return base.isometry, coarse
+
 
 class TestJointDilation:
     def test_commuting_product_witness(self):
@@ -190,6 +225,25 @@ class TestJointDilation:
         with pytest.raises(InputError, match="marginal"):
             joint_dilation(povms, witness)
 
+    @pytest.mark.parametrize("eta", [None, 0.5, 0.6])
+    def test_matches_flattened_reference_bitwise(self, eta):
+        if eta is None:  # the commuting product witness
+            p = q = basis_pvm(2, [[0], [1]])
+            povms = [p, q]
+            elements = {(a, b): p.elements[a] @ q.elements[b] for a in p.outcomes for b in q.outcomes}
+            witness = JointPOVM(2, (p.outcomes, q.outcomes), elements)
+        else:
+            povms = noisy_orthogonal_triple(eta)[:2]
+            witness = jm_feasible(povms).witness
+        jd = joint_dilation(povms, witness)
+        isometry, coarse = reference_joint_dilation(povms, witness)
+        assert np.array_equal(jd.isometry, isometry)
+        assert jd.joint_pvm.outcomes == witness.outcomes
+        for got, want in zip(jd.coarse_pvms, coarse):
+            assert got.outcomes == want.outcomes
+            for o in want.outcomes:
+                assert np.array_equal(got.elements[o], want.elements[o])
+
     def test_triple_dilation_unreachable_at_0_6(self):
         # no witness exists for the triple, so its joint dilation cannot be formed
         report = jm_feasible(noisy_orthogonal_triple(0.6), max_iter=1200)
@@ -214,7 +268,7 @@ class TestJsonFormats:
         witness = jm_feasible(povms).witness
         back = joint_povm_from_json_obj(joint_povm_to_json_obj(witness))
         assert back.factor_outcome_sets == witness.factor_outcome_sets
-        for t in witness.outcome_tuples():
+        for t in witness.outcomes:
             assert np.allclose(back.elements[t], witness.elements[t])
 
     def test_missing_element_rejected(self):
@@ -247,6 +301,12 @@ class TestJsonFormats:
         obj["space_dim"] = True
         with pytest.raises(InputError, match="space_dim must be a positive integer"):
             povm_from_json_obj(obj)
+
+    def test_joint_repeated_factor_label_rejected(self):
+        obj = {"space_dim": 2, "factor_outcomes": [["+", "+"]],
+               "elements": {'["+"]': matrix_to_json_obj(EYE2)}}
+        with pytest.raises(InputError, match="duplicate outcome labels"):
+            joint_povm_from_json_obj(obj)
 
     @pytest.mark.parametrize("key, message", [
         ('"++"', "not a list"),

@@ -243,7 +243,7 @@ class TestLiftToPvms:
 
     def test_elements_sum_and_orthogonality(self):
         pv = lift_to_pvms(realize_rank_one(FORK))
-        pv.validate_exact()
+        assert verify_realization(FORK, pv).passed
 
     def test_triangle_all_compatible(self):
         pv = lift_to_pvms(realize_direct_sum(TRIANGLE))
@@ -253,7 +253,6 @@ class TestLiftToPvms:
     @given(graphs_strategy(5))
     def test_pattern_matches_base(self, g):
         pv = lift_to_pvms(realize_direct_sum(g))
-        pv.validate_exact()
         assert verify_realization(g, pv).passed
 
 
@@ -262,7 +261,6 @@ class TestExtendOutcomes:
         pv = extend_outcomes(realize_direct_sum(FORK), {0: 3, 1: 3, 2: 3})
         assert pv.space_dim == 5
         assert all(len(pv.pvms[x]) == 3 for x in range(3))
-        pv.validate_exact()
         assert verify_realization(FORK, pv).passed
 
     def test_all_twos_match_lift(self):
@@ -282,7 +280,7 @@ class TestExtendOutcomes:
         assert elements[1] == RationalMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         assert elements[2] == RationalMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert elements[3] == RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        pv.validate_exact()
+        assert verify_realization(g, pv).passed
 
     def test_rejects_small_count(self):
         with pytest.raises(InputError, match="vertex 0: outcome count must be an integer >= 2"):
@@ -303,7 +301,6 @@ class TestExtendOutcomes:
             g.vertex_count * (g.vertex_count - 1) // 2 - len(g.edges)
         ) + sum(c - 2 for c in counts.values())
         assert all(len(pv.pvms[x]) == counts[x] for x in counts)
-        pv.validate_exact()
         assert verify_realization(g, pv).passed
 
 
@@ -462,10 +459,8 @@ class TestPvmSumCheck:
     def test_orthogonal_projections_short_of_identity(self, family):
         # orthogonal projections whose sum is a rank-2 projection in dimension 3
         g = parse_graph("1;")
-        pv = PvmRealization(g, 3, {0: family})
-        for check in (pv.validate_exact, lambda: verify_realization(g, pv)):
-            with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
-                check()
+        with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
+            verify_realization(g, PvmRealization(g, 3, {0: family}))
 
     def test_non_orthogonal_reported_first(self):
         pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
@@ -485,7 +480,6 @@ class TestPvmSumCheck:
         edge = r.graph
         pv = extend_outcomes(r, {0: 3, 1: 4})
         assert pv.space_dim == 5
-        pv.validate_exact()
         assert verify_realization(edge, pv).passed
         assert verify_realization(edge, make_faithful(r)).passed
         reference = reference_extend_outcomes(r, {0: 3, 1: 4})
@@ -622,7 +616,7 @@ class TestVerifyChecksStructure:
         with pytest.raises(InputError, match="not a projection"):
             verify_realization(parse_graph("1;"), r)
 
-    def test_pvm_messages_match_validate_exact(self):
+    def test_pvm_structure_messages(self):
         pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
         eye = RationalMatrix.identity(2)
         cases = {
@@ -632,10 +626,8 @@ class TestVerifyChecksStructure:
         }
         g = parse_graph("1;")
         for message, family in cases.items():
-            pv = PvmRealization(g, 2, {0: family})
-            for check in (pv.validate_exact, lambda: verify_realization(g, pv)):
-                with pytest.raises(InputError, match=f"vertex 0: {message}"):
-                    check()
+            with pytest.raises(InputError, match=f"vertex 0: {message}"):
+                verify_realization(g, PvmRealization(g, 2, {0: family}))
 
     def test_restricted_checked_within_tol(self):
         rr = restrict_to_span(realize_rank_one(FORK))
