@@ -1,5 +1,6 @@
 """Golden outputs of the exact commands: stdout and `--out` bytes of `realize`
-on three small graphs, `verify` of every file written, and two demos.
+on three small graphs, `verify` of every file written, failing `verify` runs
+against the complement of the fork, and two demos.
 
 Every output compared here is exact (rational matrices, or no matrices at
 all), so it does not depend on the BLAS build.  To regenerate the files after
@@ -37,18 +38,26 @@ VARIANTS = {
     "faithful-outcomes": ["--faithful", "--outcomes", "0:4,1:3"],
 }
 
+# fork realizations verified against the fork's complement, which every pair
+# violates: the stdout pins the words of each verifier and the order of the
+# violations
+FAILING = {"complement": "3; 1-2"}
+FAILING_STEMS = ("fork.direct-sum", "fork.outcomes3")
+FAILING_OUTPUTS = {"verify": [], "verify-pretty": ["--pretty"]}
+
 DEMOS = {
     "demo-fork": ["demo", "fork"],
     "demo-lower-bound-3": ["demo", "lower-bound", "--dim", "3"],
 }
 
 
-def _run(argv: list) -> bytes:
-    """stdout of one CLI call, which must exit 0 and write nothing to stderr."""
+def _run(argv: list, expected_code: int = 0) -> bytes:
+    """stdout of one CLI call, which must exit with `expected_code` and write
+    nothing to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert (code, err.getvalue()) == (0, ""), argv
+    assert (code, err.getvalue()) == (expected_code, ""), argv
     return out.getvalue().encode("utf-8")
 
 
@@ -64,6 +73,13 @@ def outputs(work: Path) -> dict:
             found[f"{stem}.stdout"] = _run(["realize", str(graph), *options, "--out", str(out)])
             found[f"{stem}.json"] = out.read_bytes()
             found[f"{stem}.verify.stdout"] = _run(["verify", str(graph), str(out)])
+    for gname, text in FAILING.items():
+        graph = work / f"{gname}.txt"
+        graph.write_text(text, encoding="utf-8")
+        for stem in FAILING_STEMS:
+            for oname, options in FAILING_OUTPUTS.items():
+                argv = ["verify", str(graph), str(work / f"{stem}.json"), *options]
+                found[f"{stem}.{oname}-{gname}.stdout"] = _run(argv, 1)
     for name, argv in DEMOS.items():
         found[f"{name}.stdout"] = _run(argv)
     return found
@@ -81,6 +97,7 @@ def test_golden_file_set(computed):
 @pytest.mark.parametrize(
     "name",
     [f"{g}.{v}{s}" for g in GRAPHS for v in VARIANTS for s in (".stdout", ".json", ".verify.stdout")]
+    + [f"{s}.{o}-{g}.stdout" for g in FAILING for s in FAILING_STEMS for o in FAILING_OUTPUTS]
     + [f"{d}.stdout" for d in DEMOS],
 )
 def test_golden_bytes(computed, name):
