@@ -38,28 +38,78 @@ METHOD_FAITHFUL = "faithful_augmented"
 _EXACT_METHODS = {METHOD_DIRECT_SUM, METHOD_RANK_ONE, METHOD_FAITHFUL}
 
 
-@dataclass
+def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
+    """Check the fields of a realization as it is built; return `vectors` as
+    rows of Fractions, or None.  `families` has one tuple per vertex: `(p,)`
+    for a projection, the elements of a sharp observable.  `method` is None
+    for sharp observables, which are rational, like the projections of every
+    method except the span-restricted one, which are complex float."""
+    if method is not None and method not in _EXACT_METHODS | {METHOD_RANK_ONE_RESTRICTED}:
+        raise InputError(f"unknown method {method!r}")
+    count(space_dim, "space_dim", 0)
+    n = graph.vertex_count
+    if len(families) != n:
+        raise InputError(
+            "pvms must list one family per vertex" if method is None
+            else "projections must list one matrix per vertex"
+        )
+    exact = method is None or method in _EXACT_METHODS
+    for x, family in enumerate(families):
+        if not family:
+            raise InputError(f"vertex {x}: empty observable")
+        for m in family:
+            if not (
+                isinstance(m, RationalMatrix) if exact
+                else isinstance(m, np.ndarray) and m.dtype == complex
+            ):
+                raise InputError(
+                    "pvm realizations are exact: rational matrices expected" if method is None
+                    else f"method {method!r} needs {'rational' if exact else 'complex'} matrices"
+                )
+            if m.shape != (space_dim, space_dim):
+                raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
+    if vectors is None:
+        return None
+    if len(vectors) != n:
+        raise InputError("vectors must list one vector per vertex")
+    for x, vec in enumerate(vectors):
+        if len(vec) != space_dim:
+            raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
+    return tuple(map(tuple, RationalMatrix.from_rows(vectors).to_fractions()))
+
+
+@dataclass(frozen=True)
 class Realization:
-    """Vertex -> projection assignment on a common space."""
+    """Vertex-indexed projections on a common space, and the rank-one vectors."""
 
     graph: Graph
     space_dim: int
     method: str
-    projections: dict
-    vectors: dict | None = None
+    projections: tuple
+    vectors: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "projections", tuple(self.projections))
+        families = [(p,) for p in self.projections]
+        vectors = _check_realization(self.graph, self.space_dim, self.method, families, self.vectors)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def is_exact(self) -> bool:
         return self.method in _EXACT_METHODS
 
 
-@dataclass
+@dataclass(frozen=True)
 class PvmRealization:
-    """Vertex -> sharp observable (list of orthogonal projections summing to 1)."""
+    """Vertex-indexed sharp observables (orthogonal projections summing to 1)."""
 
     graph: Graph
     space_dim: int
-    pvms: dict
+    pvms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "pvms", tuple(map(tuple, self.pvms)))
+        _check_realization(self.graph, self.space_dim, None, self.pvms, None)
 
 
 @dataclass(frozen=True)
@@ -82,7 +132,6 @@ class VerificationReport:
 # and the tilt [[1/2, 1/2], [1/2, 1/2]], as (row, col, numerator) offsets.
 _PIN = ((0, 0, 2),)
 _TILT = ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1))
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def realize_direct_sum(graph: Graph) -> Realization:
@@ -91,7 +140,7 @@ def realize_direct_sum(graph: Graph) -> Realization:
     pairs = non_edges(graph).pairs
     if not pairs:
         # no obstruction needed: one-dimensional space, all projections zero
-        projections = {x: RationalMatrix.zeros(1, 1) for x in range(graph.vertex_count)}
+        projections = [RationalMatrix.zeros(1, 1)] * graph.vertex_count
         return Realization(graph, 1, METHOD_DIRECT_SUM, projections)
     n, dim = graph.vertex_count, 2 * len(pairs)
     num = np.zeros((n, dim, dim), dtype=np.int64)
@@ -100,8 +149,7 @@ def realize_direct_sum(graph: Graph) -> Realization:
     for owner, block in ((first, _PIN), (second, _TILT)):
         for i, j, value in block:
             num[owner, at + i, at + j] = value
-    projections = dict(enumerate(matrices_from_stack(num, 2)))
-    return Realization(graph, dim, METHOD_DIRECT_SUM, projections)
+    return Realization(graph, dim, METHOD_DIRECT_SUM, matrices_from_stack(num, 2))
 
 
 def realize_rank_one(graph: Graph) -> Realization:
@@ -120,34 +168,28 @@ def realize_rank_one(graph: Graph) -> Realization:
     vecs[first, np.arange(n, dim)] = 1
     vecs[second, np.arange(n, dim)] = 1
     num = vecs[:, :, None] * vecs[:, None, :]  # the outer product of each row
-    projections = dict(enumerate(matrices_from_stack(num, vecs.sum(axis=1).tolist())))
-    vectors = {x: tuple(_ONE if c else _ZERO for c in row) for x, row in enumerate(vecs.tolist())}
-    return Realization(graph, dim, METHOD_RANK_ONE, projections, vectors)
+    projections = matrices_from_stack(num, vecs.sum(axis=1).tolist())
+    return Realization(graph, dim, METHOD_RANK_ONE, projections, vecs.tolist())
 
 
 def rank_one_gram(realization: Realization) -> RationalMatrix:
     """Exact Gram matrix V V^T of the stored rank-one vectors (the rows of V)."""
-    if realization.vectors is None:
+    if not isinstance(realization, Realization) or realization.vectors is None:
         raise InputError("realization has no stored vectors")
-    vecs = [realization.vectors[x] for x in range(realization.graph.vertex_count)]
-    if any(len(vec) != realization.space_dim for vec in vecs):
-        raise InputError(f"rank-one vectors must have length space_dim {realization.space_dim}")
-    v = RationalMatrix.from_rows(vecs)
+    v = RationalMatrix.from_rows(realization.vectors)
     return v @ v.T
 
 
 def restrict_to_span(realization: Realization) -> Realization:
     """Conjugate the rank-one projections into an orthonormal basis of the
     span of their vectors; the result lives in dimension = exact Gram rank."""
-    if realization.method != METHOD_RANK_ONE or realization.vectors is None:
+    if getattr(realization, "method", None) != METHOD_RANK_ONE or realization.vectors is None:
         raise InputError("restrict_to_span needs a rank_one realization with vectors")
     n = realization.graph.vertex_count
     rank = numerical_rank(rank_one_gram(realization))
     if n == 0:
-        return Realization(realization.graph, 0, METHOD_RANK_ONE_RESTRICTED, {})
-    ambient = np.array(
-        [[float(c) for c in realization.vectors[x]] for x in range(n)], dtype=float
-    ).T
+        return Realization(realization.graph, 0, METHOD_RANK_ONE_RESTRICTED, ())
+    ambient = np.array([[float(c) for c in vec] for vec in realization.vectors], dtype=float).T
     basis: list[np.ndarray] = []
     for col in range(n):
         v = ambient[:, col].copy()
@@ -160,23 +202,17 @@ def restrict_to_span(realization: Realization) -> Realization:
     if len(basis) != rank:
         raise InputError("orthonormalization disagrees with the exact Gram rank")
     q_mat = np.column_stack(basis)
-    projections = {
-        x: q_mat.T @ realization.projections[x].to_ndarray() @ q_mat for x in range(n)
-    }
-    projections = {x: np.asarray(p, dtype=complex) for x, p in projections.items()}
+    projections = [
+        np.asarray(q_mat.T @ p.to_ndarray() @ q_mat, dtype=complex) for p in realization.projections
+    ]
     return Realization(realization.graph, rank, METHOD_RANK_ONE_RESTRICTED, projections)
 
 
-def _exact_projections(realization: Realization, what: str) -> list:
-    """The vertices' projections, each checked to be exact and space_dim square."""
-    if not realization.is_exact:
+def _exact_projections(realization: Realization, what: str) -> tuple:
+    """The projections of an exact-regime Realization."""
+    if not (isinstance(realization, Realization) and realization.is_exact):
         raise InputError(f"{what} needs an exact-regime realization")
-    d = realization.space_dim
-    ps = [realization.projections[x] for x in range(realization.graph.vertex_count)]
-    for x, p in enumerate(ps):
-        if not isinstance(p, RationalMatrix) or p.shape != (d, d):
-            raise InputError(f"vertex {x}: exact {d}x{d} matrix expected")
-    return ps
+    return realization.projections
 
 
 def make_faithful(realization: Realization) -> Realization:
@@ -187,8 +223,7 @@ def make_faithful(realization: Realization) -> Realization:
     num, dens = padded_numerators(ps, d + n)
     private = np.arange(d, d + n)
     num[np.arange(n), private, private] = dens  # 1 = D / D
-    projections = dict(enumerate(matrices_from_stack(num, dens)))
-    return Realization(realization.graph, d + n, METHOD_FAITHFUL, projections)
+    return Realization(realization.graph, d + n, METHOD_FAITHFUL, matrices_from_stack(num, dens))
 
 
 def lift_to_pvms(realization: Realization) -> PvmRealization:
@@ -233,7 +268,7 @@ def extend_outcomes(realization: Realization, outcome_counts: dict) -> PvmRealiz
     own = np.flatnonzero([e is None for e in slots])  # in the order of `appended`
     num[own, appended, appended] = 1
     elements = matrices_from_stack(num, dens)
-    pvms = {x: elements[first[x] : first[x] + counts[x]] for x in range(n)}
+    pvms = [elements[first[x] : first[x] + counts[x]] for x in range(n)]
     return PvmRealization(realization.graph, dim, pvms)
 
 
@@ -302,7 +337,8 @@ def _float_commutator_norms(ops: list, tol: float) -> dict:
 def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check that every operator is a projection (exactly, or within tol for
     float matrices) and every PVM family is orthogonal and sums to 1, raising
-    InputError if not; then report commute-iff-edge over all vertex pairs."""
+    InputError if not; then report commute-iff-edge over all vertex pairs.
+    Shapes and scalar regimes were checked when the realization was built."""
     tolerance(tol)
     r = realization
     if r.graph.vertex_count != graph.vertex_count:
@@ -310,24 +346,15 @@ def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> V
             f"vertex sets differ: graph has {graph.vertex_count}, realization has {r.graph.vertex_count}"
         )
     pvms = isinstance(r, PvmRealization)
-    families = [list(r.pvms[x]) if pvms else [r.projections[x]] for x in range(graph.vertex_count)]
-    for x, family in enumerate(families):
-        for m in family:
-            if m.shape != (r.space_dim, r.space_dim):
-                raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {r.space_dim}")
-    exact = [isinstance(m, RationalMatrix) for family in families for m in family]
-    if all(exact):
+    if pvms or r.is_exact:
+        families = r.pvms if pvms else [(p,) for p in r.projections]
         words = _PVM_COMMUTE if pvms else _EXACT_COMMUTE
         checked = {
             pair: (commutes, words[commutes])
             for pair, commutes in _exact_commutation(families, r.space_dim, pvms).items()
         }
-    elif pvms:
-        raise InputError("pvm realizations are exact: rational matrices expected")
-    elif any(exact):
-        raise InputError("a realization cannot mix exact and float matrices")
     else:
-        norms = _float_commutator_norms([family[0] for family in families], tol)
+        norms = _float_commutator_norms(r.projections, tol)
         checked = {pair: (norm <= tol, f"commutator norm {norm:.3e}") for pair, norm in norms.items()}
     violations = []
     for (x, y), (commutes, observed) in checked.items():
@@ -467,33 +494,18 @@ def fork_obstruction() -> ForkObstructionReport:
 # -- JSON wire formats -------------------------------------------------------
 
 
-def _operators_from_json_obj(families: list, space_dim: int) -> list:
-    """The matrices of each vertex's list of wire objects, all parsed in one
-    pass, each checked to be space_dim x space_dim."""
-    mats = iter(matrices_from_json_obj([mobj for family in families for mobj in family]))
-    parsed = []
-    for x, family in enumerate(families):
-        elements = [next(mats) for _ in family]
-        for m in elements:
-            if m.shape != (space_dim, space_dim):
-                raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
-        parsed.append(elements)
-    return parsed
-
-
 def realization_to_json_obj(r: Realization) -> dict:
-    n = r.graph.vertex_count
     obj = {
         "graph": graph_to_json_obj(r.graph),
         "space_dim": r.space_dim,
         "method": r.method,
-        "projections": matrices_to_json_obj([r.projections[x] for x in range(n)]),
+        "projections": matrices_to_json_obj(r.projections),
         "vectors": None,
     }
     if r.vectors is not None:
-        v = RationalMatrix.from_rows([r.vectors[x] for x in range(n)])
+        v = RationalMatrix.from_rows(r.vectors)
         entries = matrix_to_json_obj(v)["entries"]
-        obj["vectors"] = [entries[i * v.cols : (i + 1) * v.cols] for i in range(n)]
+        obj["vectors"] = [entries[i * v.cols : (i + 1) * v.cols] for i in range(v.rows)]
     return obj
 
 
@@ -502,53 +514,37 @@ def realization_from_json_obj(obj) -> Realization:
         obj, "realization", "graph", "space_dim", "method", "projections"
     )
     graph = graph_from_json_obj(graph_obj)
-    if method not in _EXACT_METHODS | {METHOD_RANK_ONE_RESTRICTED}:
-        raise InputError(f"unknown method {method!r}")
-    count(space_dim, "space_dim", 0)
-    if not isinstance(mats, list) or len(mats) != graph.vertex_count:
+    if not isinstance(mats, list):
         raise InputError("projections must list one matrix per vertex")
-    ops = _operators_from_json_obj([[m] for m in mats], space_dim)
-    projections = {x: m for x, (m,) in enumerate(ops)}
-    exact = method in _EXACT_METHODS
-    if any(isinstance(m, RationalMatrix) != exact for m in projections.values()):
-        raise InputError(f"method {method!r} needs {'rational' if exact else 'complex'} matrices")
-    vectors = None
-    if obj.get("vectors") is not None:
-        raw = obj["vectors"]
-        if not isinstance(raw, list) or len(raw) != graph.vertex_count:
+    vectors = obj.get("vectors")
+    if vectors is not None:
+        if not isinstance(vectors, list):
             raise InputError("vectors must list one vector per vertex")
-        for x, vec in enumerate(raw):
-            if not isinstance(vec, list):
-                raise InputError("rational vector must be a list")
-            if len(vec) != space_dim:
-                raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
-        vectors = dict(enumerate(map(tuple, RationalMatrix.from_rows(raw).to_fractions())))
-    return Realization(graph, space_dim, method, projections, vectors)
+        if not all(isinstance(vec, list) for vec in vectors):
+            raise InputError("rational vector must be a list")
+    return Realization(graph, space_dim, method, matrices_from_json_obj(mats), vectors)
 
 
 def pvm_realization_to_json_obj(r: PvmRealization) -> dict:
-    families = [r.pvms[x] for x in range(r.graph.vertex_count)]
-    objs = iter(matrices_to_json_obj([p for family in families for p in family]))
+    objs = iter(matrices_to_json_obj([p for family in r.pvms for p in family]))
     return {
         "graph": graph_to_json_obj(r.graph),
         "space_dim": r.space_dim,
-        "pvms": [[next(objs) for _ in family] for family in families],
+        "pvms": [[next(objs) for _ in family] for family in r.pvms],
     }
 
 
 def pvm_realization_from_json_obj(obj) -> PvmRealization:
     graph_obj, space_dim, pvms = fields(obj, "pvm realization", "graph", "space_dim", "pvms")
     graph = graph_from_json_obj(graph_obj)
-    count(space_dim, "space_dim", 0)
-    if not isinstance(pvms, list) or len(pvms) != graph.vertex_count:
+    if not isinstance(pvms, list):
         raise InputError("pvms must list one family per vertex")
     for x, family in enumerate(pvms):
-        if not isinstance(family, list) or not family:
+        if not isinstance(family, list):
             raise InputError(f"vertex {x}: empty observable")
-    families = _operators_from_json_obj(pvms, space_dim)
-    if not all(isinstance(m, RationalMatrix) for family in families for m in family):
-        raise InputError("pvm realizations are exact: rational matrices expected")
-    return PvmRealization(graph, space_dim, dict(enumerate(families)))
+    # every element of every family parsed in one pass
+    mats = iter(matrices_from_json_obj([mobj for family in pvms for mobj in family]))
+    return PvmRealization(graph, space_dim, [[next(mats) for _ in family] for family in pvms])
 
 
 def verification_report_to_json_obj(report: VerificationReport) -> dict:

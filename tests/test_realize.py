@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -69,7 +70,7 @@ class TestDirectSum:
     def test_triangle_degenerate(self):
         r = realize_direct_sum(TRIANGLE)
         assert r.space_dim == 1
-        assert all(p.is_zero() for p in r.projections.values())
+        assert all(p.is_zero() for p in r.projections)
         assert verify_realization(TRIANGLE, r).passed
 
     @settings(max_examples=80, deadline=None)
@@ -78,7 +79,7 @@ class TestDirectSum:
         r = realize_direct_sum(g)
         n_missing = g.vertex_count * (g.vertex_count - 1) // 2 - len(g.edges)
         assert r.space_dim == max(1, 2 * n_missing)
-        assert all(is_projection(p) for p in r.projections.values())
+        assert all(is_projection(p) for p in r.projections)
         assert verify_realization(g, r).passed
 
 
@@ -137,8 +138,8 @@ class TestRankOneGram:
         assert rank_one_gram(r) == RationalMatrix.from_rows(rows)
 
     def test_fractional_and_huge_vectors(self):
-        vecs = {0: (HALF, Fraction(1, 3), 0), 1: (Fraction(2**70, 7), -1, Fraction(5, 6))}
-        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, {}, vecs)
+        vecs = [(HALF, Fraction(1, 3), 0), (Fraction(2**70, 7), -1, Fraction(5, 6))]
+        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, [RationalMatrix.zeros(3, 3)] * 2, vecs)
         rows = [[sum(a * b for a, b in zip(vecs[i], vecs[j])) for j in range(2)] for i in range(2)]
         assert rank_one_gram(r) == RationalMatrix.from_rows(rows)
 
@@ -153,7 +154,7 @@ class TestRestrictToSpan:
     def test_triangle(self):
         rr = restrict_to_span(realize_rank_one(TRIANGLE))
         assert rr.space_dim == 3
-        for p in rr.projections.values():
+        for p in rr.projections:
             assert np.linalg.norm(p @ p - p) < 1e-9
 
     def test_edgeless_three(self):
@@ -168,14 +169,13 @@ class TestRestrictToSpan:
         assert verify_realization(g, rr).passed
 
     def test_float_components_rejected(self):
-        r = Realization(parse_graph("1;"), 2, METHOD_RANK_ONE, {}, {0: (0.5, 1)})
         with pytest.raises(InputError, match="exact rational expected"):
-            rank_one_gram(r)
+            Realization(parse_graph("1;"), 2, METHOD_RANK_ONE, [RationalMatrix.zeros(2, 2)], [(0.5, 1)])
 
     def test_wrong_length_rejected(self):
-        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, {}, {0: (1, 0, 0), 1: (0, 1)})
+        zeros = [RationalMatrix.zeros(3, 3)] * 2
         with pytest.raises(InputError, match="length"):
-            rank_one_gram(r)
+            Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, zeros, [(1, 0, 0), (0, 1)])
 
     def test_requires_vectors(self):
         r = realize_direct_sum(FORK)
@@ -217,14 +217,14 @@ class TestMakeFaithful:
         base = realize_rank_one(g)
         f = make_faithful(base)
         assert f.space_dim == base.space_dim + g.vertex_count
-        assert all(is_projection(p) for p in f.projections.values())
+        assert all(is_projection(p) for p in f.projections)
         assert verify_realization(g, f).passed
 
     def test_failing_base_still_fails(self):
         # verification verdicts survive the augmentation in both directions
         r = realize_direct_sum(FORK)
         pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
-        broken = Realization(FORK, 2, r.method, {0: r.projections[0], 1: pin, 2: pin})
+        broken = Realization(FORK, 2, r.method, [r.projections[0], pin, pin])
         assert not verify_realization(FORK, broken).passed
         assert not verify_realization(FORK, make_faithful(broken)).passed
 
@@ -308,7 +308,7 @@ class TestVerifyRealization:
     def test_mutation_detected(self):
         r = realize_direct_sum(FORK)
         pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
-        broken = Realization(FORK, 2, r.method, {0: r.projections[0], 1: pin, 2: pin})
+        broken = Realization(FORK, 2, r.method, [r.projections[0], pin, pin])
         report = verify_realization(FORK, broken)
         assert not report.passed
         assert [v.pair for v in report.violations] == [(1, 2)]
@@ -328,7 +328,7 @@ def per_pair_violations(graph, realization):
     if isinstance(realization, PvmRealization):
         families = realization.pvms
     else:
-        families = {x: [p] for x, p in realization.projections.items()}
+        families = [[p] for p in realization.projections]
     out = []
     n = graph.vertex_count
     for x in range(n):
@@ -389,7 +389,7 @@ class TestBatchedVerify:
         q = RationalMatrix.identity(2) - p
         assert numerator_stack([p, q], 2).dtype == object
         edge = parse_graph("2; 0-1")
-        r = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: q})
+        r = Realization(edge, 2, METHOD_RANK_ONE, [p, q])
         assert verify_realization(edge, r).passed
         report = verify_realization(parse_graph("2;"), r)
         assert [(v.pair, v.observed) for v in report.violations] == [
@@ -403,7 +403,7 @@ class TestBatchedVerify:
         assert numerator_stack([p, q], 2).dtype == object
         assert not commutator(p, q).is_zero()
         empty = parse_graph("2;")
-        r = Realization(empty, 2, METHOD_RANK_ONE, {0: p, 1: q})
+        r = Realization(empty, 2, METHOD_RANK_ONE, [p, q])
         assert verify_realization(empty, r).passed
         report = verify_realization(parse_graph("2; 0-1"), r)
         assert [(v.pair, v.observed) for v in report.violations] == [
@@ -422,16 +422,16 @@ class TestBatchedVerify:
         assert numerator_stack([p, q], 2).dtype == object
         assert numerator_stack([p, RationalMatrix.identity(2) - p], 2).dtype == object
         edge, empty = parse_graph("2; 0-1"), parse_graph("2;")
-        commuting = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: RationalMatrix.identity(2) - p})
+        commuting = Realization(edge, 2, METHOD_RANK_ONE, [p, RationalMatrix.identity(2) - p])
         assert verify_realization(edge, commuting).passed
         assert verify_realization(edge, lift_to_pvms(commuting)).passed
         assert [v.pair for v in verify_realization(empty, commuting).violations] == [(0, 1)]
-        tilted = Realization(empty, 2, METHOD_RANK_ONE, {0: p, 1: q})
+        tilted = Realization(empty, 2, METHOD_RANK_ONE, [p, q])
         assert verify_realization(empty, tilted).passed
         assert [(v.pair, v.observed) for v in verify_realization(edge, tilted).violations] == [
             ((0, 1), "commutator != 0 (exact)")
         ]
-        bent = Realization(edge, 2, METHOD_RANK_ONE, {0: p, 1: p * 2})
+        bent = Realization(edge, 2, METHOD_RANK_ONE, [p, p * 2])
         with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
             verify_realization(edge, bent)
 
@@ -443,7 +443,7 @@ HUGE_A, HUGE_B = 2**33 + 1, 2**33 - 3
 def exact_pair(a: int, b: int) -> Realization:
     """p onto (a, b) and 1 - p, on the single edge."""
     p = rank_one_projection((a, b))
-    return Realization(parse_graph("2; 0-1"), 2, METHOD_RANK_ONE, {0: p, 1: RationalMatrix.identity(2) - p})
+    return Realization(parse_graph("2; 0-1"), 2, METHOD_RANK_ONE, [p, RationalMatrix.identity(2) - p])
 
 
 class TestPvmSumCheck:
@@ -460,7 +460,7 @@ class TestPvmSumCheck:
         # orthogonal projections whose sum is a rank-2 projection in dimension 3
         g = parse_graph("1;")
         with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
-            verify_realization(g, PvmRealization(g, 3, {0: family}))
+            verify_realization(g, PvmRealization(g, 3, [family]))
 
     def test_non_orthogonal_reported_first(self):
         pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
@@ -470,7 +470,7 @@ class TestPvmSumCheck:
         # neither family sums to the identity, but each fails orthogonality first
         for family in ([pin, pin], [tilt, pin, eye - pin]):
             with pytest.raises(InputError, match="vertex 0: elements are not orthogonal"):
-                verify_realization(g, PvmRealization(g, 2, {0: family}))
+                verify_realization(g, PvmRealization(g, 2, [family]))
 
     @pytest.mark.parametrize("a, b", [(BIG_A, BIG_B), (HUGE_A, HUGE_B)])
     def test_extend_outcomes_on_wide_pairs(self, a, b):
@@ -490,46 +490,46 @@ def test_extend_outcomes_lifts_sums_past_2_62():
     # not a projection: 1 - p has the entry 2^62, past the int64 storage bound
     p = RationalMatrix(np.array([[1 - 2**62]], dtype=np.int64))
     assert p._num.dtype == np.int64
-    r = Realization(parse_graph("1;"), 1, METHOD_RANK_ONE, {0: p})
+    r = Realization(parse_graph("1;"), 1, METHOD_RANK_ONE, [p])
     rest = extend_outcomes(r, {0: 3}).pvms[0][1]
     assert rest._num.dtype == object
     assert rest.entry(0, 0) == 2**62
     assert rest == reference_extend_outcomes(r, {0: 3})[0][1]
 
 
-def reference_direct_sum(graph) -> dict:
+def reference_direct_sum(graph) -> list:
     """One direct_sum of 2x2 blocks per vertex: the construction before the
     numerators were written into one stack, kept as the reference."""
     pairs = non_edges(graph).pairs
     if not pairs:
-        return {x: RationalMatrix.zeros(1, 1) for x in range(graph.vertex_count)}
+        return [RationalMatrix.zeros(1, 1)] * graph.vertex_count
     pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
     tilt = RationalMatrix.from_rows([[HALF, HALF], [HALF, HALF]])
     zero = RationalMatrix.zeros(2, 2)
-    return {
-        x: direct_sum([pin if x == v else tilt if x == w else zero for v, w in pairs])
+    return [
+        direct_sum([pin if x == v else tilt if x == w else zero for v, w in pairs])
         for x in range(graph.vertex_count)
-    }
+    ]
 
 
-def reference_rank_one(graph) -> tuple[dict, dict]:
+def reference_rank_one(graph) -> tuple[list, tuple]:
     n = graph.vertex_count
     pairs = non_edges(graph).pairs
-    projections, vectors = {}, {}
+    projections, vectors = [], []
     for x in range(n):
         vec = [1 if i == x else 0 for i in range(n)] + [1 if x in pair else 0 for pair in pairs]
-        projections[x] = RationalMatrix.outer(vec, vec, sum(vec))
-        vectors[x] = tuple(Fraction(v) for v in vec)
-    return projections, vectors
+        projections.append(RationalMatrix.outer(vec, vec, sum(vec)))
+        vectors.append(tuple(Fraction(v) for v in vec))
+    return projections, tuple(vectors)
 
 
-def reference_make_faithful(r) -> dict:
+def reference_make_faithful(r) -> list:
     n = r.graph.vertex_count
-    out = {}
+    out = []
     for x in range(n):
         private = np.zeros((n, n), dtype=np.int64)
         private[x, x] = 1
-        out[x] = direct_sum([r.projections[x], RationalMatrix(private)])
+        out.append(direct_sum([r.projections[x], RationalMatrix(private)]))
     return out
 
 
@@ -574,14 +574,14 @@ class TestConstructionParity:
     @staticmethod
     def check(g, code):
         ds = realize_direct_sum(g)
-        assert same_family(list(ds.projections.values()), list(reference_direct_sum(g).values()))
+        assert same_family(ds.projections, reference_direct_sum(g))
         r1 = realize_rank_one(g)
         projections, vectors = reference_rank_one(g)
-        assert same_family(list(r1.projections.values()), list(projections.values()))
+        assert same_family(r1.projections, projections)
         assert r1.vectors == vectors
         for base in (ds, r1):
             faithful = make_faithful(base)
-            assert same_family(list(faithful.projections.values()), list(reference_make_faithful(base).values()))
+            assert same_family(faithful.projections, reference_make_faithful(base))
             counts = {x: 2 + (code // 3**x) % 3 for x in range(g.vertex_count)}
             pv = extend_outcomes(base, counts)
             reference = reference_extend_outcomes(base, counts)
@@ -601,18 +601,18 @@ class TestConstructionParity:
 class TestVerifyChecksStructure:
     def test_fork_with_non_projections_rejected(self):
         ones = RationalMatrix.from_rows([[1, 1], [1, 1]])
-        ops = {0: RationalMatrix.identity(2) * 2, 1: RationalMatrix.from_rows([[1, 0], [0, 0]]), 2: ones}
+        ops = [RationalMatrix.identity(2) * 2, RationalMatrix.from_rows([[1, 0], [0, 0]]), ones]
         r = Realization(FORK, 2, METHOD_DIRECT_SUM, ops)
         with pytest.raises(InputError, match="vertex 0: element 0 is not a projection"):
             verify_realization(FORK, r)
-        r.projections[0] = RationalMatrix.identity(2)
+        r = Realization(FORK, 2, METHOD_DIRECT_SUM, [RationalMatrix.identity(2), *ops[1:]])
         with pytest.raises(InputError, match="vertex 2: element 0 is not a projection"):
             verify_realization(FORK, r)
 
     def test_asymmetric_idempotent_rejected(self):
         oblique = RationalMatrix.from_rows([[1, 1], [0, 0]])
         assert oblique @ oblique == oblique
-        r = Realization(parse_graph("1;"), 2, METHOD_DIRECT_SUM, {0: oblique})
+        r = Realization(parse_graph("1;"), 2, METHOD_DIRECT_SUM, [oblique])
         with pytest.raises(InputError, match="not a projection"):
             verify_realization(parse_graph("1;"), r)
 
@@ -627,26 +627,125 @@ class TestVerifyChecksStructure:
         g = parse_graph("1;")
         for message, family in cases.items():
             with pytest.raises(InputError, match=f"vertex 0: {message}"):
-                verify_realization(g, PvmRealization(g, 2, {0: family}))
+                verify_realization(g, PvmRealization(g, 2, [family]))
 
     def test_restricted_checked_within_tol(self):
         rr = restrict_to_span(realize_rank_one(FORK))
         assert verify_realization(FORK, rr).passed
-        bent = dict(rr.projections)
+        bent = list(rr.projections)
         bent[1] = bent[1] * 1.001  # Hermitian, no longer idempotent
         with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
             verify_realization(FORK, Realization(FORK, rr.space_dim, rr.method, bent))
-        skew = dict(rr.projections)
+        skew = list(rr.projections)
         skew[2] = skew[2] + 1e-6j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
         with pytest.raises(InputError, match="vertex 2: element 0 is not a projection"):
             verify_realization(FORK, Realization(FORK, rr.space_dim, rr.method, skew))
 
     def test_mixed_regimes_rejected(self):
         r = realize_rank_one(FORK)
-        mixed = dict(r.projections)
+        mixed = list(r.projections)
         mixed[0] = mixed[0].to_ndarray().astype(complex)
-        with pytest.raises(InputError, match="mix"):
-            verify_realization(FORK, Realization(FORK, r.space_dim, r.method, mixed))
+        with pytest.raises(InputError, match="method 'rank_one' needs rational matrices"):
+            Realization(FORK, r.space_dim, r.method, mixed)
+
+
+PIN = RationalMatrix.from_rows([[1, 0], [0, 0]])
+FLOAT_PIN = PIN.to_ndarray().astype(complex)
+
+# a realization of the fork (three vertices) that is wrong in one field, and
+# the error it raises when it is built
+MALFORMED = {
+    "missing vertex": (
+        lambda: Realization(FORK, 2, METHOD_DIRECT_SUM, [PIN, PIN]),
+        "projections must list one matrix per vertex",
+    ),
+    "missing pvm vertex": (
+        lambda: PvmRealization(FORK, 2, [[PIN], [PIN]]),
+        "pvms must list one family per vertex",
+    ),
+    "wrong shape": (
+        lambda: Realization(FORK, 3, METHOD_DIRECT_SUM, [PIN] * 3),
+        r"vertex 0: matrix shape \(2, 2\) != space_dim 3",
+    ),
+    "wrong pvm shape": (
+        lambda: PvmRealization(FORK, 2, [[PIN], [PIN], [PIN, RationalMatrix.zeros(3, 3)]]),
+        r"vertex 2: matrix shape \(3, 3\) != space_dim 2",
+    ),
+    "float in exact method": (
+        lambda: Realization(FORK, 2, METHOD_DIRECT_SUM, [PIN, PIN, FLOAT_PIN]),
+        "method 'direct_sum' needs rational matrices",
+    ),
+    "rational in restricted method": (
+        lambda: Realization(FORK, 2, METHOD_RANK_ONE_RESTRICTED, [FLOAT_PIN, PIN, FLOAT_PIN]),
+        "method 'rank_one_restricted' needs complex matrices",
+    ),
+    "real float in restricted method": (
+        lambda: Realization(FORK, 2, METHOD_RANK_ONE_RESTRICTED, [PIN.to_ndarray()] * 3),
+        "method 'rank_one_restricted' needs complex matrices",
+    ),
+    "float in pvm": (
+        lambda: PvmRealization(FORK, 2, [[PIN], [PIN], [FLOAT_PIN]]),
+        "pvm realizations are exact: rational matrices expected",
+    ),
+    "empty family": (
+        lambda: PvmRealization(FORK, 2, [[PIN], [], [PIN]]),
+        "vertex 1: empty observable",
+    ),
+    "negative space_dim": (
+        lambda: Realization(FORK, -1, METHOD_DIRECT_SUM, [PIN] * 3),
+        "space_dim must be a nonnegative integer",
+    ),
+    "boolean space_dim": (
+        lambda: PvmRealization(parse_graph("1;"), True, [[RationalMatrix.identity(1)]]),
+        "space_dim must be a nonnegative integer",
+    ),
+    "unknown method": (
+        lambda: Realization(FORK, 2, "mystery", [PIN] * 3),
+        "unknown method 'mystery'",
+    ),
+    "missing vector": (
+        lambda: Realization(FORK, 2, METHOD_RANK_ONE, [PIN] * 3, [(1, 0), (1, 0)]),
+        "vectors must list one vector per vertex",
+    ),
+    "wrong vector length": (
+        lambda: Realization(FORK, 2, METHOD_RANK_ONE, [PIN] * 3, [(1, 0), (1, 0), (1,)]),
+        "vertex 2: vector length 1 != space_dim 2",
+    ),
+}
+
+
+class TestCheckedWhenBuilt:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_rejected(self, case):
+        build, message = MALFORMED[case]
+        with pytest.raises(InputError, match=message):
+            build()
+
+    def test_fields_are_frozen_tuples(self):
+        r = realize_rank_one(FORK)
+        pv = lift_to_pvms(r)
+        assert type(r.projections) is type(r.vectors) is type(pv.pvms) is tuple
+        assert all(type(row) is tuple for row in r.vectors)
+        assert all(type(family) is tuple for family in pv.pvms)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.space_dim = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pv.pvms = ()
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            make_faithful,
+            lift_to_pvms,
+            lambda r: extend_outcomes(r, {x: 3 for x in range(3)}),
+            restrict_to_span,
+            rank_one_gram,
+        ],
+        ids=["make_faithful", "lift_to_pvms", "extend_outcomes", "restrict_to_span", "rank_one_gram"],
+    )
+    def test_pvm_realization_rejected(self, operation):
+        with pytest.raises(InputError):
+            operation(lift_to_pvms(realize_rank_one(FORK)))
 
 
 class TestPartitions:
@@ -776,8 +875,8 @@ class TestJsonFormats:
     )
     def test_vectors_share_the_matrix_codec(self, rows):
         n, dim = len(rows), len(rows[0])
-        vecs = {x: tuple(row) for x, row in enumerate(rows)}
-        zeros = {x: RationalMatrix.zeros(dim, dim) for x in range(n)}
+        vecs = tuple(map(tuple, rows))
+        zeros = [RationalMatrix.zeros(dim, dim)] * n
         r = Realization(parse_graph(f"{n};"), dim, METHOD_RANK_ONE, zeros, vecs)
         obj = realization_to_json_obj(r)
         # each component in lowest terms, as Fraction formats it
