@@ -44,16 +44,6 @@ def _ints(values) -> np.ndarray:
     return np.array([int(x) for x in values], dtype=object)
 
 
-def _entry_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=object)
-    if arr.ndim != 2:
-        raise InputError("matrix data must be two-dimensional")
-    for x in arr.flat:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise InputError(f"integer numerator expected, got {x!r}")
-    return _store(_ints(arr.flat)).reshape(arr.shape)
-
-
 class RationalMatrix:
     """Matrix of exact rationals: integer numerators over one common positive
     denominator, globally gcd-reduced so equal values compare equal."""
@@ -61,11 +51,18 @@ class RationalMatrix:
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerators, denominator: int = 1):
-        # an array is copied, so changing it later cannot change the matrix
-        num = numerators.copy() if isinstance(numerators, np.ndarray) else _entry_array(numerators)
-        if num.ndim != 2:
+        """`numerators` is an integer array, which is copied, so changing it
+        later cannot change the matrix, or a grid of literals that
+        `from_rows` accepts."""
+        grid = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
+        if grid.ndim != 2:
             raise InputError("matrix data must be two-dimensional")
-        m = self._reduced(num, denominator)
+        if np.issubdtype(grid.dtype, np.integer):
+            num, den = grid.copy(), 1
+        else:
+            num, den = _rational_entries(grid.tolist())
+            num = num.reshape(grid.shape)
+        m = self._reduced(num, den * denominator)
         self._num, self._den = m._num, m._den
 
     @classmethod
@@ -110,8 +107,10 @@ class RationalMatrix:
 
     @classmethod
     def outer(cls, u, v, denominator: int = 1) -> "RationalMatrix":
-        """Outer product of integer vectors, divided by `denominator`."""
-        return cls._reduced(np.outer(_ints(u), _ints(v)), denominator)
+        """Outer product of vectors of the literals `from_rows` accepts,
+        divided by `denominator`."""
+        (nu, du), (nv, dv) = _rational_entries([list(u)]), _rational_entries([list(v)])
+        return cls._reduced(np.outer(nu.astype(object), nv.astype(object)), du * dv * denominator)
 
     # -- structure ---------------------------------------------------------
 

@@ -112,8 +112,9 @@ class JointPOVM(POVM):
     sets, in `itertools.product` order."""
 
     def __init__(self, space_dim: int, factor_outcome_sets, elements: dict):
-        self.factor_outcome_sets = tuple(tuple(str(o) for o in s) for s in factor_outcome_sets)
-        elements = {tuple(str(x) for x in key): m for key, m in elements.items()}
+        self.factor_outcome_sets = tuple(map(tuple, factor_outcome_sets))
+        if not all(isinstance(o, str) for s in self.factor_outcome_sets for o in s):
+            raise InputError("factor outcome labels must be strings")
         super().__init__(space_dim, tuple(product(*self.factor_outcome_sets)), elements)
 
 
@@ -148,15 +149,14 @@ def povm_from_json_obj(obj) -> POVM:
         raise InputError("outcomes must be a list of strings")
     if not isinstance(elements, dict):
         raise InputError("elements must be an object keyed by outcome")
-    parsed = {}
     for label in outcomes:
         if label not in elements:
             raise InputError(f"missing element for outcome {label!r}")
-        m = matrix_from_json_obj(elements[label])
-        if isinstance(m, np.ndarray):
-            parsed[label] = m
-        else:
-            parsed[label] = m.to_ndarray().astype(complex)
+    # every key is parsed, so POVM rejects one that names no outcome
+    parsed = {}
+    for label, mobj in elements.items():
+        m = matrix_from_json_obj(mobj)
+        parsed[label] = m if isinstance(m, np.ndarray) else m.to_ndarray().astype(complex)
     return POVM(dim, tuple(outcomes), parsed)
 
 
@@ -183,9 +183,9 @@ def joint_povm_from_json_obj(obj) -> JointPOVM:
             labels = json.loads(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad joint outcome key {key!r}") from exc
-        if not isinstance(labels, list):
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise InputError(f"bad joint outcome key {key!r}: not a list of outcome labels")
-        tup = tuple(str(x) for x in labels)  # the labels JointPOVM keys by
+        tup = tuple(labels)
         if tup in parsed:
             raise InputError(f"joint outcome {list(tup)} appears under two keys")
         m = matrix_from_json_obj(mobj)

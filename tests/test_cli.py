@@ -197,6 +197,17 @@ class TestDilate:
         assert main(["dilate", path]) == 2
 
 
+    def test_element_outside_the_outcomes_rejected(self, tmp_path, capsys):
+        eye = np.eye(2, dtype=complex)
+        path = write_povm(tmp_path, "coin.json", POVM(2, ("h", "t"), {"h": eye / 2, "t": eye / 2}))
+        obj = json.loads(Path(path).read_text())
+        obj["elements"]["zzz"] = obj["elements"]["h"]
+        Path(path).write_text(json.dumps(obj))
+        assert main(["dilate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: element labels must match the outcome list\n"
+
 class TestJmCheck:
     def test_commuting_pvm_files(self, tmp_path, capsys):
         z = POVM(2, ("0", "1"), {"0": np.diag([1.0, 0]).astype(complex),

@@ -64,6 +64,37 @@ class TestRationalMatrix:
         m = RationalMatrix.from_rows([["1/3", "-2/6"]])
         assert m.entry(0, 0) == Fraction(1, 3) == -m.entry(0, 1)
 
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: RationalMatrix.outer([HALF], [2]), [[1]]),
+            (lambda: RationalMatrix.outer(["1/3", 3], [HALF], 2), [[Fraction(1, 12)], [Fraction(3, 4)]]),
+            (lambda: RationalMatrix([[HALF, "1/3"]], 2), [[Fraction(1, 4), Fraction(1, 6)]]),
+            (lambda: RationalMatrix(np.array([[HALF]], dtype=object)), [[HALF]]),
+            (lambda: RationalMatrix(np.array([[3]], dtype=np.uint8), 6), [[HALF]]),
+            (lambda: RationalMatrix.outer([1.5], [1]), "exact rational expected, got float"),
+            (lambda: RationalMatrix.outer([1], [True]), "exact rational expected, got bool"),
+            (lambda: RationalMatrix([[1.5]]), "exact rational expected, got float"),
+            (lambda: RationalMatrix(np.array([[1.5]])), "exact rational expected, got float"),
+            (lambda: RationalMatrix(np.array([[True]])), "exact rational expected, got bool"),
+            (lambda: RationalMatrix([[True]]), "exact rational expected, got bool"),
+            (lambda: RationalMatrix(np.array([1, 2])), "two-dimensional"),
+            (lambda: RationalMatrix([[1, 2], [3]]), "two-dimensional"),
+        ],
+        ids=[
+            "outer-fraction", "outer-literals", "list-literals", "object-array", "uint8-array",
+            "outer-float", "outer-bool", "list-float", "float-array", "bool-array", "list-bool",
+            "one-dimensional", "ragged",
+        ],
+    )
+    def test_literal_rule(self, build, expected):
+        # every entry is read by the rule of from_rows; integer arrays are copied
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=expected):
+                build()
+        else:
+            assert build() == RationalMatrix.from_rows(expected)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(InputError):
             RationalMatrix([[1]], 0)

@@ -308,6 +308,16 @@ class TestJsonFormats:
         with pytest.raises(InputError, match="duplicate outcome labels"):
             joint_povm_from_json_obj(obj)
 
+    @pytest.mark.parametrize("labels, keys, message", [
+        ([None, True], ["[null]", "[true]"], "not a list of outcome labels"),
+        ([0, 1], ['["0"]', '["1"]'], "factor outcome labels must be strings"),
+    ])
+    def test_joint_non_string_labels_rejected(self, labels, keys, message):
+        elements = {key: matrix_to_json_obj(EYE2 / 2) for key in keys}
+        obj = {"space_dim": 2, "factor_outcomes": [labels], "elements": elements}
+        with pytest.raises(InputError, match=message):
+            joint_povm_from_json_obj(obj)
+
     @pytest.mark.parametrize("key, message", [
         ('"++"', "not a list"),
         ('[ "+", "-" ]', "two keys"),
