@@ -51,13 +51,13 @@ class RationalMatrix:
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerators, denominator: int = 1):
-        """`numerators` is an integer array, which is copied, so changing it
+        """`numerators` is an int64 array, which is copied, so changing it
         later cannot change the matrix, or a grid of literals that
-        `from_rows` accepts."""
+        `from_rows` accepts (an array of another dtype is read as one)."""
         grid = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
         if grid.ndim != 2:
             raise InputError("matrix data must be two-dimensional")
-        if np.issubdtype(grid.dtype, np.integer):
+        if grid.dtype == np.int64:
             num, den = grid.copy(), 1
         else:
             num, den = _rational_entries(grid.tolist())

@@ -71,7 +71,7 @@ class TestRationalMatrix:
             (lambda: RationalMatrix.outer(["1/3", 3], [HALF], 2), [[Fraction(1, 12)], [Fraction(3, 4)]]),
             (lambda: RationalMatrix([[HALF, "1/3"]], 2), [[Fraction(1, 4), Fraction(1, 6)]]),
             (lambda: RationalMatrix(np.array([[HALF]], dtype=object)), [[HALF]]),
-            (lambda: RationalMatrix(np.array([[3]], dtype=np.uint8), 6), [[HALF]]),
+            (lambda: RationalMatrix(np.array([[3]], dtype=np.uint8), -6), [[-HALF]]),
             (lambda: RationalMatrix.outer([1.5], [1]), "exact rational expected, got float"),
             (lambda: RationalMatrix.outer([1], [True]), "exact rational expected, got bool"),
             (lambda: RationalMatrix([[1.5]]), "exact rational expected, got float"),
