@@ -80,7 +80,7 @@ class RationalMatrix:
             raise InputError("denominator must be nonzero")
         den = int(den)
         if den < 0:
-            num, den = -num, -den
+            num, den = -num.astype(object), -den  # -(-2**63) does not fit int64
         (num,), (den,) = _normalize(num[None], [den])
         return cls._of(num, den)
 
@@ -137,9 +137,11 @@ class RationalMatrix:
         return [[Fraction(int(x), self._den) for x in row] for row in self._num]
 
     def to_ndarray(self) -> np.ndarray:
-        if self._num.dtype == object:
-            return np.array([[float(Fraction(int(x), self._den)) for x in row] for row in self._num])
-        return self._num.astype(np.float64) / float(self._den)
+        """Entries correctly rounded: below 2^53 the numerators and the
+        denominator are exact doubles, and one division rounds once."""
+        if self._num.dtype == np.int64 and max(self._den, _max_abs(self._num)) < _FLOAT64_EXACT:
+            return self._num.astype(np.float64) / float(self._den)
+        return np.array([[float(Fraction(int(x), self._den)) for x in row] for row in self._num])
 
     # -- predicates ----------------------------------------------------------
 
@@ -297,7 +299,7 @@ def commutator(a, b):
         if a.rows != a.cols or a.shape != b.shape:
             raise InputError("commutator needs equal square matrices")
         return a @ b - b @ a
-    a, b = _as_complex(a), _as_complex(b)
+    a, b = as_complex(a), as_complex(b)
     if a.shape[0] != a.shape[1] or a.shape != b.shape:
         raise InputError("commutator needs equal square matrices")
     return a @ b - b @ a
@@ -316,7 +318,7 @@ def direct_sum(blocks):
         den = math.lcm(*(blk.denominator for blk in blocks))
         arrs = [blk._num.astype(object) * (den // blk.denominator) for blk in blocks]
     else:
-        arrs = [_as_complex(blk) for blk in blocks]
+        arrs = [as_complex(blk) for blk in blocks]
         for arr in arrs:
             if arr.shape[0] != arr.shape[1]:
                 raise InputError("direct_sum expects square blocks")
@@ -344,7 +346,7 @@ def numerical_rank(a, tol: float = DEFAULT_TOL) -> int:
     tolerance(tol)
     if isinstance(a, RationalMatrix):
         return _exact_rank(a)
-    arr = _as_complex(a)
+    arr = as_complex(a)
     if arr.size == 0:
         return 0
     return int(np.sum(np.linalg.svd(arr, compute_uv=False) > tol))
@@ -387,7 +389,7 @@ class HermitianCheckReport:
     verdict: bool
 
 
-def _as_complex(a) -> np.ndarray:
+def as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise InputError("matrix expected")
@@ -404,7 +406,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def hermitian_check(a, require_psd: bool = False, tol: float = DEFAULT_TOL) -> HermitianCheckReport:
     """Asymmetry / spectrum report; to test a <= 1, pass 1 - a with PSD on."""
     tolerance(tol)
-    arr = _as_complex(a)
+    arr = as_complex(a)
     if arr.shape[0] != arr.shape[1]:
         raise InputError("hermitian_check needs a square matrix")
     if arr.size == 0:
@@ -418,7 +420,7 @@ def hermitian_check(a, require_psd: bool = False, tol: float = DEFAULT_TOL) -> H
 def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-tol, 0) clamp to zero."""
     tolerance(tol)
-    arr = _as_complex(a)
+    arr = as_complex(a)
     if arr.shape[0] != arr.shape[1]:
         raise InputError("psd_sqrt needs a square matrix")
     if arr.size == 0:
@@ -447,7 +449,7 @@ def matrices_to_json_obj(mats) -> list:
         if isinstance(m, RationalMatrix):
             by_den.setdefault(m._den, []).append(i)
         else:
-            arr = _as_complex(m)
+            arr = as_complex(m)
             entries = np.column_stack((arr.real.ravel(), arr.imag.ravel())).tolist()
             objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
     for den, group in by_den.items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, tolerance
-from ..linalg import hermitize, matrix_to_json_obj, psd_sqrt
+from ..linalg import hermitize, matrix_to_json_obj
 from .model import POVM, JointPOVM, marginal, povm_to_json_obj, validate_povm
 
 DEFAULT_DILATION_TOL = 1e-8
@@ -40,10 +40,12 @@ def neumark_dilate(e: POVM, tol: float = DEFAULT_DILATION_TOL) -> DilationResult
     d = e.space_dim
     k = len(e.outcomes)
     enlarged = d * k
-    isometry = np.zeros((enlarged, d), dtype=complex)
+    # validated at tol above: the clip zeroes only eigenvalues in [-tol, 0), as psd_sqrt does
+    w, v = np.linalg.eigh(hermitize(np.array(e.element_list())))
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    isometry = hermitize(roots).reshape(enlarged, d)
     blocks = {}
     for idx, label in enumerate(e.outcomes):
-        isometry[idx * d : (idx + 1) * d, :] = psd_sqrt(e.elements[label], tol)
         proj = np.zeros((enlarged, enlarged), dtype=complex)
         proj[idx * d : (idx + 1) * d, idx * d : (idx + 1) * d] = np.eye(d)
         blocks[label] = proj

@@ -72,6 +72,9 @@ DEFAULT_SOLVER_TOL = 1e-7
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_GUARD_VARS = 100_000
 GUARD_ENV_VAR = "JMG_GUARD_VARS"
+_SUMMARY_POINTS = 40  # about this many residuals of a run's history are reported
+_STALL_WINDOW_FRACTION = 0.1  # `stalled` reads this trailing share of them
+_STALL_REL_IMPROVEMENT = 1e-3  # and calls a smaller relative fall a plateau
 
 
 @dataclass
@@ -255,26 +258,26 @@ def jm_feasible(
     return JmReport(verdict, witness, iterations, residual, _summarize(history))
 
 
-def _summarize(history, keep: int = 40) -> list:
+def _summarize(history) -> list:
     if not history:
         return []
-    stride = max(1, len(history) // keep)
+    stride = max(1, len(history) // _SUMMARY_POINTS)
     picks = list(range(0, len(history), stride))
     if picks[-1] != len(history) - 1:
         picks.append(len(history) - 1)
     return [(i, history[i]) for i in picks]
 
 
-def stalled(report: JmReport, window_fraction: float = 0.1, rel_improvement: float = 1e-3) -> bool:
+def stalled(report: JmReport) -> bool:
     """Residual plateau over the trailing window (evidence, not proof)."""
     points = [r for _, r in report.residual_history_summary]
     if report.feasible or len(points) < 2:
         return False
-    span = max(1, int(len(points) * window_fraction))
+    span = max(1, int(len(points) * _STALL_WINDOW_FRACTION))
     head, tail = points[-span - 1], points[-1]
     if head <= 0:
         return True
-    return (head - tail) / head < rel_improvement
+    return (head - tail) / head < _STALL_REL_IMPROVEMENT
 
 
 def jm_report_to_json_obj(report: JmReport) -> dict:

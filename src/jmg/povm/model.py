@@ -9,16 +9,9 @@ from itertools import product
 import numpy as np
 
 from ..errors import InputError, count, fields, tolerance
-from ..linalg import DEFAULT_TOL, commutator, hermitize, matrix_from_json_obj, matrix_to_json_obj
-
-
-def _as_element(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("observable elements must be square matrices")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("observable elements must be finite")
-    return arr
+from ..linalg import (
+    DEFAULT_TOL, as_complex, commutator, hermitize, matrices_from_json_obj, matrix_to_json_obj,
+)
 
 
 @dataclass
@@ -31,15 +24,14 @@ class POVM:
 
     def __post_init__(self):
         count(self.space_dim, "space_dim", 1)
-        if not isinstance(self, JointPOVM):  # a JointPOVM's constructor builds its tuple labels
-            self.outcomes = tuple(str(o) for o in self.outcomes)
+        self.outcomes = tuple(self.outcomes)
         if len(set(self.outcomes)) != len(self.outcomes):
             raise InputError("duplicate outcome labels")
         if set(self.elements) != set(self.outcomes):
             raise InputError("element labels must match the outcome list")
         parsed = {}
         for label, m in self.elements.items():
-            arr = _as_element(m)
+            arr = as_complex(m)
             if arr.shape != (self.space_dim, self.space_dim):
                 raise InputError(
                     f"outcome {label!r}: shape {arr.shape} != space_dim {self.space_dim}"
@@ -49,9 +41,6 @@ class POVM:
 
     def element_list(self) -> list:
         return [self.elements[o] for o in self.outcomes]
-
-    def total(self) -> np.ndarray:
-        return sum(self.element_list(), np.zeros((self.space_dim, self.space_dim), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -66,16 +55,15 @@ class PovmCheckReport:
 def validate_povm(e: POVM, tol: float = DEFAULT_TOL) -> PovmCheckReport:
     """Hermiticity, 0 <= element <= 1, and sum-to-identity, all within tol."""
     tolerance(tol)
-    asym, lo, hi = 0.0, np.inf, -np.inf
-    for arr in e.element_list():
-        asym = max(asym, float(np.abs(arr - arr.conj().T).max()))
-        w = np.linalg.eigvalsh(hermitize(arr))
-        lo = min(lo, float(w.min()))
-        hi = max(hi, float(w.max()))
-    if not e.outcomes:
-        lo = hi = 0.0
-    diff = e.total() - np.eye(e.space_dim)
-    sum_error = float(np.abs(diff).max()) if diff.size else 0.0
+    d = e.space_dim
+    stack = np.array(e.element_list(), dtype=complex).reshape(-1, d, d)
+    asym, lo, hi = 0.0, 0.0, 0.0
+    if len(stack):
+        asym = float(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2))).max())
+        w = np.linalg.eigvalsh(hermitize(stack))
+        lo, hi = float(w.min()), float(w.max())
+    # summed in outcome order: numpy's pairwise sum would move the last bits
+    sum_error = float(np.abs(sum(stack, np.zeros((d, d), dtype=complex)) - np.eye(d)).max())
     valid = asym <= tol and lo >= -tol and hi <= 1 + tol and sum_error <= tol
     return PovmCheckReport(asym, lo, hi, sum_error, valid)
 
@@ -153,11 +141,7 @@ def povm_from_json_obj(obj) -> POVM:
         if label not in elements:
             raise InputError(f"missing element for outcome {label!r}")
     # every key is parsed, so POVM rejects one that names no outcome
-    parsed = {}
-    for label, mobj in elements.items():
-        m = matrix_from_json_obj(mobj)
-        parsed[label] = m if isinstance(m, np.ndarray) else m.to_ndarray().astype(complex)
-    return POVM(dim, tuple(outcomes), parsed)
+    return POVM(dim, tuple(outcomes), dict(zip(elements, _float_elements(elements.values()))))
 
 
 def joint_povm_to_json_obj(j: JointPOVM) -> dict:
@@ -177,17 +161,22 @@ def joint_povm_from_json_obj(obj) -> JointPOVM:
         raise InputError("factor_outcomes must be a list of outcome lists")
     if not isinstance(elements, dict):
         raise InputError("elements must be an object keyed by outcome tuple")
-    parsed = {}
-    for key, mobj in elements.items():
+    keys: dict = {}  # outcome tuple -> None, in document order
+    for key in elements:
         try:
             labels = json.loads(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad joint outcome key {key!r}") from exc
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise InputError(f"bad joint outcome key {key!r}: not a list of outcome labels")
-        tup = tuple(labels)
-        if tup in parsed:
-            raise InputError(f"joint outcome {list(tup)} appears under two keys")
-        m = matrix_from_json_obj(mobj)
-        parsed[tup] = m if isinstance(m, np.ndarray) else m.to_ndarray().astype(complex)
+        if tuple(labels) in keys:
+            raise InputError(f"joint outcome {labels} appears under two keys")
+        keys[tuple(labels)] = None
+    parsed = dict(zip(keys, _float_elements(elements.values())))
     return JointPOVM(dim, tuple(tuple(s) for s in factors), parsed)
+
+
+def _float_elements(objs) -> list:
+    """Matrix wire objects parsed in one pass, rational ones rounded to float."""
+    mats = matrices_from_json_obj(list(objs))
+    return [m if isinstance(m, np.ndarray) else m.to_ndarray() for m in mats]

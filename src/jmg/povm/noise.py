@@ -24,6 +24,7 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 _EYE2 = np.eye(2, dtype=complex)
+_BISECTION_STEPS = 60  # halvings of [0, 1], past the float64 spacing near 1
 
 
 def noisy_orthogonal_triple(eta: float) -> list:
@@ -100,13 +101,13 @@ def noisy_triple_jm_oracle(eta: float) -> bool:
     return min_eig >= -1e-12
 
 
-def _bisect_threshold(predicate, steps: int = 60) -> float:
+def _bisect_threshold(predicate) -> float:
     lo, hi = 0.0, 1.0
     if not predicate(lo):
         raise InputError("predicate must hold at zero noise")
     if predicate(hi):
         return hi
-    for _ in range(steps):
+    for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2
         if predicate(mid):
             lo = mid

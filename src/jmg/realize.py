@@ -541,7 +541,7 @@ def pvm_realization_from_json_obj(obj) -> PvmRealization:
         raise InputError("pvms must list one family per vertex")
     for x, family in enumerate(pvms):
         if not isinstance(family, list):
-            raise InputError(f"vertex {x}: empty observable")
+            raise InputError(f"vertex {x}: observable must be a list of matrices")
     # every element of every family parsed in one pass
     mats = iter(matrices_from_json_obj([mobj for family in pvms for mobj in family]))
     return PvmRealization(graph, space_dim, [[next(mats) for _ in family] for family in pvms])

@@ -111,6 +111,18 @@ class TestRationalMatrix:
         assert m.entry(0, 0) == 2**62
         assert RationalMatrix(np.array([[2**62 - 1]], dtype=np.int64))._num.dtype == np.int64
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RationalMatrix(np.array([[-(2**63)]], dtype=np.int64), -1),
+            lambda: RationalMatrix([["-9223372036854775808"]], -1),
+        ],
+        ids=["int64 array", "literal grid"],
+    )
+    def test_negative_denominator_negates_exactly(self, build):
+        # -(-2^63) does not fit int64
+        assert build().entry(0, 0) == 2**63
+
     def test_huge_entries_stay_exact(self):
         big = 10**30
         m = RationalMatrix([[big, 0], [0, big]], 1)
@@ -160,6 +172,33 @@ def assert_stored(m: RationalMatrix, expected: np.ndarray) -> None:
     assert m.to_fractions() == expected.tolist()
     largest = max((abs(int(x)) for x in m._num.flat), default=0)
     assert m._num.dtype == (np.int64 if largest < 2**62 else object)
+
+
+# Numerator and denominator pairs that a float64 division of their rounded
+# values misrounds: both at or above 2^53, then only the denominator, then
+# only the numerator.
+ROUNDING_PAIRS = [
+    (1575505510810671608, 969615727393626215),
+    (3151577179968871166, 3679554795537222958),
+    (3788992575102227951, 3053145920825697564),
+    (1038538341492520963, 4563042713872258383),
+    (5874079624724009, 2453384593015668128),
+    (3884428891471536879, 488243),
+]
+
+
+class TestToNdarray:
+    @pytest.mark.parametrize("n, d", ROUNDING_PAIRS)
+    @pytest.mark.parametrize("tier", [np.int64, object])
+    def test_entries_correctly_rounded(self, n, d, tier):
+        if tier is np.int64:
+            m = RationalMatrix(np.array([[n]], dtype=np.int64), d)
+        else:  # an entry of 2^63 * d over d stores the matrix as Python ints
+            m = RationalMatrix([[n, 2**63 * d]], d)
+        assert m._num.dtype == tier
+        got = m.to_ndarray()
+        assert got.dtype == np.float64
+        assert got[0, 0] == float(Fraction(n, d))
 
 
 SUM_AT_2_62 = RationalMatrix(np.array([[2**61, 1], [2**61, 2]], dtype=np.int64))

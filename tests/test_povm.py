@@ -22,10 +22,10 @@ from jmg.povm import (
     pvm_jointly_measurable,
     validate_povm,
 )
-from jmg.linalg import matrix_to_json_obj
+from jmg.linalg import matrix_to_json_obj, psd_sqrt
 from jmg.realize import lift_to_pvms, realize_direct_sum
 
-from helpers import basis_pvm, exact_pvm_to_float, random_povm
+from helpers import basis_pvm, exact_pvm_to_float, haar_unitary, random_povm
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -65,6 +65,25 @@ class TestValidatePovm:
     def test_structural_label_mismatch(self):
         with pytest.raises(InputError, match="labels"):
             POVM(2, ("a", "b"), {"a": EYE2})
+
+    def test_zero_outcomes_invalid(self):
+        report = validate_povm(POVM(2, (), {}))
+        assert (report.max_asymmetry, report.min_eigenvalue, report.max_eigenvalue) == (0, 0, 0)
+        assert report.sum_error == 1
+        assert not report.valid
+
+    def test_labels_kept_as_given(self):
+        e = POVM(1, (0, 1), {0: [[0.25]], 1: [[0.75]]})
+        assert e.outcomes == (0, 1)
+        assert validate_povm(e).valid
+
+    def test_element_must_be_a_matrix(self):
+        with pytest.raises(InputError, match="matrix expected"):
+            POVM(2, ("a",), {"a": [1, 0]})
+        with pytest.raises(InputError, match=r"shape \(2, 3\) != space_dim 2"):
+            POVM(2, ("a",), {"a": np.zeros((2, 3))})
+        with pytest.raises(InputError, match="finite"):
+            POVM(1, ("a",), {"a": [[np.nan]]})
 
 
 class TestPvmJointlyMeasurable:
@@ -131,6 +150,78 @@ class TestNeumarkDilate:
                 assert np.linalg.norm(
                     compression(d.isometry, d.pvm.elements[o]) - e.elements[o]
                 ) <= 1e-9
+
+
+def reference_neumark_dilate(e: POVM, tol: float = 1e-8):
+    """Neumark dilation as first written: one `psd_sqrt` per element into the
+    isometry's row blocks, next to each block projector.  It is the parity
+    reference for `neumark_dilate`, which takes every root from one batched
+    eigendecomposition, not a library path."""
+    assert validate_povm(e, tol).valid
+    d, k = e.space_dim, len(e.outcomes)
+    isometry = np.zeros((d * k, d), dtype=complex)
+    blocks = {}
+    for idx, label in enumerate(e.outcomes):
+        isometry[idx * d : (idx + 1) * d, :] = psd_sqrt(e.elements[label], tol)
+        proj = np.zeros((d * k, d * k), dtype=complex)
+        proj[idx * d : (idx + 1) * d, idx * d : (idx + 1) * d] = np.eye(d)
+        blocks[label] = proj
+    return isometry, blocks
+
+
+def rank_deficient_povm(rng: np.random.Generator, dim: int, outcomes: int) -> POVM:
+    """Random PSD matrices of rank 0..dim (the first of full rank), normalized
+    into a resolution of the identity."""
+    mats = []
+    for j in range(outcomes):
+        r = dim if j == 0 else int(rng.integers(0, dim + 1))
+        g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+        mats.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(mats))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    labels = tuple(str(j) for j in range(outcomes))
+    return POVM(dim, labels, {o: inv_sqrt @ m @ inv_sqrt for o, m in zip(labels, mats)})
+
+
+def assert_matches_reference(e: POVM) -> None:
+    got = neumark_dilate(e)
+    isometry, blocks = reference_neumark_dilate(e)
+    assert got.isometry.shape == isometry.shape
+    assert got.isometry.tobytes() == isometry.tobytes()
+    assert got.pvm.outcomes == e.outcomes
+    for o in e.outcomes:
+        assert np.array_equal(got.pvm.elements[o], blocks[o])
+
+
+class TestBatchedRoots:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_povms_match_reference_bitwise(self, seed):
+        rng = np.random.default_rng([seed, 29])
+        for dim in range(1, 6):
+            for outcomes in range(1, 6):
+                assert_matches_reference(rank_deficient_povm(rng, dim, outcomes))
+
+    def test_pvms_match_reference_bitwise(self):
+        rng = np.random.default_rng(4)
+        for dim in range(1, 6):
+            blocks = [[j] for j in range(dim)]
+            assert_matches_reference(basis_pvm(dim, blocks))
+            assert_matches_reference(basis_pvm(dim, blocks, haar_unitary(rng, dim)))
+
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 0.55])
+    def test_qubit_joint_witnesses_match_reference_bitwise(self, eta):
+        triple = noisy_orthogonal_triple(eta)
+        for family in (triple[:2], triple):
+            assert_matches_reference(jm_feasible(family).witness)
+
+    def test_qutrit_joint_witness_matches_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        family = []
+        for _ in range(2):
+            p = basis_pvm(3, [[0], [1], [2]], haar_unitary(rng, 3))
+            noisy = {o: (p.elements[o] + np.eye(3) / 3) / 2 for o in p.outcomes}
+            family.append(POVM(3, p.outcomes, noisy))
+        assert_matches_reference(jm_feasible(family).witness)
 
 
 class TestMarginal:
@@ -316,6 +407,14 @@ class TestJsonFormats:
         elements = {key: matrix_to_json_obj(EYE2 / 2) for key in keys}
         obj = {"space_dim": 2, "factor_outcomes": [labels], "elements": elements}
         with pytest.raises(InputError, match=message):
+            joint_povm_from_json_obj(obj)
+
+    def test_joint_keys_decoded_before_any_matrix(self):
+        obj = joint_witness_obj()
+        elements = obj["elements"]
+        elements[next(iter(elements))] = {"rows": 2}
+        elements['"++"'] = matrix_to_json_obj(EYE2)
+        with pytest.raises(InputError, match="not a list of outcome labels"):
             joint_povm_from_json_obj(obj)
 
     @pytest.mark.parametrize("key, message", [

@@ -850,6 +850,20 @@ class TestJsonFormats:
         assert back.space_dim == pv.space_dim
         assert all(back.pvms[x] == pv.pvms[x] for x in range(3))
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("x", "vertex 1: observable must be a list of matrices"),
+            ({}, "vertex 1: observable must be a list of matrices"),
+            ([], "vertex 1: empty observable"),
+        ],
+    )
+    def test_pvm_family_shape_rejected(self, family, message):
+        obj = pvm_realization_to_json_obj(lift_to_pvms(realize_direct_sum(FORK)))
+        obj["pvms"][1] = family
+        with pytest.raises(InputError, match=message):
+            pvm_realization_from_json_obj(obj)
+
     def test_wrong_vector_length_rejected(self):
         obj = realization_to_json_obj(realize_rank_one(parse_graph("3; 0-1")))
         obj["vectors"][1] = obj["vectors"][1][:-1]

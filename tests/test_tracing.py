@@ -6,6 +6,8 @@ from pathlib import Path
 
 import jmg
 from jmg import cli
+from jmg.povm import noisy_orthogonal_triple, povm_to_json_obj
+from jmg.serialize import dumps
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -52,6 +54,34 @@ def test_traced_realize_and_verify(tmp_path, capsys):
         "linalg.commutator",
         "realize.to_json_obj",
         "realize.from_json_obj",
+        "serialize.dumps",
+        "serialize.loads",
+    } <= names
+
+
+def test_traced_jm_check_and_dilate(tmp_path, capsys):
+    paths = []
+    for n, e in enumerate(noisy_orthogonal_triple(0.5)[:2]):
+        path = tmp_path / f"axis{n}.json"
+        path.write_text(dumps(povm_to_json_obj(e)))
+        paths.append(str(path))
+    tracer = load_tracing().instrument(jmg)
+    tracer.install()
+    try:
+        assert cli.main(["jm-check", *paths, "--out", str(tmp_path / "report.json")]) == 0
+        assert cli.main(["dilate", paths[0], "--out", str(tmp_path / "dilation.json")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[3] for span in tracer.spans}
+    assert {
+        "cli.main",
+        "povm.from_json_obj",
+        "povm.validate",
+        "povm.jm_feasible",
+        "povm.jm_report_to_json_obj",
+        "povm.neumark_dilate",
+        "povm.compression",
+        "povm.dilation_to_json_obj",
         "serialize.dumps",
         "serialize.loads",
     } <= names
