@@ -1,6 +1,7 @@
 """Golden outputs of the exact commands: stdout and `--out` bytes of `realize`
 on three small graphs, `verify` of every file written, failing `verify` runs
-against the complement of the fork, and two demos.
+against the complement of the fork, a cycle realized with a different outcome
+count per vertex and verified against a wrong graph, and two demos.
 
 Every output compared here is exact (rational matrices, or no matrices at
 all), so it does not depend on the BLAS build.  To regenerate the files after
@@ -45,6 +46,12 @@ FAILING = {"complement": "3; 1-2"}
 FAILING_STEMS = ("fork.direct-sum", "fork.outcomes3")
 FAILING_OUTPUTS = {"verify": [], "verify-pretty": ["--pretty"]}
 
+# cycle4 with 4, 2 and 3 outcomes at vertices 0, 1, 2 (vertex 3 keeps 2),
+# verified against a graph that trades the edge 0-3 for the chord 0-2, so one
+# pair violates each way
+MIXED = {"cycle4.mixed-outcomes": ("cycle4", ["--outcomes", "0:4,1:2,2:3"])}
+WRONG = {"wrong": "4; 0-1, 1-2, 2-3, 0-2"}
+
 DEMOS = {
     "demo-fork": ["demo", "fork"],
     "demo-lower-bound-3": ["demo", "lower-bound", "--dim", "3"],
@@ -73,6 +80,15 @@ def outputs(work: Path) -> dict:
             found[f"{stem}.stdout"] = _run(["realize", str(graph), *options, "--out", str(out)])
             found[f"{stem}.json"] = out.read_bytes()
             found[f"{stem}.verify.stdout"] = _run(["verify", str(graph), str(out)])
+    for stem, (gname, options) in MIXED.items():
+        out = work / f"{stem}.json"
+        argv = ["realize", str(work / f"{gname}.txt"), *options, "--out", str(out)]
+        found[f"{stem}.stdout"] = _run(argv)
+        found[f"{stem}.json"] = out.read_bytes()
+        for wname, text in WRONG.items():
+            graph = work / f"{wname}.txt"
+            graph.write_text(text, encoding="utf-8")
+            found[f"{stem}.verify-{wname}.stdout"] = _run(["verify", str(graph), str(out)], 1)
     for gname, text in FAILING.items():
         graph = work / f"{gname}.txt"
         graph.write_text(text, encoding="utf-8")
@@ -98,6 +114,8 @@ def test_golden_file_set(computed):
     "name",
     [f"{g}.{v}{s}" for g in GRAPHS for v in VARIANTS for s in (".stdout", ".json", ".verify.stdout")]
     + [f"{s}.{o}-{g}.stdout" for g in FAILING for s in FAILING_STEMS for o in FAILING_OUTPUTS]
+    + [f"{m}{s}" for m in MIXED for s in (".stdout", ".json")]
+    + [f"{m}.verify-{w}.stdout" for m in MIXED for w in WRONG]
     + [f"{d}.stdout" for d in DEMOS],
 )
 def test_golden_bytes(computed, name):
