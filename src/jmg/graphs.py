@@ -174,7 +174,8 @@ def is_graph_induced(h: Hypergraph) -> bool:
 
 # -- text and JSON formats -----------------------------------------------------
 
-_EDGE_RE = re.compile(r"\s*(\d+)\s*-\s*(\d+)\s*\Z")
+# numbers are ASCII digits: int() and \d also read "1_0", "+3" and "\u0663"
+_EDGE_RE = re.compile(r"\s*([0-9]+)\s*-\s*([0-9]+)\s*\Z")
 
 
 def parse_graph(text: str) -> Graph:
@@ -182,11 +183,10 @@ def parse_graph(text: str) -> Graph:
     head, sep, tail = text.partition(";")
     if not sep:
         raise InputError("missing ';' after the vertex count")
-    try:
-        n = int(head.strip())
-    except ValueError:
-        raise InputError(f"bad vertex count {head.strip()!r}") from None
-    count(n, "vertex count", 0)
+    digits = head.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(f"bad vertex count {digits!r}")
+    n = int(digits)
     edges = []
     if tail.strip():
         pos = len(head) + 1

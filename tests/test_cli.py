@@ -101,6 +101,20 @@ class TestRealize:
         assert main(["realize", str(bad)]) == 2
         assert "position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("1_0; 0-1", "bad vertex count '1_0'"),
+        ("+3; 0-1", "bad vertex count '+3'"),
+        ("\u0663; \u0660-\u0661", "bad vertex count '\u0663'"),
+        ("3; 0-\u0662", "bad edge '0-\u0662'"),
+    ])
+    def test_graph_numbers_are_ascii_digits(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["realize", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_json_graph_input(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
         graph.write_text('{"vertices": 2, "edges": []}')
