@@ -284,10 +284,36 @@ def numerator_stack(mats, dim: int) -> np.ndarray:
     these integers exactly, so BLAS products compare exactly), and Python ints
     otherwise.
     """
-    stack, dens = padded_numerators(mats, dim)
-    big = _max_abs(stack)
-    exact = max(dim * big * big, max(dens, default=1) * big) < _FLOAT64_EXACT
-    return stack.astype(np.float64 if exact else object, copy=False)
+    big = max((_max_abs(m._num) for m in mats), default=0)
+    exact = max(dim * big * big, max((m._den for m in mats), default=1) * big) < _FLOAT64_EXACT
+    # built in its final dtype: one fresh (len, dim, dim) array, not two
+    stack = np.zeros((len(mats), dim, dim), dtype=np.float64 if exact else object)
+    for k, m in enumerate(mats):
+        stack[k] = m._num
+    return stack
+
+
+def weighted_sums(stacks: list, weights: list, dim: int) -> np.ndarray:
+    """One sum sum_k w_k N_k per (k, dim, dim) integer stack (float64 or
+    Python ints), with nonnegative integer weights weights[g] for stacks[g],
+    as one (len(stacks), dim, dim) stack.
+
+    With S the largest sum_k w_k max|N_k|, S bounds every entry and partial
+    sum of a sum, and dim * S^2 those of a product of two sums.  The result is
+    float64 when dim * S^2 < 2^53, so its BLAS products compare exactly, and
+    Python ints otherwise.
+    """
+    peaks = [[_max_abs(n) for n in stack] for stack in stacks]
+    bound = max((sum(w * p for w, p in zip(ws, ps)) for ws, ps in zip(weights, peaks)), default=0)
+    dtype = np.float64 if dim * bound * bound < _FLOAT64_EXACT else object
+    sums = np.zeros((len(stacks), dim, dim), dtype=dtype)
+    for total, stack, ws, ps in zip(sums, stacks, weights, peaks):
+        if dtype is object and stack.dtype == np.float64:
+            stack = stack.astype(np.int64)  # integers below 2^53, read as Python ints next
+        for n, w, peak in zip(stack.astype(dtype, copy=False), ws, ps):
+            if peak:  # a zero matrix adds nothing; S does not bound its weight
+                total += n if w == 1 else w * n
+    return sums
 
 
 # -- shared operations (dispatch on scalar regime) ---------------------------

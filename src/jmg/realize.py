@@ -28,6 +28,7 @@ from .linalg import (
     numerator_stack,
     numerical_rank,
     padded_numerators,
+    weighted_sums,
 )
 
 METHOD_DIRECT_SUM = "direct_sum"
@@ -279,45 +280,67 @@ _EXACT_COMMUTE = {True: "commutator = 0 (exact)", False: "commutator != 0 (exact
 _PVM_COMMUTE = {True: "all cross commutators = 0", False: "commutator != 0 (exact)"}
 
 
+# The projection checks take the stack in chunks of about this many entries
+# (256 KB of float64), so their temporaries stay small and cache-resident
+# whatever the size of the realization.
+_CHUNK_ENTRIES = 2**15
+
+
 def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     """For each vertex pair x < y: does every element of family x commute
     with every element of family y?  Raises InputError unless each element is
     a projection and, for PVM families (`pvms`), the elements are orthogonal
     and sum to 1.
 
-    Denominators cancel in AB - BA, so the test runs on the integer numerators
-    N: one stack, each element multiplied against itself and all later ones.
-    Projections are symmetric, so N_j N_i = (N_i N_j)^T and a pair commutes
-    exactly when N_i N_j is symmetric; N^2 = D N is idempotency.
+    Denominators cancel in AB - BA, so the tests run on the integer
+    numerators N of one stack, and N^2 = D N is idempotency.
+    Each family then gets one symmetric integer operator
+    A = sum_k (k+1) (L / D_k) N_k, with L the lcm of its denominators D_k.
+    As A = L sum_k (k+1) E_k for orthogonal projections E_k = N_k / D_k, it
+    has the distinct eigenvalues (k+1) L on the ranges of the E_k (and 0 on
+    the rest), so every E_k is a polynomial in A.  Two families therefore
+    commute exactly when A_x and A_y do, that is when A_x A_y is symmetric,
+    as A_y A_x = (A_x A_y)^T.  A one-element family's A is its N, so when
+    every family has one element the stack serves as it is.
     """
     mats = [m for family in families for m in family]
-    starts = np.cumsum([0] + [len(family) for family in families])
     stack = numerator_stack(mats, dim)
-    symmetric = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
-    cross = np.ones((len(mats), len(mats)), dtype=bool)
+    dens = np.array([m.denominator for m in mats], dtype=stack.dtype).reshape(-1, 1, 1)
+    step = max(1, _CHUNK_ENTRIES // max(1, dim * dim))
+    projection = []
+    for i in range(0, len(mats), step):
+        chunk = stack[i : i + step]
+        projection += (
+            (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
+            & (np.matmul(chunk, chunk) == dens[i : i + step] * chunk).all(axis=(1, 2))
+        ).tolist()
+    traces = np.trace(stack, axis1=1, axis2=2).tolist()
+    blocks, weights, start = [], [], 0
     for x, family in enumerate(families):
-        end = starts[x + 1]
-        for k, p in enumerate(family):
-            i = starts[x] + k
-            prod = np.matmul(stack[i], stack[i:])  # N_i N_j for every j >= i
-            if not (symmetric[i] and np.array_equal(prod[0], p.denominator * stack[i])):
-                raise InputError(f"vertex {x}: element {k} is not a projection")
-            if prod[1 : end - i].any():
+        end = start + len(family)
+        for i in range(start, end):
+            if not projection[i]:
+                raise InputError(f"vertex {x}: element {i - start} is not a projection")
+            # N_i N_j for the family's j > i
+            if i + 1 < end and np.matmul(stack[i], stack[i + 1 : end]).any():
                 raise InputError(f"vertex {x}: elements are not orthogonal")
-            later = prod[end - i :]
-            cross[i, end:] = (later == later.transpose(0, 2, 1)).all(axis=(1, 2))
+        lcm = math.lcm(*(p.denominator for p in family))
+        scales = [lcm // p.denominator for p in family]
         # the family's elements are orthogonal projections, so their sum is a
         # projection of rank sum_k tr(N_k) / D_k: it is 1 iff that rank is dim
-        if pvms:
-            traces = np.trace(stack[starts[x] : end], axis1=1, axis2=2).tolist()
-            if sum(Fraction(int(t), p.denominator) for t, p in zip(traces, family)) != dim:
-                raise InputError(f"vertex {x}: elements do not sum to the identity")
+        if pvms and sum(int(t) * c for t, c in zip(traces[start:end], scales)) != dim * lcm:
+            raise InputError(f"vertex {x}: elements do not sum to the identity")
+        blocks.append(stack[start:end])
+        weights.append([(k + 1) * c for k, c in enumerate(scales)])
+        start = end
+    ops = stack if len(stack) == len(families) else weighted_sums(blocks, weights, dim)
     n = len(families)
-    return {
-        (x, y): bool(cross[starts[x] : starts[x + 1], starts[y] : starts[y + 1]].all())
-        for x in range(n)
-        for y in range(x + 1, n)
-    }
+    commutes = {}
+    for x in range(n - 1):
+        prod = np.matmul(ops[x], ops[x + 1 :])  # A_x A_y for every y > x
+        verdicts = (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2)).tolist()
+        commutes.update(zip([(x, y) for y in range(x + 1, n)], verdicts))
+    return commutes
 
 
 def _float_commutator_norms(ops: list, tol: float) -> dict:

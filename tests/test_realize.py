@@ -15,8 +15,10 @@ from jmg.linalg import (
     is_projection,
     numerator_stack,
     numerical_rank,
+    weighted_sums,
 )
 from jmg.realize import (
+    _CHUNK_ENTRIES,
     METHOD_DIRECT_SUM,
     METHOD_RANK_ONE,
     METHOD_RANK_ONE_RESTRICTED,
@@ -434,6 +436,101 @@ class TestBatchedVerify:
         bent = Realization(edge, 2, METHOD_RANK_ONE, [p, p * 2])
         with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
             verify_realization(edge, bent)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(
+                st.integers(0, (1 << (n * (n - 1) // 2)) - 1),
+                st.integers(0, (1 << (n * (n - 1) // 2)) - 1),
+                st.lists(st.integers(2, 4), min_size=n, max_size=n),
+            ).map(lambda t: (graph_from_mask(n, t[0]), graph_from_mask(n, t[1]), t[2]))
+        ),
+        st.sampled_from(["direct-sum", "rank-one", "faithful"]),
+        st.booleans(),
+    )
+    def test_pvms_match_per_pair_commutators(self, case, base, lift):
+        # mixed outcome counts 2-4 per vertex, or the binary lift
+        built, checked, counts = case
+        r = CONSTRUCTIONS[base](built)
+        pv = lift_to_pvms(r) if lift else extend_outcomes(r, dict(enumerate(counts)))
+        report = verify_realization(checked, pv)
+        assert [v.pair for v in report.violations] == per_pair_violations(checked, pv)
+        assert report.passed == (not report.violations)
+
+
+class TestVertexOperators:
+    """One operator per vertex, A = sum_k (k+1) (L / D_k) N_k, stands for the
+    vertex's whole family in the commutation test."""
+
+    def test_weights_follow_the_denominators(self):
+        # denominators 2, 1, 2; weights that ignore them give the first
+        # family's operator one eigenspace spanned by (1, 1, 0) and e3, which
+        # holds (1, 1, 1), so q would be reported to commute with the family
+        family = [rank_one_projection(u) for u in ((1, 1, 0), (0, 0, 1), (1, -1, 0))]
+        assert [p.denominator for p in family] == [2, 1, 2]
+        q = rank_one_projection((1, 1, 1))
+        naive = RationalMatrix.zeros(3, 3)
+        for k, p in enumerate(family):
+            naive = naive + p * ((k + 1) * p.denominator)
+        assert commutator(naive, q).is_zero()
+        assert not commutator(family[0], q).is_zero()
+        empty, edge = parse_graph("2;"), parse_graph("2; 0-1")
+        pv = PvmRealization(empty, 3, [family, [q, RationalMatrix.identity(3) - q]])
+        assert per_pair_violations(empty, pv) == []
+        assert verify_realization(empty, pv).passed
+        assert [(v.pair, v.observed) for v in verify_realization(edge, pv).violations] == [
+            ((0, 1), "commutator != 0 (exact)")
+        ]
+
+    def test_operators_wider_than_their_elements(self):
+        # D = a^2 + b^2 is about 2^24: the elements fit the float64 stack
+        # (3 max|N|^2 < 2^53), but e3's weight 3 D puts 3 (sum_k w_k max|N_k|)^2
+        # above 2^53, so the operators take Python ints
+        a, b = 2897, 2903
+        wide = [rank_one_projection(u) for u in ((a, b, 0), (-b, a, 0), (0, 0, 1))]
+        d = wide[0].denominator
+        assert d == wide[1].denominator == a * a + b * b
+        stack = numerator_stack(wide, 3)
+        assert stack.dtype == np.float64
+        assert weighted_sums([stack], [[1, 2, 3 * d]], 3).dtype == object
+        eye = RationalMatrix.identity(3)
+        pin, slant = rank_one_projection((0, 0, 1)), rank_one_projection((1, 0, 1))
+        families = [wide, [pin, eye - pin], [slant, eye - slant], [wide[0], eye - wide[0]]]
+        commuting = parse_graph("4; 0-1, 0-3, 1-3")
+        complement = parse_graph("4; 0-2, 1-2, 2-3")
+        pv = PvmRealization(commuting, 3, families)
+        assert verify_realization(commuting, pv).passed
+        assert per_pair_violations(commuting, pv) == []
+        report = verify_realization(complement, pv)
+        assert [v.pair for v in report.violations] == per_pair_violations(complement, pv)
+        assert len(report.violations) == 6
+
+    def test_projections_checked_in_chunks(self):
+        # no edges on 8 vertices: dimension 56, so the 16 elements of the
+        # lift span two chunks of the projection check
+        empty, complete = parse_graph("8;"), graph_from_mask(8, (1 << 28) - 1)
+        pv = lift_to_pvms(realize_direct_sum(empty))
+        assert 16 > _CHUNK_ENTRIES // pv.space_dim**2 > 1
+        assert verify_realization(empty, pv).passed
+        assert len(verify_realization(complete, pv).violations) == 28
+        bent = [list(family) for family in pv.pvms]
+        bent[7][1] = bent[7][1] * 2
+        with pytest.raises(InputError, match="vertex 7: element 1 is not a projection"):
+            verify_realization(empty, PvmRealization(empty, pv.space_dim, bent))
+
+    def test_operators_are_weighted_sums(self):
+        r = realize_rank_one(FORK)
+        stack = numerator_stack(r.projections, r.space_dim)
+        ops = weighted_sums([stack[:2], stack[2:]], [[1, 2], [1]], r.space_dim)
+        assert ops.dtype == np.float64
+        assert np.array_equal(ops[0], stack[0] + 2 * stack[1])
+        assert np.array_equal(ops[1], stack[2])
+        # one wide family puts every operator in Python ints
+        wide = weighted_sums([stack[:2], stack[2:]], [[1, 2**60], [1]], r.space_dim)
+        assert wide.dtype == object
+        assert wide[1].tolist() == stack[2].astype(np.int64).tolist()
 
 
 # a^2 + b^2 is about 2^67, so these numerators are Python integers
