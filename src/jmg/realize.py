@@ -327,7 +327,8 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
         lcm = math.lcm(*(p.denominator for p in family))
         scales = [lcm // p.denominator for p in family]
         # the family's elements are orthogonal projections, so their sum is a
-        # projection of rank sum_k tr(N_k) / D_k: it is 1 iff that rank is dim
+        # projection of rank sum_k tr(N_k) / D_k: it is 1 iff that rank is
+        # dim, compared here in integers after scaling by L
         if pvms and sum(int(t) * c for t, c in zip(traces[start:end], scales)) != dim * lcm:
             raise InputError(f"vertex {x}: elements do not sum to the identity")
         blocks.append(stack[start:end])

@@ -437,7 +437,6 @@ class TestBatchedVerify:
         with pytest.raises(InputError, match="vertex 1: element 0 is not a projection"):
             verify_realization(edge, bent)
 
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 5).flatmap(
