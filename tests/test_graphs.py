@@ -63,7 +63,9 @@ class TestParse:
         with pytest.raises(InputError, match="vertex count"):
             parse_graph("x; 0-1")
 
-    @pytest.mark.parametrize("text", ["1_0; 0-1", "+3; 0-1", "\u0663; \u0660-\u0661", "3; 0-\u0662", "3; 0_0-1"])
+    @pytest.mark.parametrize(
+        "text", ["1_0; 0-1", "+3; 0-1", "\u0663; \u0660-\u0661", "3; 0-\u0662", "3; 0_0-1"]
+    )
     def test_numbers_are_ascii_digits(self, text):
         with pytest.raises(InputError, match="bad (vertex count|edge)"):
             parse_graph(text)
