@@ -1,7 +1,9 @@
 """Golden outputs of the exact commands: stdout and `--out` bytes of `realize`
 on three small graphs, `verify` of every file written, failing `verify` runs
 against the complement of the fork, a cycle realized with a different outcome
-count per vertex and verified against a wrong graph, and two demos.
+count per vertex and verified against a wrong graph, and two demos.  Files of
+the size the large benchmark writes (16 vertices, 30 non-edges, up to 1.1 MB)
+are pinned by their sha256 digests instead of checked-in copies.
 
 Every output compared here is exact (rational matrices, or no matrices at
 all), so it does not depend on the BLAS build.  To regenerate the files after
@@ -15,11 +17,14 @@ and review the diff of tests/golden/.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import tempfile
 from pathlib import Path
 
 import pytest
+
+from itertools import combinations
 
 from jmg.cli import main
 
@@ -120,6 +125,46 @@ def test_golden_file_set(computed):
 )
 def test_golden_bytes(computed, name):
     assert computed[name] == (GOLDEN / name).read_bytes()
+
+
+
+# a 16-vertex graph given by its 30 non-edges: the shape of the files the
+# large benchmark workload writes, far larger than the graphs above
+LARGE_NON_EDGES = (
+    "0-3, 0-8, 0-11, 0-15, 1-3, 1-5, 2-6, 2-8, 2-9, 2-10, 3-6, 4-11, 4-12, 4-14, 5-11, "
+    "5-13, 5-14, 6-7, 6-9, 6-12, 6-14, 6-15, 7-12, 7-15, 8-11, 9-15, 10-14, 11-12, 12-13, 12-15"
+)
+
+# realize options -> sha256 of (stdout, --out file)
+LARGE_DIGESTS = {
+    ("--method", "direct-sum"): (
+        "6672ecabe7a600d3ea88d00d4e2678c8e74bfa1d3b4948a32198eb9c72c22a31",
+        "91f4375425c3ef8e7f3bd9035fad1155a8aae620574b742a1e2ea4e0886dfd35",
+    ),
+    ("--method", "rank-one", "--outcomes", "3"): (
+        "befce4e73b13cb12c1b8ccac6b38bb6c1ef414dbf63702dfd7674240177ddaa2",
+        "96249eeead5419e12d4fe83269111e646fa74d1b60b0090e9ebbc62dda4ef583",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def large_graph(tmp_path_factory) -> Path:
+    missing = {tuple(map(int, p.split("-"))) for p in LARGE_NON_EDGES.split(", ")}
+    edges = [p for p in combinations(range(16), 2) if p not in missing]
+    assert len(missing) == 30 and len(edges) == 90
+    graph = tmp_path_factory.mktemp("large") / "g16.txt"
+    graph.write_text("16; " + ", ".join(f"{a}-{b}" for a, b in edges), encoding="utf-8")
+    return graph
+
+
+@pytest.mark.parametrize("options", list(LARGE_DIGESTS), ids=" ".join)
+def test_large_file_bytes(large_graph, options):
+    out = large_graph.with_name("-".join(options).strip("-") + ".json")
+    stdout = _run(["realize", str(large_graph), *options, "--out", str(out)])
+    digests = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == LARGE_DIGESTS[options]
+    assert _run(["verify", str(large_graph), str(out)]) == b'{"passed":true,"violations":[]}\n'
 
 
 if __name__ == "__main__":
