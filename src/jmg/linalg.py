@@ -263,6 +263,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
+        # no decimal exponent: "1e999999999" is nine bytes but a number that
+        # takes hours to build
+        if "e" in x or "E" in x:
+            raise InputError(f"bad rational literal {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -466,9 +470,10 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def matrices_to_json_obj(mats) -> list:
     """Wire objects of `mats`.  The rational matrices of one denominator
-    share one literal table: one np.unique over all their numerators, and
-    each distinct value reduced and formatted once.  A literal is the
-    lowest-terms fraction, so the table does not change it."""
+    share one literal table: their numerators are sorted once, each distinct
+    value is reduced and formatted once, and one binary search indexes every
+    entry into the table.  A literal is the lowest-terms fraction, so the
+    table does not change it."""
     objs: list = [None] * len(mats)
     by_den: dict = {}
     for i, m in enumerate(mats):
@@ -479,9 +484,12 @@ def matrices_to_json_obj(mats) -> list:
             entries = np.column_stack((arr.real.ravel(), arr.imag.ravel())).tolist()
             objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
     for den, group in by_den.items():
-        values, index = np.unique(
-            np.concatenate([mats[i]._num.ravel() for i in group]), return_inverse=True
-        )
+        nums = np.concatenate([mats[i]._num.ravel() for i in group])
+        values = np.sort(nums)
+        # the distinct values: each sorted value that differs from its left
+        # neighbour (np.unique would sort again for the inverse, or hash)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))] if values.size else values
+        index = np.searchsorted(values, nums)
         literals = []
         for v in values.tolist():
             g = math.gcd(v, den)
@@ -500,19 +508,44 @@ def matrix_to_json_obj(m) -> dict:
     return matrices_to_json_obj([m])[0]
 
 
+class _Slots(dict):
+    """Literal -> slot: a literal not seen before takes the next free slot,
+    so the keys are the distinct literals in order of first appearance."""
+
+    __slots__ = ()
+
+    def __missing__(self, literal):
+        self[literal] = slot = len(self)
+        return slot
+
+
+def _poolable(chunks: list) -> bool:
+    """Whether equal dict keys among the literals are equal literals.  Str
+    and int ones are; 1, 1.0 and True are equal keys but not equal literals.
+    A chunk of strings passes the join, which runs at C speed."""
+    try:
+        for chunk in chunks:
+            "".join(chunk)
+    except TypeError:
+        return set(map(type, chain.from_iterable(chunks))) <= {str, int}
+    return True
+
+
 def _rational_entries(chunks: list) -> tuple[np.ndarray, int]:
     """Flat integer numerators of the literal lists `chunks`, in order, over
     one common denominator.
 
-    Each distinct literal is parsed once by `_as_fraction`, so the accepted set
-    is exactly its.  Only str and int literals are pooled: 1, 1.0 and True are
-    equal as dict keys but not as literals.
+    One pass over the literals pools them and indexes each into the pool;
+    then each distinct literal is parsed once by `_as_fraction`, in order of
+    first appearance, so the accepted set is exactly its and a bad literal is
+    reported at its first occurrence.  Literals that `_poolable` rejects are
+    each parsed where they stand.
     """
     size = sum(map(len, chunks))
-    if set(map(type, chain.from_iterable(chunks))) <= {str, int}:
-        distinct = list(dict.fromkeys(chain.from_iterable(chunks)))
-        slot = dict(zip(distinct, range(len(distinct))))
-        index = np.fromiter(map(slot.__getitem__, chain.from_iterable(chunks)), dtype=np.intp, count=size)
+    if _poolable(chunks):
+        slots = _Slots()
+        index = np.fromiter(map(slots.__getitem__, chain.from_iterable(chunks)), dtype=np.intp, count=size)
+        distinct = list(slots)
     else:
         distinct, index = list(chain.from_iterable(chunks)), np.arange(size)
     values = [_as_fraction(x) for x in distinct]

@@ -55,14 +55,20 @@ def _write_seq(items, out: list[str]) -> None:
         out.append(",".join(map(format_float, items)))
     else:
         try:
-            # an all-string list (the entries of a rational matrix) in one join;
-            # the encoder raises TypeError at the first item that is not a str
-            out.append(",".join(map(encode_basestring_ascii, items)))
+            # raises TypeError at the first item that is not a str
+            text = "".join(items)
         except TypeError:
             for i, item in enumerate(items):
                 if i:
                     out.append(",")
                 _write(item, out)
+        else:
+            if items and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                # strings the encoder writes unchanged (the literals of a
+                # rational matrix), quoted in one join
+                out.append('"' + '","'.join(items) + '"')
+            else:
+                out.append(",".join(map(encode_basestring_ascii, items)))
     out.append("]")
 
 

@@ -531,6 +531,23 @@ class TestErrorPaths:
         assert "Traceback (most recent call last)" in err and "kaput" in err.splitlines()[-1]
 
 
+class TestExponentLiterals:
+    @pytest.mark.parametrize("outcomes", [[], ["--outcomes", "3"]])
+    def test_verify_rejects_exponent_literal(self, fork_file, tmp_path, capsys, outcomes):
+        # Fraction reads "1e3000000" as a 10-Mbit integer, which took
+        # seconds to build; a larger exponent would take hours
+        path = tmp_path / "real.json"
+        assert main(["realize", fork_file, *outcomes, "--out", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        assert '"1/1"' in text
+        path.write_text(text.replace('"1/1"', '"1e3000000"', 1))
+        assert main(["verify", fork_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad rational literal '1e3000000'\n"
+
+
 class TestModuleEntry:
     """``python -m jmg.cli`` in a fresh interpreter, through the ``__main__`` path."""
 

@@ -667,3 +667,98 @@ class TestBatchedCodec:
             for b in mats[i + 1 :]:
                 assert not np.shares_memory(a._num, b._num)
         assert mats[0] == mats[2] == TILT
+
+
+# spellings of a few values, literals that are not rationals, and values
+# that equal a literal as dict keys without being one
+LITERALS = ["1/2", "2/4", " 1/2 ", "0.5", "+7/14", "-3", "3", "-0/5", "0/1", "1/0", "x", "", "1/-2"]
+TAINTS = [True, 1.0, None]
+
+
+def literals():
+    text = st.one_of(st.sampled_from(LITERALS), fractions_strategy().map(str))
+    return st.one_of(text, text.map(np.str_), st.integers(-3, 3))
+
+
+def literal_objs(taint: bool):
+    entry = st.one_of(literals(), st.sampled_from(TAINTS)) if taint else literals()
+    shape = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.lists(
+        shape.flatmap(
+            lambda rc: st.lists(entry, min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]).map(
+                lambda e: {"rows": rc[0], "cols": rc[1], "scalar": "rational", "entries": e}
+            )
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def reference_read(objs):
+    """Matrices of `objs` one by one, or the text of the first error."""
+    try:
+        return [reference_from_json_obj(obj) for obj in objs]
+    except InputError as exc:
+        return str(exc)
+
+
+def batched_read(objs):
+    try:
+        return matrices_from_json_obj(objs)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestOnePassPooling:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(literal_objs))
+    def test_reader_matches_reference(self, objs):
+        want, got = reference_read(objs), batched_read(objs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want) and all(map(same_matrix, got, want))
+
+    def test_numpy_str_entries(self):
+        entries = [np.str_("1/2"), "1/2", np.str_("2/4"), np.str_("3")]
+        obj = {"rows": 2, "cols": 2, "scalar": "rational", "entries": entries}
+        m = matrix_from_json_obj(obj)
+        assert m.to_fractions() == [[HALF, HALF], [HALF, 3]]
+        assert same_matrix(m, reference_from_json_obj(obj))
+        obj["entries"] = ["0/1", np.str_("1/0"), "1/0", "1/2"]
+        assert batched_read([obj]) == reference_read([obj]) == "bad rational literal np.str_('1/0')"
+
+    def test_three_spellings_of_one_value(self):
+        obj = {"rows": 1, "cols": 3, "scalar": "rational", "entries": ["1/2", "2/4", " 1/2 "]}
+        m = matrix_from_json_obj(obj)
+        assert m.to_fractions() == [[HALF, HALF, HALF]]
+        assert (m.denominator, m._num.tolist()) == (2, [[1, 1, 1]])
+
+    @pytest.mark.parametrize(
+        "second, first_bad",
+        [(["0/1", "1/0", "q", "1/0"], "1/0"), (["0/1", "q", "1/0", "q"], "q")],
+    )
+    def test_first_of_two_bad_literals_in_file_order(self, second, first_bad):
+        good = {"rows": 2, "cols": 2, "scalar": "rational", "entries": ["1/2", "0/1", "0/1", "1/2"]}
+        bad = {"rows": 2, "cols": 2, "scalar": "rational", "entries": second}
+        # a later matrix repeats the second bad literal only
+        later = {"rows": 1, "cols": 1, "scalar": "rational", "entries": ["1/0" if first_bad == "q" else "q"]}
+        objs = [good, bad, later]
+        assert batched_read(objs) == reference_read(objs) == f"bad rational literal {first_bad!r}"
+
+
+class TestExponentLiterals:
+    @pytest.mark.parametrize("literal", ["1e3000000", "1E3", "2.5e-1", "-1e0", "1/1e3", " 3e2 "])
+    def test_rejected(self, literal):
+        with pytest.raises(InputError, match="^bad rational literal "):
+            _as_fraction(literal)
+        with pytest.raises(InputError) as exc:
+            one_entry(literal)
+        assert str(exc.value) == f"bad rational literal {literal!r}"
+
+    def test_huge_exponent_rejected_in_a_batch(self):
+        objs = [reference_to_json_obj(m) for m in (TILT, PIN)]
+        objs[1]["entries"][2] = "1e3000000"
+        with pytest.raises(InputError) as exc:
+            matrices_from_json_obj(objs)
+        assert str(exc.value) == "bad rational literal '1e3000000'"

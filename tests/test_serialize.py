@@ -82,3 +82,32 @@ class TestFloatLists:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             dumps([0.5, math.nan])
+
+
+class TestStringListEdges:
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [],
+            [""],
+            ["", ""],
+            ["\x7f"],
+            ["0/1", "\x7f", "1/2"],
+            ["0/1"] * 5_000 + ['a"b'] + ["0/1"] * 5_000,
+            ["0/1"] * 5_000 + ["\\"] + ["0/1"] * 5_000,
+            ["0/1"] * 10_000 + [7],
+            ("1/2", "-3/4"),
+        ],
+        ids=["empty", "one-empty", "two-empty", "del", "del-inside", "quote", "backslash",
+             "then-int", "tuple"],
+    )
+    def test_matches_json_dumps(self, items):
+        assert dumps(items) == json.dumps(items, separators=(",", ":"))
+
+    def test_str_subclass_items(self):
+        class Literal(str):
+            pass
+
+        items = [Literal("1/2"), "0/1", Literal('"')]
+        assert dumps(items) == json.dumps(items, separators=(",", ":"))
+        assert dumps(items[:2]) == '["1/2","0/1"]'
