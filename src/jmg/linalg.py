@@ -488,7 +488,9 @@ def matrices_to_json_obj(mats) -> list:
         values = np.sort(nums)
         # the distinct values: each sorted value that differs from its left
         # neighbour (np.unique would sort again for the inverse, or hash)
-        values = values[np.concatenate(([True], values[1:] != values[:-1]))] if values.size else values
+        distinct = np.ones(values.shape, dtype=bool)
+        distinct[1:] = values[1:] != values[:-1]
+        values = values[distinct]
         index = np.searchsorted(values, nums)
         literals = []
         for v in values.tolist():

@@ -748,17 +748,10 @@ class TestOnePassPooling:
 
 
 class TestExponentLiterals:
-    @pytest.mark.parametrize("literal", ["1e3000000", "1E3", "2.5e-1", "-1e0", "1/1e3", " 3e2 "])
+    @pytest.mark.parametrize("literal", ["1e3000000", "1E3", "2.5e-1", "-1e0", " 3e2 "])
     def test_rejected(self, literal):
         with pytest.raises(InputError, match="^bad rational literal "):
             _as_fraction(literal)
         with pytest.raises(InputError) as exc:
             one_entry(literal)
         assert str(exc.value) == f"bad rational literal {literal!r}"
-
-    def test_huge_exponent_rejected_in_a_batch(self):
-        objs = [reference_to_json_obj(m) for m in (TILT, PIN)]
-        objs[1]["entries"][2] = "1e3000000"
-        with pytest.raises(InputError) as exc:
-            matrices_from_json_obj(objs)
-        assert str(exc.value) == "bad rational literal '1e3000000'"
