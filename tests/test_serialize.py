@@ -1,6 +1,11 @@
+import hashlib
 import json
 import math
+import random
+import struct
+from json.encoder import encode_basestring_ascii
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,3 +116,132 @@ class TestStringListEdges:
         items = [Literal("1/2"), "0/1", Literal('"')]
         assert dumps(items) == json.dumps(items, separators=(",", ":"))
         assert dumps(items[:2]) == '["1/2","0/1"]'
+
+
+def reference_dumps(obj) -> str:
+    """Item by item: the writer before whole-list formatting."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(reference_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        return "{" + ",".join(encode_basestring_ascii(k) + ":" + reference_dumps(obj[k]) for k in keys) + "}"
+    raise InputError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def bit_pattern_floats(rng: random.Random, count: int) -> list:
+    """`count` finite doubles with uniformly random bit patterns."""
+    out = []
+    while len(out) < count:
+        (x,) = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
+        if math.isfinite(x):
+            out.append(x)
+    return out
+
+
+SPECIALS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 2.2250738585072014e-308,
+    1e16, -1e16, 1.7976931348623157e308, 2.0**53, 2.0**53 + 2, 3.0, -7.0, 0.1, 1 / 3,
+]
+
+
+def synthetic_document(seed: int = 15) -> dict:
+    """Every kind of list the writer meets, built from the seeded stream of
+    Python's `random` (no BLAS, no NumPy generator)."""
+    rng = random.Random(seed)
+    floats = bit_pattern_floats(rng, 600)
+    pairs = [floats[i : i + 2] for i in range(0, 200, 2)] + [[x, -x] for x in SPECIALS]
+    rng.shuffle(pairs)
+    return {
+        "complex": {"rows": len(pairs), "cols": 1, "scalar": "complex", "entries": pairs},
+        "floats": floats[200:400] + SPECIALS,
+        "integral": [float(k) for k in range(-8, 9)] + [1e15, -2.0**60],
+        "int_rows": [[rng.randrange(-9, 10), x] for x in floats[400:430]],
+        "int_pairs": [[rng.randrange(-9, 10), rng.randrange(-9, 10)] for _ in range(12)],
+        "numpy": [np.float64(x) for x in floats[430:450]],
+        "numpy_pairs": [[np.float64(x), y] for x, y in zip(floats[450:460], floats[460:470])],
+        "with_bool": [0.5, True, -0.0, False, 2.0],
+        "bool_pairs": [[True, 1.0], [0.5, 0.25]],
+        "tuples": [tuple(floats[i : i + 2]) for i in range(470, 490, 2)],
+        "tuple_of_floats": tuple(floats[490:500]),
+        "empty": [[], [[]], [[], []], {}],
+        "triples": [floats[i : i + 3] for i in range(500, 530, 3)],
+        "singles": [[x] for x in floats[530:540]],
+        "mixed_pairs": [[0.5, 0.25], [0.5, 1], [0.75, -0.0]],
+        "nested": [[[x, y]] for x, y in zip(floats[540:550], floats[550:560])],
+        "strings": ["1/2", "-3/4", "0/1"],
+        "scalars": [floats[560], 7, None, "x"],
+    }
+
+
+# sha256 of `dumps(synthetic_document())`, written item by item
+SYNTHETIC_SHA256 = "d108a351fa416f6d963a91d3aaebde7e370510876a6f6c97b0ea0c8cbd1227a9"
+
+
+class TestPinnedOutput:
+    def test_synthetic_document_digest(self):
+        text = dumps(synthetic_document())
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == SYNTHETIC_SHA256
+
+    def test_synthetic_document_matches_reference(self):
+        doc = synthetic_document()
+        assert dumps(doc) == reference_dumps(doc)
+        assert json.loads(dumps(doc))["floats"] == doc["floats"]
+
+
+def finite_floats():
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(SPECIALS),
+        st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]).filter(math.isfinite),
+    )
+
+
+def any_floats():
+    return st.one_of(finite_floats(), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def documents():
+    scalar = st.one_of(any_floats(), finite_floats(), st.integers(-3, 3), st.booleans(), st.none(),
+                       st.text(max_size=3), finite_floats().map(np.float64))
+    pair = st.lists(st.one_of(finite_floats(), finite_floats(), scalar), min_size=2, max_size=2)
+    leaf_list = st.one_of(
+        st.lists(finite_floats(), max_size=6),
+        st.lists(any_floats(), max_size=4),
+        st.lists(pair, max_size=6),
+        st.lists(st.lists(finite_floats(), min_size=2, max_size=2), max_size=6),
+        st.lists(st.lists(finite_floats(), min_size=2, max_size=2).map(tuple), max_size=3),
+        st.lists(st.lists(finite_floats(), max_size=3), max_size=3),
+        st.lists(scalar, max_size=4),
+    )
+    return st.recursive(
+        st.one_of(scalar, leaf_list),
+        lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+        max_leaves=8,
+    )
+
+
+def written(write, doc):
+    """The text `write` gives `doc`, or the text of its error."""
+    try:
+        return write(doc)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestReferenceParity:
+    @settings(max_examples=60, deadline=None)
+    @given(documents())
+    def test_matches_reference(self, doc):
+        assert written(dumps, doc) == written(reference_dumps, doc)
