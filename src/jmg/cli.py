@@ -145,8 +145,12 @@ def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None =
         payload_text = serialize.dumps(payload_obj)
         if payload_obj is report_obj:
             report_text = payload_text  # one document for both: serialize it once
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload_text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload_text + "\n")
+        except OSError as exc:
+            # before anything is printed, so stdout stays empty
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     if args.pretty:
         for line in pretty_lines:
             print(line)

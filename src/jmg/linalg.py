@@ -481,7 +481,9 @@ def matrices_to_json_obj(mats) -> list:
             by_den.setdefault(m._den, []).append(i)
         else:
             arr = as_complex(m)
-            entries = np.column_stack((arr.real.ravel(), arr.imag.ravel())).tolist()
+            # each complex128 is the memory layout of one (re, im) pair of
+            # doubles; a strided view is copied into that layout first
+            entries = np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist()
             objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
     for den, group in by_den.items():
         nums = np.concatenate([mats[i]._num.ravel() for i in group])

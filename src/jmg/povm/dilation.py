@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, tolerance
-from ..linalg import hermitize, matrix_to_json_obj
-from .model import POVM, JointPOVM, marginal, povm_to_json_obj, validate_povm
+from ..linalg import hermitize, matrices_to_json_obj
+from .model import POVM, JointPOVM, _povm_obj, marginal, validate_povm
 
 DEFAULT_DILATION_TOL = 1e-8
 
@@ -90,8 +90,6 @@ def compression(isometry: np.ndarray, operator: np.ndarray) -> np.ndarray:
 
 
 def dilation_to_json_obj(result: DilationResult) -> dict:
-    return {
-        "enlarged_dim": result.enlarged_dim,
-        "isometry": matrix_to_json_obj(result.isometry),
-        "pvm": povm_to_json_obj(result.pvm),
-    }
+    pvm = result.pvm
+    isometry, *elements = matrices_to_json_obj([result.isometry, *(pvm.elements[o] for o in pvm.outcomes)])
+    return {"enlarged_dim": result.enlarged_dim, "isometry": isometry, "pvm": _povm_obj(pvm, elements)}

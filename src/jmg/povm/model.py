@@ -10,8 +10,9 @@ import numpy as np
 
 from ..errors import InputError, count, fields, tolerance
 from ..linalg import (
-    DEFAULT_TOL, as_complex, commutator, hermitize, matrices_from_json_obj, matrix_to_json_obj,
+    DEFAULT_TOL, as_complex, commutator, hermitize, matrices_from_json_obj, matrices_to_json_obj,
 )
+from ..serialize import dumps
 
 
 @dataclass
@@ -124,10 +125,16 @@ def marginal(joint: JointPOVM, factor: int) -> POVM:
 
 
 def povm_to_json_obj(e: POVM) -> dict:
+    return _povm_obj(e, matrices_to_json_obj([e.elements[o] for o in e.outcomes]))
+
+
+def _povm_obj(e: POVM, element_objs: list) -> dict:
+    """The document of `e`, given the wire objects of its elements in
+    outcome order (so that a caller writes them with its own matrices)."""
     return {
         "space_dim": e.space_dim,
         "outcomes": list(e.outcomes),
-        "elements": {o: matrix_to_json_obj(e.elements[o]) for o in e.outcomes},
+        "elements": dict(zip(e.outcomes, element_objs)),
     }
 
 
@@ -145,13 +152,12 @@ def povm_from_json_obj(obj) -> POVM:
 
 
 def joint_povm_to_json_obj(j: JointPOVM) -> dict:
+    objs = matrices_to_json_obj([j.elements[t] for t in j.outcomes])
     return {
         "space_dim": j.space_dim,
         "factor_outcomes": [list(s) for s in j.factor_outcome_sets],
-        "elements": {
-            json.dumps(list(t), separators=(",", ":")): matrix_to_json_obj(j.elements[t])
-            for t in j.outcomes
-        },
+        # a key is the compact JSON of the outcome tuple
+        "elements": {dumps(list(t)): obj for t, obj in zip(j.outcomes, objs)},
     }
 
 

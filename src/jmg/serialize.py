@@ -8,6 +8,7 @@ locale- or hash-order-dependent state is involved.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
@@ -48,37 +49,44 @@ def _write(obj, out: list[str]) -> None:
 
 
 def _write_seq(items, out: list[str]) -> None:
+    first = type(items[0]) if items else None
+    if first is float and set(map(type, items)) == {float} and all(map(math.isfinite, items)):
+        # a float list in one `%` format, which spells a float as format_float
+        # does; a list holding a bool, an int or a float subclass, or a value
+        # format_float rejects, takes the item-by-item path
+        out.append("[" + ",".join(["%.17g"] * len(items)) % tuple(items) + "]")
+        return
+    if first is list and set(map(type, items)) == {list} and set(map(len, items)) == {2}:
+        # the [re, im] entries of a complex matrix, likewise in one format
+        parts = tuple(chain.from_iterable(items))
+        if set(map(type, parts)) == {float} and all(map(math.isfinite, parts)):
+            out.append("[" + ",".join(["[%.17g,%.17g]"] * len(items)) % parts + "]")
+            return
     out.append("[")
-    if items and type(items[0]) is float and set(map(type, items)) == {float}:
-        # an all-float list (an [re, im] pair) in one join; a list holding a
-        # bool or an int takes the item-by-item path, which spells those
-        out.append(",".join(map(format_float, items)))
+    try:
+        # raises TypeError at the first item that is not a str
+        text = "".join(items)
+    except TypeError:
+        for i, item in enumerate(items):
+            if i:
+                out.append(",")
+            _write(item, out)
     else:
-        try:
-            # raises TypeError at the first item that is not a str
-            text = "".join(items)
-        except TypeError:
-            for i, item in enumerate(items):
-                if i:
-                    out.append(",")
-                _write(item, out)
+        if items and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            # strings the encoder writes unchanged (the literals of a
+            # rational matrix), quoted in one join
+            out.append('"' + '","'.join(items) + '"')
         else:
-            if items and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-                # strings the encoder writes unchanged (the literals of a
-                # rational matrix), quoted in one join
-                out.append('"' + '","'.join(items) + '"')
-            else:
-                out.append(",".join(map(encode_basestring_ascii, items)))
+            out.append(",".join(map(encode_basestring_ascii, items)))
     out.append("]")
 
 
 def _write_map(obj: dict, out: list[str]) -> None:
-    keys = sorted(obj)
-    for k in keys:
-        if not isinstance(k, str):
-            raise InputError("JSON object keys must be strings")
+    # checked before sorting, which would raise its own TypeError on mixed keys
+    if not all(isinstance(k, str) for k in obj):
+        raise InputError("JSON object keys must be strings")
     out.append("{")
-    for i, k in enumerate(keys):
+    for i, k in enumerate(sorted(obj)):
         if i:
             out.append(",")
         out.append(encode_basestring_ascii(k))

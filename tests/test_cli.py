@@ -520,6 +520,27 @@ class TestErrorPaths:
             assert captured.out == ""
             assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["realize", "verify", "dilate", "jm-check"])
+    def test_unwritable_out_is_input_error(self, fork_file, tmp_path, capsys, command, target):
+        real = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--out", str(real)]) == 0
+        eye = np.eye(2, dtype=complex)
+        coin = write_povm(tmp_path, "coin.json", POVM(2, ("h", "t"), {"h": eye / 2, "t": eye / 2}))
+        argv = {
+            "realize": ["realize", fork_file],
+            "verify": ["verify", fork_file, str(real)],
+            "dilate": ["dilate", coin],
+            "jm-check": ["jm-check", coin, coin],
+        }[command]
+        out = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1  # no traceback
+
     def test_internal_error_is_not_called_input_error(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("kaput")

@@ -1,14 +1,18 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 
+import jmg.povm.dilation
+import jmg.povm.model
 from jmg.errors import InputError
 from jmg.graphs import parse_graph
 from jmg.povm import (
     POVM,
     JointPOVM,
     compression,
+    dilation_to_json_obj,
     jm_feasible,
     joint_dilation,
     joint_povm_from_json_obj,
@@ -22,7 +26,7 @@ from jmg.povm import (
     pvm_jointly_measurable,
     validate_povm,
 )
-from jmg.linalg import matrix_to_json_obj, psd_sqrt
+from jmg.linalg import matrices_to_json_obj, matrix_to_json_obj, psd_sqrt
 from jmg.realize import lift_to_pvms, realize_direct_sum
 
 from helpers import basis_pvm, exact_pvm_to_float, haar_unitary, random_povm
@@ -427,3 +431,55 @@ class TestJsonFormats:
         elements[key] = elements['["+","+"]']
         with pytest.raises(InputError, match=message):
             joint_povm_from_json_obj(obj)
+
+
+def per_matrix_povm_obj(e: POVM) -> dict:
+    """One writer call per element: the documents before one call each."""
+    return {
+        "space_dim": e.space_dim,
+        "outcomes": list(e.outcomes),
+        "elements": {o: matrix_to_json_obj(e.elements[o]) for o in e.outcomes},
+    }
+
+
+class TestOneWriterCallPerDocument:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+
+        def counted(mats):
+            sizes.append(len(mats))
+            return matrices_to_json_obj(mats)
+
+        monkeypatch.setattr(jmg.povm.model, "matrices_to_json_obj", counted)
+        monkeypatch.setattr(jmg.povm.dilation, "matrices_to_json_obj", counted)
+        return sizes
+
+    def test_povm(self, calls):
+        e = trine_povm()
+        assert povm_to_json_obj(e) == per_matrix_povm_obj(e)
+        assert calls == [3]
+
+    def test_joint_povm(self, calls):
+        # labels the key writer must escape as json.dumps does
+        labels = [("\u00e9", '"'), ("a", "\\", "\n")]
+        j = JointPOVM(2, labels, {t: EYE2 / 6 for t in product(*labels)})
+        obj = joint_povm_to_json_obj(j)
+        assert calls == [6]
+        assert obj == {
+            "space_dim": 2,
+            "factor_outcomes": [list(s) for s in labels],
+            "elements": {
+                json.dumps(list(t), separators=(",", ":")): matrix_to_json_obj(j.elements[t]) for t in j.outcomes
+            },
+        }
+        assert joint_povm_from_json_obj(obj).outcomes == j.outcomes
+
+    def test_dilation(self, calls):
+        result = neumark_dilate(trine_povm())
+        assert dilation_to_json_obj(result) == {
+            "enlarged_dim": result.enlarged_dim,
+            "isometry": matrix_to_json_obj(result.isometry),
+            "pvm": per_matrix_povm_obj(result.pvm),
+        }
+        assert calls == [1 + 3]

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jmg import serialize
 from jmg.errors import InputError
+from jmg.linalg import matrices_to_json_obj
 from jmg.serialize import dumps, format_float
 
 
@@ -50,6 +52,12 @@ class TestDumps:
     def test_rejects_non_string_keys(self):
         with pytest.raises(InputError):
             dumps({1: "x"})
+
+    @pytest.mark.parametrize("doc", [{1: 0, "a": 1}, {None: 1, "a": 2}, {"a": {(1,): 2, "b": 3}}])
+    def test_rejects_mixed_keys_before_sorting(self, doc):
+        # sorted() alone raises a TypeError on keys it cannot compare
+        with pytest.raises(InputError, match="^JSON object keys must be strings$"):
+            dumps(doc)
 
     def test_rejects_unknown_types(self):
         with pytest.raises(InputError):
@@ -245,3 +253,61 @@ class TestReferenceParity:
     @given(documents())
     def test_matches_reference(self, doc):
         assert written(dumps, doc) == written(reference_dumps, doc)
+
+
+class TestWholeListFormatting:
+    def test_complex_entries_make_no_per_entry_call(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return format_float(x)
+
+        rng = np.random.default_rng(0)
+        obj = matrices_to_json_obj([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))])[0]
+        want = reference_dumps(obj)
+        monkeypatch.setattr(serialize, "format_float", counted)
+        assert dumps(obj) == want
+        assert dumps(obj["entries"][0]) == want[want.index("[[") + 1 : want.index("]") + 1]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "items, text",
+        [
+            ([[1, 2.0]], "[[1,2]]"),
+            ([[True, 1.0]], "[[true,1]]"),
+            ([[np.float64(1), 1.0]], "[[1,1]]"),
+            ([[0.5, 0.25], [1, 0.5]], "[[0.5,0.25],[1,0.5]]"),
+            ([(0.5, 0.25)], "[[0.5,0.25]]"),
+            ([[0.5, 0.25], [0.5, 0.25, 0.0]], "[[0.5,0.25],[0.5,0.25,0]]"),
+            ([np.float64(0.1), 0.5], "[0.10000000000000001,0.5]"),
+        ],
+    )
+    def test_other_lists_keep_their_bytes(self, items, text):
+        assert dumps(items) == reference_dumps(items) == text
+
+    @pytest.mark.parametrize(
+        "items, bad",
+        [
+            ([[1.0, 2.0], [math.inf, math.nan]], "inf"),
+            ([[1.0, math.nan], [-math.inf, 0.0]], "nan"),
+            ([[0.0, 0.0]] * 3 + [[0.5, -math.inf]], "-inf"),
+            ([0.5, -math.inf, math.nan], "-inf"),
+        ],
+    )
+    def test_first_non_finite_value_is_reported(self, items, bad):
+        with pytest.raises(InputError) as exc:
+            dumps({"entries": items})
+        assert str(exc.value) == f"non-finite float {bad} is not serializable"
+        assert written(reference_dumps, {"entries": items}) == f"InputError: {exc.value}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_floats())
+    def test_percent_format_is_format_float(self, x):
+        assert "%.17g" % x == format(x, ".17g") == format_float(x)
+
+    def test_percent_format_on_seeded_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+        floats = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+        assert len(floats) > 99_000
+        assert ",".join(["%.17g"] * len(floats)) % tuple(floats) == ",".join(format(x, ".17g") for x in floats)
