@@ -221,9 +221,9 @@ def any_floats():
 
 
 def documents():
-    scalar = st.one_of(any_floats(), finite_floats(), st.integers(-3, 3), st.booleans(), st.none(),
+    scalar = st.one_of(any_floats(), st.integers(-3, 3), st.booleans(), st.none(),
                        st.text(max_size=3), finite_floats().map(np.float64))
-    pair = st.lists(st.one_of(finite_floats(), finite_floats(), scalar), min_size=2, max_size=2)
+    pair = st.lists(st.one_of(finite_floats(), scalar), min_size=2, max_size=2)
     leaf_list = st.one_of(
         st.lists(finite_floats(), max_size=6),
         st.lists(any_floats(), max_size=4),
