@@ -362,6 +362,15 @@ def direct_sum(blocks):
     return RationalMatrix._reduced(out, den) if exact else out
 
 
+def rank_one_projections(v: RationalMatrix) -> list:
+    """v_x v_x^T / |v_x|^2 for the rows v_x of `v`, one per vertex; int64 if no norm overflows."""
+    num = v._num if v.cols * _max_abs(v._num) ** 2 < _INT64_SAFE else v._num.astype(object)
+    norms = (num * num).sum(axis=1).tolist()
+    if 0 in norms:
+        raise InputError(f"vertex {norms.index(0)}: zero vector")
+    return matrices_from_stack(num[:, :, None] * num[:, None, :], norms)
+
+
 def is_projection(p: RationalMatrix) -> bool:
     """Exact test: symmetric and idempotent."""
     if not isinstance(p, RationalMatrix):
@@ -372,41 +381,39 @@ def is_projection(p: RationalMatrix) -> bool:
 
 
 def numerical_rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Singular values above tol (float) or exact pivot count (rational)."""
+    """Singular values above tol (float), or the exact rank of M M^T or M^T M (rational)."""
     tolerance(tol)
     if isinstance(a, RationalMatrix):
-        return _exact_rank(a)
+        return ldlt(a @ a.T if a.rows <= a.cols else a.T @ a)[2]
     arr = as_complex(a)
     if arr.size == 0:
         return 0
     return int(np.sum(np.linalg.svd(arr, compute_uv=False) > tol))
 
 
-def _exact_rank(m: RationalMatrix) -> int:
-    """Pivot count of fraction-free (Bareiss) elimination on the numerators.
-
-    After each step every entry below the pivot rows is a minor of the
-    matrix, so (lead * x - f * y) is divisible by the previous pivot and the
-    entries stay integers no larger than those minors.
-    """
-    grid = m._num.tolist()
-    rows, cols = m.shape
-    rank, prev = 0, 1
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if grid[r][c]), None)
-        if piv is None:
+def ldlt(h: RationalMatrix) -> tuple[np.ndarray, list, int]:
+    """(L, D, rank) in Python integers with N = L diag(D)^-1 L^T exactly, for the
+    numerators N of a symmetric PSD `h`.  Bareiss elimination takes the diagonal
+    pivots p_j in order; each trailing entry is a minor of N, so // is exact.
+    L[:, j] is p_j's column from p_j down, D_j = p_(j-1) p_j (p_(-1) = 1).  A zero
+    pivot with a zero row is skipped; a negative one, or one with a nonzero row, is
+    a proof that h is not PSD."""
+    if not h.is_symmetric():
+        raise InputError("ldlt needs a symmetric matrix")
+    a = h._num.astype(object)
+    pivots, dens, prev = [], [], 1
+    for k in range(h.rows):
+        lead = a[k, k]
+        if lead < 0 or (lead == 0 and a[k, k + 1 :].any()):
+            raise InputError("matrix is not positive semidefinite")
+        if lead == 0:
             continue
-        grid[rank], grid[piv] = grid[piv], grid[rank]
-        top = grid[rank]
-        lead = top[c]
-        for r in range(rank + 1, rows):
-            f = grid[r][c]
-            grid[r] = [(lead * x - f * y) // prev for x, y in zip(grid[r], top)]
+        col = a[k + 1 :, k]
+        a[k + 1 :, k + 1 :] = (lead * a[k + 1 :, k + 1 :] - np.multiply.outer(col, col)) // prev
+        pivots.append(k)
+        dens.append(prev * lead)
         prev = lead
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return np.tril(a)[:, pivots], dens, len(pivots)
 
 
 # -- float regime -------------------------------------------------------------
@@ -420,6 +427,8 @@ class HermitianCheckReport:
 
 
 def as_complex(a) -> np.ndarray:
+    if isinstance(a, RationalMatrix):
+        raise InputError("float matrix expected, got a rational one: regimes do not mix")
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise InputError("matrix expected")

@@ -3,7 +3,7 @@
 Every construction here produces operators whose pairwise commutation pattern
 reproduces a given graph: two vertices commute exactly when they share an
 edge.  The exact-rational regime lets those checks run with zero tolerance;
-only the span-restricted form (which needs orthonormalization) lives in
+only the span-restricted form, rounded from an exact factorization, lives in
 floats.
 """
 
@@ -21,13 +21,14 @@ from .linalg import (
     DEFAULT_TOL,
     RationalMatrix,
     commutator,
+    ldlt,
     matrices_from_json_obj,
     matrices_from_stack,
     matrices_to_json_obj,
     matrix_to_json_obj,
     numerator_stack,
-    numerical_rank,
     padded_numerators,
+    rank_one_projections,
     weighted_sums,
 )
 
@@ -44,7 +45,8 @@ def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
     rows of Fractions, or None.  `families` has one tuple per vertex: `(p,)`
     for a projection, the elements of a sharp observable.  `method` is None
     for sharp observables, which are rational, like the projections of every
-    method except the span-restricted one, which are complex float."""
+    method except the span-restricted one, which are complex float.  Only
+    rank-one realizations have vectors, each spanning its projection's range."""
     if method is not None and method not in _EXACT_METHODS | {METHOD_RANK_ONE_RESTRICTED}:
         raise InputError(f"unknown method {method!r}")
     count(space_dim, "space_dim", 0)
@@ -71,12 +73,20 @@ def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
                 raise InputError(f"vertex {x}: matrix shape {m.shape} != space_dim {space_dim}")
     if vectors is None:
         return None
+    if method != METHOD_RANK_ONE:
+        raise InputError(f"method {method!r} stores no vectors")
     if len(vectors) != n:
         raise InputError("vectors must list one vector per vertex")
     for x, vec in enumerate(vectors):
         if len(vec) != space_dim:
             raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
-    return tuple(map(tuple, RationalMatrix.from_rows(vectors).to_fractions()))
+    v = RationalMatrix.from_rows(vectors)
+    # equal rational matrices have equal numerators and denominators
+    stack, dens = padded_numerators([p for (p,) in families] + rank_one_projections(v), space_dim)
+    wrong = ~(stack[:n] == stack[n:]).all(axis=(1, 2)) | np.not_equal(dens[:n], dens[n:])
+    if wrong.any():
+        raise InputError(f"vertex {wrong.argmax()}: projection is not the one onto its vector")
+    return tuple(map(tuple, v.to_fractions()))
 
 
 @dataclass(frozen=True)
@@ -165,11 +175,8 @@ def realize_rank_one(graph: Graph) -> Realization:
     dim = n + len(pairs)
     vecs = np.zeros((n, dim), dtype=np.int64)
     vecs[np.arange(n), np.arange(n)] = 1
-    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    vecs[first, np.arange(n, dim)] = 1
-    vecs[second, np.arange(n, dim)] = 1
-    num = vecs[:, :, None] * vecs[:, None, :]  # the outer product of each row
-    projections = matrices_from_stack(num, vecs.sum(axis=1).tolist())
+    vecs[np.array(pairs, dtype=np.intp).reshape(-1, 2).T, np.arange(n, dim)] = 1
+    projections = rank_one_projections(RationalMatrix(vecs))
     return Realization(graph, dim, METHOD_RANK_ONE, projections, vecs.tolist())
 
 
@@ -182,31 +189,15 @@ def rank_one_gram(realization: Realization) -> RationalMatrix:
 
 
 def restrict_to_span(realization: Realization) -> Realization:
-    """Conjugate the rank-one projections into an orthonormal basis of the
-    span of their vectors; the result lives in dimension = exact Gram rank."""
-    if getattr(realization, "method", None) != METHOD_RANK_ONE or realization.vectors is None:
-        raise InputError("restrict_to_span needs a rank_one realization with vectors")
-    n = realization.graph.vertex_count
-    rank = numerical_rank(rank_one_gram(realization))
-    if n == 0:
-        return Realization(realization.graph, 0, METHOD_RANK_ONE_RESTRICTED, ())
-    ambient = np.array([[float(c) for c in vec] for vec in realization.vectors], dtype=float).T
-    basis: list[np.ndarray] = []
-    for col in range(n):
-        v = ambient[:, col].copy()
-        for _ in range(2):  # modified Gram-Schmidt with one reorthogonalization
-            for q in basis:
-                v -= q * (q @ v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-10 * max(1.0, float(np.linalg.norm(ambient[:, col]))):
-            basis.append(v / norm)
-    if len(basis) != rank:
-        raise InputError("orthonormalization disagrees with the exact Gram rank")
-    q_mat = np.column_stack(basis)
-    projections = [
-        np.asarray(q_mat.T @ p.to_ndarray() @ q_mat, dtype=complex) for p in realization.projections
-    ]
-    return Realization(realization.graph, rank, METHOD_RANK_ONE_RESTRICTED, projections)
+    """The rank-one projections in the orthonormal basis of their vectors' span
+    (dimension = exact Gram rank), in vertex order: P_x = c_x c_x^T / G_xx for
+    G = C C^T, C lower-triangular, and c_xj^2 / G_xx = L[x, j]^2 / (D_j N_xx)."""
+    gram = rank_one_gram(realization)
+    lower, dens, rank = ldlt(gram)
+    norms = np.array([int(gram.entry(x, x) * gram.denominator) for x in range(len(lower))], dtype=object)
+    u = np.sign(lower).astype(float) * np.sqrt((lower * lower / np.multiply.outer(norms, dens)).astype(float))
+    projections = (u[:, :, None] * u[:, None, :] + 0.0).astype(complex)  # + 0.0 makes -0.0 0
+    return Realization(realization.graph, rank, METHOD_RANK_ONE_RESTRICTED, list(projections))
 
 
 def _exact_projections(realization: Realization, what: str) -> tuple:

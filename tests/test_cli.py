@@ -480,6 +480,41 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: method {claimed!r} needs {needs} matrices\n"
 
+    @pytest.mark.parametrize(
+        "vertex, value, message",
+        [
+            (0, ["0/1", "7/1", "0/1", "0/1"], "vertex 0: projection is not the one onto its vector"),
+            (2, ["0/1", "0/1", "0/1", "0/1"], "vertex 2: zero vector"),
+            (None, "direct_sum", "method 'direct_sum' stores no vectors"),
+        ],
+    )
+    def test_verify_rejects_vectors_contradicting_the_file(
+        self, fork_file, tmp_path, capsys, vertex, value, message
+    ):
+        # a fork rank-one file with one vector edited, or relabelled as another method
+        path = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--method", "rank-one", "--out", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        if vertex is None:
+            payload["method"] = value
+        else:
+            payload["vectors"][vertex] = value
+        path.write_text(json.dumps(payload))
+        assert main(["verify", fork_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_verify_accepts_a_rescaled_vector(self, fork_file, tmp_path, capsys):
+        # a vector stands for the line it spans: 7 e_0 spans the range of p_0
+        path = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--method", "rank-one", "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        payload["vectors"][0] = ["7/1", "0/1", "0/1", "0/1"]
+        path.write_text(json.dumps(payload))
+        assert main(["verify", fork_file, str(path)]) == 0
+
     @pytest.mark.parametrize("field", ["space_dim", "rows"])
     def test_verify_boolean_count_is_input_error(self, tmp_path, capsys, field):
         triangle = tmp_path / "triangle.txt"

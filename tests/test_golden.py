@@ -6,7 +6,9 @@ the size the large benchmark writes (16 vertices, 30 non-edges, up to 1.1 MB)
 are pinned by their sha256 digests instead of checked-in copies.
 
 Every output compared here is exact (rational matrices, or no matrices at
-all), so it does not depend on the BLAS build.  To regenerate the files after
+all), except the span-restricted files, whose float entries are built from
+exact integers by elementwise IEEE operations; so no byte depends on the
+BLAS build.  To regenerate the files after
 an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -40,6 +42,7 @@ VARIANTS = {
     "direct-sum": ["--method", "direct-sum"],
     "rank-one": ["--method", "rank-one"],
     "rank-one-faithful": ["--method", "rank-one", "--faithful"],
+    "rank-one-restricted": ["--method", "rank-one-restricted"],
     "outcomes3": ["--outcomes", "3"],
     "faithful-outcomes": ["--faithful", "--outcomes", "0:4,1:3"],
 }

@@ -15,6 +15,7 @@ from jmg.linalg import (
     direct_sum,
     hermitian_check,
     is_projection,
+    ldlt,
     matrices_from_json_obj,
     matrices_to_json_obj,
     matrix_from_json_obj,
@@ -309,6 +310,25 @@ class TestDirectSum:
         assert out[2, 2] == 0
 
 
+FLOAT_PIN = np.array([[1, 0], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: direct_sum([FLOAT_PIN, PIN]),
+        lambda: direct_sum([PIN, FLOAT_PIN]),
+        lambda: commutator(PIN, FLOAT_PIN),
+        lambda: commutator(FLOAT_PIN, PIN),
+    ],
+    ids=["direct_sum float first", "direct_sum rational first", "commutator rational first",
+         "commutator float first"],
+)
+def test_mixed_regimes_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
 class TestIsProjection:
     def test_tilt(self):
         assert is_projection(TILT)
@@ -476,6 +496,109 @@ class TestBareissRank:
             m = RationalMatrix(rows)
             assert numerical_rank(m) == fraction_rank(m)
         assert numerical_rank(RationalMatrix.zeros(0, 3)) == 0
+
+
+def fraction_ldlt(m: RationalMatrix):
+    """Symmetric elimination on Fractions with the diagonal pivots taken in
+    order: the unit lower columns and the pivots of m, or None when m is not
+    PSD.  The reference for `ldlt`."""
+    a = m.to_fractions()
+    n = len(a)
+    columns, pivots = [], []
+    for k in range(n):
+        d = a[k][k]
+        if d < 0 or (d == 0 and any(a[k][k + 1 :])):
+            return None
+        if d == 0:
+            continue
+        col = [Fraction(0)] * k + [a[i][k] / d for i in range(k, n)]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] -= col[i] * a[k][j]
+        columns.append(col)
+        pivots.append(d)
+    return columns, pivots
+
+
+def congruent(draw, n: int, middle: list) -> RationalMatrix:
+    """U M U^T over a random denominator, for a random unit lower-triangular
+    integer U and the symmetric integer matrix M: diagonal pivoting finds the
+    pivots of M in order, each scaled by the denominator."""
+    u = np.eye(n, dtype=object)
+    for i in range(n):
+        for j in range(i):
+            u[i, j] = draw(st.integers(-4, 4))
+    num = u @ np.array(middle, dtype=object).reshape(n, n) @ u.T
+    return RationalMatrix(num, draw(st.integers(1, 2**70)))
+
+
+@st.composite
+def psd_matrices(draw):
+    """Full-rank PSD matrices, and rank-deficient V V^T, some with entries
+    of 2^62 and above."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        pivots = draw(st.lists(st.integers(1, 2**64), min_size=n, max_size=n))
+        return congruent(draw, n, np.diag(np.array(pivots, dtype=object)).tolist())
+    k = draw(st.integers(0, n))
+    v = draw(st.lists(st.lists(RANK_ENTRIES, min_size=k, max_size=k), min_size=n, max_size=n))
+    num = np.array(v, dtype=object).reshape(n, k)
+    return RationalMatrix(num @ num.T, draw(st.integers(1, 2**70)))
+
+
+@st.composite
+def indefinite_matrices(draw):
+    """U M U^T where M has positive pivots, then either a negative pivot or a
+    2 x 2 block [[0, b], [b, c]] with b != 0: a zero pivot whose row is not
+    zero."""
+    before, after = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    diag = draw(st.lists(st.integers(1, 9), min_size=before + after, max_size=before + after))
+    if draw(st.booleans()):
+        block = [[draw(st.integers(-2**64, -1))]]
+    else:
+        b = draw(st.integers(1, 9)) * draw(st.sampled_from([-1, 1]))
+        block = [[0, b], [b, draw(st.integers(-9, 9))]]
+    m = len(block)
+    n = before + m + after
+    middle = np.zeros((n, n), dtype=object)
+    middle[np.arange(before), np.arange(before)] = diag[:before]
+    middle[before : before + m, before : before + m] = block
+    middle[np.arange(before + m, n), np.arange(before + m, n)] = diag[before:]
+    return congruent(draw, n, middle.tolist())
+
+
+class TestLdlt:
+    @settings(max_examples=60, deadline=None)
+    @given(psd_matrices())
+    def test_matches_fraction_elimination(self, h):
+        lower, dens, rank = ldlt(h)
+        columns, pivots = fraction_ldlt(h)
+        n = h.rows
+        assert lower.shape == (n, rank) and len(dens) == rank == len(pivots)
+        num = np.array([[int(x) for x in row] for row in h._num], dtype=object).reshape(n, n)
+        rebuilt = lower @ np.diag(np.array([Fraction(1, d) for d in dens], dtype=object)) @ lower.T
+        assert (rebuilt == num).all()
+        for j, (col, d) in enumerate(zip(columns, pivots)):
+            k = next(i for i, c in enumerate(col) if c)  # the pivot's index
+            p = lower[k, j]
+            assert [Fraction(x, p) for x in lower[:, j]] == col
+            assert Fraction(p * p, dens[j]) == d * h.denominator
+        assert rank == numerical_rank(h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(indefinite_matrices())
+    def test_indefinite_rejected(self, h):
+        assert fraction_ldlt(h) is None
+        with pytest.raises(InputError, match="not positive semidefinite"):
+            ldlt(h)
+
+    def test_zero_pivot_with_nonzero_row_rejected(self):
+        with pytest.raises(InputError, match="not positive semidefinite"):
+            ldlt(RationalMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 5]]))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(InputError, match="symmetric"):
+            ldlt(RationalMatrix([[1, 1], [0, 1]]))
 
 
 class TestJson:

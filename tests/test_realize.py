@@ -141,7 +141,7 @@ class TestRankOneGram:
 
     def test_fractional_and_huge_vectors(self):
         vecs = [(HALF, Fraction(1, 3), 0), (Fraction(2**70, 7), -1, Fraction(5, 6))]
-        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, [RationalMatrix.zeros(3, 3)] * 2, vecs)
+        r = Realization(parse_graph("2;"), 3, METHOD_RANK_ONE, [rank_one_projection(v) for v in vecs], vecs)
         rows = [[sum(a * b for a, b in zip(vecs[i], vecs[j])) for j in range(2)] for i in range(2)]
         assert rank_one_gram(r) == RationalMatrix.from_rows(rows)
 
@@ -190,6 +190,33 @@ class TestRestrictToSpan:
         rr = restrict_to_span(realize_rank_one(g))
         assert rr.space_dim <= g.vertex_count
         assert verify_realization(g, rr).passed
+
+
+def assert_restriction_invariants(r: Realization) -> None:
+    """P_x is zero outside its leading (x+1) x (x+1) block, the pairwise
+    overlaps are those of the vectors, and the dimension is the Gram rank."""
+    rr = restrict_to_span(r)
+    gram = rank_one_gram(r)
+    assert rr.space_dim == numerical_rank(gram)
+    for x, p in enumerate(rr.projections):
+        assert not p[x + 1 :].any() and not p[:, x + 1 :].any()
+        for y, q in enumerate(rr.projections):
+            overlap = gram.entry(x, y) ** 2 / (gram.entry(x, x) * gram.entry(y, y))
+            assert abs(np.trace(p @ q) - float(overlap)) < 1e-12
+
+
+class TestRestrictionInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(graphs_strategy(max_n=7))
+    def test_rank_one_realizations(self, g):
+        assert_restriction_invariants(realize_rank_one(g))
+
+    def test_rank_deficient_vectors(self):
+        # the last coordinate repeats the first; v_1 = 2 v_0 and v_3 = v_0 + v_2
+        vecs = [(1, 2, 0, 1), (2, 4, 0, 2), (0, 1, 1, 0), (1, 3, 1, 1), (HALF, 0, 5, HALF), (7, 0, 0, 7)]
+        r = Realization(parse_graph("6;"), 4, METHOD_RANK_ONE, [rank_one_projection(v) for v in vecs], vecs)
+        assert numerical_rank(rank_one_gram(r)) == 3
+        assert_restriction_invariants(r)
 
 
 class TestMakeFaithful:
@@ -352,7 +379,8 @@ CONSTRUCTIONS = {
 
 
 def rank_one_projection(u) -> RationalMatrix:
-    return RationalMatrix.outer(u, u, sum(c * c for c in u))
+    """The projection onto a nonzero vector of rationals."""
+    return RationalMatrix.outer(u, u) * (1 / sum(Fraction(c) ** 2 for c in u))
 
 
 # a^2 + b^2 is about 2^41, so the numerators of the projection onto (a, b)
@@ -974,9 +1002,9 @@ class TestJsonFormats:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 3).flatmap(
+        st.integers(1, 3).flatmap(
             lambda dim: st.lists(
-                st.lists(wide_fractions(), min_size=dim, max_size=dim), min_size=1, max_size=3
+                st.lists(wide_fractions(), min_size=dim, max_size=dim).filter(any), min_size=1, max_size=3
             )
         )
     )
@@ -986,8 +1014,8 @@ class TestJsonFormats:
     def test_vectors_share_the_matrix_codec(self, rows):
         n, dim = len(rows), len(rows[0])
         vecs = tuple(map(tuple, rows))
-        zeros = [RationalMatrix.zeros(dim, dim)] * n
-        r = Realization(parse_graph(f"{n};"), dim, METHOD_RANK_ONE, zeros, vecs)
+        projections = [rank_one_projection(v) for v in vecs]
+        r = Realization(parse_graph(f"{n};"), dim, METHOD_RANK_ONE, projections, vecs)
         obj = realization_to_json_obj(r)
         # each component in lowest terms, as Fraction formats it
         assert obj["vectors"] == [[f"{c.numerator}/{c.denominator}" for c in row] for row in rows]
