@@ -50,10 +50,11 @@ class RationalMatrix:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, numerators, denominator: int = 1):
+    def __init__(self, numerators, denominator=1):
         """`numerators` is an int64 array, which is copied, so changing it
         later cannot change the matrix, or a grid of literals that
-        `from_rows` accepts (an array of another dtype is read as one)."""
+        `from_rows` accepts (an array of another dtype is read as one).
+        `denominator` is a literal by the same rule."""
         grid = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
         if grid.ndim != 2:
             raise InputError("matrix data must be two-dimensional")
@@ -62,7 +63,7 @@ class RationalMatrix:
         else:
             num, den = _rational_entries(grid.tolist())
             num = num.reshape(grid.shape)
-        m = self._reduced(num, den * denominator)
+        m = self._reduced(num, den * _as_fraction(denominator))
         self._num, self._den = m._num, m._den
 
     @classmethod
@@ -73,15 +74,19 @@ class RationalMatrix:
         return m
 
     @classmethod
-    def _reduced(cls, num: np.ndarray, den: int) -> "RationalMatrix":
+    def _reduced(cls, num: np.ndarray, den) -> "RationalMatrix":
         """num / den normalized, for a fresh 2-d integer array `num`, which
-        the matrix takes over (it is not copied), and a nonzero `den`."""
+        the matrix takes over (it is not copied), and a nonzero int or
+        Fraction `den`, divided by exactly."""
+        den = Fraction(den)
         if den == 0:
             raise InputError("denominator must be nonzero")
-        den = int(den)
-        if den < 0:
-            num, den = -num.astype(object), -den  # -(-2**63) does not fit int64
-        (num,), (den,) = _normalize(num[None], [den])
+        # num / (p/q) = (sign(p) q num) / |p|, scaled on Python ints, as
+        # -(-2**63) and q times an int64 entry need not fit int64
+        scale = den.denominator if den > 0 else -den.denominator
+        if scale != 1:
+            num = num.astype(object) * scale
+        (num,), (den,) = _normalize(num[None], [abs(den.numerator)])
         return cls._of(num, den)
 
     # -- constructors -----------------------------------------------------
@@ -106,11 +111,11 @@ class RationalMatrix:
         return cls._of(np.eye(n, dtype=np.int64), 1)
 
     @classmethod
-    def outer(cls, u, v, denominator: int = 1) -> "RationalMatrix":
+    def outer(cls, u, v, denominator=1) -> "RationalMatrix":
         """Outer product of vectors of the literals `from_rows` accepts,
-        divided by `denominator`."""
+        divided by the literal `denominator`."""
         (nu, du), (nv, dv) = _rational_entries([list(u)]), _rational_entries([list(v)])
-        return cls._reduced(np.outer(nu.astype(object), nv.astype(object)), du * dv * denominator)
+        return cls._reduced(np.outer(nu.astype(object), nv.astype(object)), du * dv * _as_fraction(denominator))
 
     # -- structure ---------------------------------------------------------
 
@@ -134,7 +139,10 @@ class RationalMatrix:
         return Fraction(int(self._num[i, j]), self._den)
 
     def to_fractions(self) -> list[list[Fraction]]:
-        return [[Fraction(int(x), self._den) for x in row] for row in self._num]
+        rows = self._num.tolist()
+        # one Fraction per distinct numerator
+        table = {x: Fraction(int(x), self._den) for x in set(chain.from_iterable(rows))}
+        return [list(map(table.__getitem__, row)) for row in rows]
 
     def to_ndarray(self) -> np.ndarray:
         """Entries correctly rounded: below 2^53 the numerators and the
@@ -279,45 +287,38 @@ def _as_fraction(x) -> Fraction:
 _FLOAT64_EXACT = 2**53
 
 
-def numerator_stack(mats, dim: int) -> np.ndarray:
-    """The numerators of `mats` (dim x dim each) as one (len, dim, dim) stack.
+def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators N_k of every element of `families` (dim x dim each) as
+    one stack, and one operator A = sum_k w_k N_k per family as another, with
+    w_k = (k+1) (L / D_k) for the lcm L of the family's denominators D_k; when
+    every family has one element, each A is its N and one stack is both.
 
-    With B = max(dim * max|num|^2, max(den) * max|num|), every entry of a
-    product N_i N_j, every partial sum on the way, and every entry of D_i N_i
-    is an integer below B.  The stack is float64 when B < 2^53 (float64 holds
-    these integers exactly, so BLAS products compare exactly), and Python ints
-    otherwise.
+    With S = max over families of sum_k w_k max|N_k| (at least max|N|) and
+    B = max(dim * S^2, max(D) * max|N|), every entry and partial sum of an A,
+    of a product of two As or of two Ns, and of a D N is an integer below B.
+    Both stacks are float64 when B < 2^53 (doubles hold these integers
+    exactly, so BLAS products compare exactly) and Python ints otherwise.
     """
-    big = max((_max_abs(m._num) for m in mats), default=0)
-    exact = max(dim * big * big, max((m._den for m in mats), default=1) * big) < _FLOAT64_EXACT
-    # built in its final dtype: one fresh (len, dim, dim) array, not two
-    stack = np.zeros((len(mats), dim, dim), dtype=np.float64 if exact else object)
-    for k, m in enumerate(mats):
-        stack[k] = m._num
-    return stack
-
-
-def weighted_sums(stacks: list, weights: list, dim: int) -> np.ndarray:
-    """One sum sum_k w_k N_k per (k, dim, dim) integer stack (float64 or
-    Python ints), with nonnegative integer weights weights[g] for stacks[g],
-    as one (len(stacks), dim, dim) stack.
-
-    With S the largest sum_k w_k max|N_k|, S bounds every entry and partial
-    sum of a sum, and dim * S^2 those of a product of two sums.  The result is
-    float64 when dim * S^2 < 2^53, so its BLAS products compare exactly, and
-    Python ints otherwise.
-    """
-    peaks = [[_max_abs(n) for n in stack] for stack in stacks]
-    bound = max((sum(w * p for w, p in zip(ws, ps)) for ws, ps in zip(weights, peaks)), default=0)
-    dtype = np.float64 if dim * bound * bound < _FLOAT64_EXACT else object
-    sums = np.zeros((len(stacks), dim, dim), dtype=dtype)
-    for total, stack, ws, ps in zip(sums, stacks, weights, peaks):
-        if dtype is object and stack.dtype == np.float64:
-            stack = stack.astype(np.int64)  # integers below 2^53, read as Python ints next
-        for n, w, peak in zip(stack.astype(dtype, copy=False), ws, ps):
+    mats = [m for family in families for m in family]
+    terms, bound = [], 0  # (w_k, max|N_k|) per element, by family
+    for family in families:
+        lcm = math.lcm(*(m._den for m in family))
+        terms.append([((k + 1) * (lcm // m._den), _max_abs(m._num)) for k, m in enumerate(family)])
+        bound = max(bound, sum(w * peak for w, peak in terms[-1]))
+    big = max((peak for family in terms for _, peak in family), default=0)
+    exact = max(dim * bound * bound, max((m._den for m in mats), default=1) * big) < _FLOAT64_EXACT
+    dtype = np.float64 if exact else object
+    # each stack is written once, in its final dtype
+    stack = np.array([m._num for m in mats], dtype=dtype).reshape(len(mats), dim, dim)
+    if len(mats) == len(families):
+        return stack, stack
+    ops = np.zeros((len(families), dim, dim), dtype=dtype)
+    elements = iter(stack)
+    for total, family in zip(ops, terms):
+        for (w, peak), n in zip(family, elements):
             if peak:  # a zero matrix adds nothing; S does not bound its weight
-                total += n if w == 1 else w * n
-    return sums
+                total += w * n
+    return stack, ops
 
 
 # -- shared operations (dispatch on scalar regime) ---------------------------

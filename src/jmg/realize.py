@@ -21,15 +21,14 @@ from .linalg import (
     DEFAULT_TOL,
     RationalMatrix,
     commutator,
+    family_stacks,
     ldlt,
     matrices_from_json_obj,
     matrices_from_stack,
     matrices_to_json_obj,
     matrix_to_json_obj,
-    numerator_stack,
     padded_numerators,
     rank_one_projections,
-    weighted_sums,
 )
 
 METHOD_DIRECT_SUM = "direct_sum"
@@ -81,11 +80,9 @@ def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
         if len(vec) != space_dim:
             raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
     v = RationalMatrix.from_rows(vectors)
-    # equal rational matrices have equal numerators and denominators
-    stack, dens = padded_numerators([p for (p,) in families] + rank_one_projections(v), space_dim)
-    wrong = ~(stack[:n] == stack[n:]).all(axis=(1, 2)) | np.not_equal(dens[:n], dens[n:])
-    if wrong.any():
-        raise InputError(f"vertex {wrong.argmax()}: projection is not the one onto its vector")
+    for x, ((p,), q) in enumerate(zip(families, rank_one_projections(v))):
+        if p != q:
+            raise InputError(f"vertex {x}: projection is not the one onto its vector")
     return tuple(map(tuple, v.to_fractions()))
 
 
@@ -291,22 +288,21 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     has the distinct eigenvalues (k+1) L on the ranges of the E_k (and 0 on
     the rest), so every E_k is a polynomial in A.  Two families therefore
     commute exactly when A_x and A_y do, that is when A_x A_y is symmetric,
-    as A_y A_x = (A_x A_y)^T.  A one-element family's A is its N, so when
-    every family has one element the stack serves as it is.
+    as A_y A_x = (A_x A_y)^T.  `family_stacks` builds the numerators and the
+    operators in one arithmetic tier, under one bound.
     """
-    mats = [m for family in families for m in family]
-    stack = numerator_stack(mats, dim)
-    dens = np.array([m.denominator for m in mats], dtype=stack.dtype).reshape(-1, 1, 1)
+    stack, ops = family_stacks(families, dim)
+    dens = np.array([m.denominator for family in families for m in family], dtype=stack.dtype).reshape(-1, 1, 1)
     step = max(1, _CHUNK_ENTRIES // max(1, dim * dim))
     projection = []
-    for i in range(0, len(mats), step):
+    for i in range(0, len(stack), step):
         chunk = stack[i : i + step]
         projection += (
             (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
             & (np.matmul(chunk, chunk) == dens[i : i + step] * chunk).all(axis=(1, 2))
         ).tolist()
     traces = np.trace(stack, axis1=1, axis2=2).tolist()
-    blocks, weights, start = [], [], 0
+    start = 0
     for x, family in enumerate(families):
         end = start + len(family)
         for i in range(start, end):
@@ -316,16 +312,12 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
             if i + 1 < end and np.matmul(stack[i], stack[i + 1 : end]).any():
                 raise InputError(f"vertex {x}: elements are not orthogonal")
         lcm = math.lcm(*(p.denominator for p in family))
-        scales = [lcm // p.denominator for p in family]
         # the family's elements are orthogonal projections, so their sum is a
         # projection of rank sum_k tr(N_k) / D_k: it is 1 iff that rank is
         # dim, compared here in integers after scaling by L
-        if pvms and sum(int(t) * c for t, c in zip(traces[start:end], scales)) != dim * lcm:
+        if pvms and sum(int(t) * (lcm // p.denominator) for t, p in zip(traces[start:end], family)) != dim * lcm:
             raise InputError(f"vertex {x}: elements do not sum to the identity")
-        blocks.append(stack[start:end])
-        weights.append([(k + 1) * c for k, c in enumerate(scales)])
         start = end
-    ops = stack if len(stack) == len(families) else weighted_sums(blocks, weights, dim)
     n = len(families)
     commutes = {}
     for x in range(n - 1):

@@ -222,6 +222,18 @@ class TestDilate:
         assert captured.out == ""
         assert captured.err == "error: element labels must match the outcome list\n"
 
+    def test_output_guard(self, tmp_path, capsys):
+        # 40 outcomes on d = 6 would write 40 * 240^2 + 240 * 6 entries
+        eye = np.eye(6, dtype=complex) / 40
+        povm = POVM(6, tuple(map(str, range(40))), {str(k): eye for k in range(40)})
+        path = write_povm(tmp_path, "wide.json", povm)
+        out = tmp_path / "dilation.json"
+        assert main(["dilate", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dilation of 40 outcomes on dimension 6 exceeds 262144 matrix entries\n"
+        assert not out.exists()
+
 class TestJmCheck:
     def test_commuting_pvm_files(self, tmp_path, capsys):
         z = POVM(2, ("0", "1"), {"0": np.diag([1.0, 0]).astype(complex),

@@ -73,6 +73,13 @@ class TestRationalMatrix:
             (lambda: RationalMatrix([[HALF, "1/3"]], 2), [[Fraction(1, 4), Fraction(1, 6)]]),
             (lambda: RationalMatrix(np.array([[HALF]], dtype=object)), [[HALF]]),
             (lambda: RationalMatrix(np.array([[3]], dtype=np.uint8), -6), [[-HALF]]),
+            (lambda: RationalMatrix.outer([1], [1], Fraction(5, 2)), [[Fraction(2, 5)]]),
+            (lambda: RationalMatrix([[1]], Fraction(5, 2)), [[Fraction(2, 5)]]),
+            (lambda: RationalMatrix(np.array([[2**62 - 1]]), Fraction(1, 3)), [[3 * (2**62 - 1)]]),
+            (lambda: RationalMatrix([[1]], "-5/2"), [[-Fraction(2, 5)]]),
+            (lambda: RationalMatrix([[1]], 2.5), "exact rational expected, got float"),
+            (lambda: RationalMatrix.outer([1], [1], 2.0), "exact rational expected, got float"),
+            (lambda: RationalMatrix([[1]], True), "exact rational expected, got bool"),
             (lambda: RationalMatrix.outer([1.5], [1]), "exact rational expected, got float"),
             (lambda: RationalMatrix.outer([1], [True]), "exact rational expected, got bool"),
             (lambda: RationalMatrix([[1.5]]), "exact rational expected, got float"),
@@ -84,6 +91,8 @@ class TestRationalMatrix:
         ],
         ids=[
             "outer-fraction", "outer-literals", "list-literals", "object-array", "uint8-array",
+            "outer-fraction-denominator", "fraction-denominator", "int64-fraction-denominator",
+            "string-denominator", "float-denominator", "outer-float-denominator", "bool-denominator",
             "outer-float", "outer-bool", "list-float", "float-array", "bool-array", "list-bool",
             "one-dimensional", "ragged",
         ],

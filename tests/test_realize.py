@@ -12,10 +12,9 @@ from jmg.linalg import (
     RationalMatrix,
     commutator,
     direct_sum,
+    family_stacks,
     is_projection,
-    numerator_stack,
     numerical_rank,
-    weighted_sums,
 )
 from jmg.realize import (
     _CHUNK_ENTRIES,
@@ -387,6 +386,13 @@ def rank_one_projection(u) -> RationalMatrix:
 # are about 2^40 and 2 * max|num|^2 is far above 2^53
 BIG_A, BIG_B = 1_048_583, 1_048_573
 MID_A, MID_B = 11_580, 11_573
+# a^2 + b^2 is about 2^24
+WIDE_A, WIDE_B = 2897, 2903
+
+
+def wide_family() -> list:
+    """A sharp observable whose elements fit float64 but whose operator does not."""
+    return [rank_one_projection(u) for u in ((WIDE_A, WIDE_B, 0), (-WIDE_B, WIDE_A, 0), (0, 0, 1))]
 
 
 class TestBatchedVerify:
@@ -411,13 +417,13 @@ class TestBatchedVerify:
 
     def test_constructions_take_the_float64_path(self):
         r = realize_rank_one(FORK)
-        ps = [r.projections[x] for x in range(3)]
-        assert numerator_stack(ps, r.space_dim).dtype == np.float64
+        families = [(r.projections[x],) for x in range(3)]
+        assert family_stacks(families, r.space_dim)[0].dtype == np.float64
 
     def test_big_int_fallback_commuting_pair(self):
         p = rank_one_projection((BIG_A, BIG_B))
         q = RationalMatrix.identity(2) - p
-        assert numerator_stack([p, q], 2).dtype == object
+        assert family_stacks([(p,), (q,)], 2)[0].dtype == object
         edge = parse_graph("2; 0-1")
         r = Realization(edge, 2, METHOD_RANK_ONE, [p, q])
         assert verify_realization(edge, r).passed
@@ -430,7 +436,7 @@ class TestBatchedVerify:
     def test_big_int_fallback_non_commuting_pair(self):
         p = rank_one_projection((BIG_A, BIG_B))
         q = rank_one_projection((BIG_B, BIG_A))
-        assert numerator_stack([p, q], 2).dtype == object
+        assert family_stacks([(p,), (q,)], 2)[0].dtype == object
         assert not commutator(p, q).is_zero()
         empty = parse_graph("2;")
         r = Realization(empty, 2, METHOD_RANK_ONE, [p, q])
@@ -449,8 +455,8 @@ class TestBatchedVerify:
         p = rank_one_projection((MID_A, MID_B))
         q = rank_one_projection((MID_B, MID_A))
         assert p._num.dtype == np.int64
-        assert numerator_stack([p, q], 2).dtype == object
-        assert numerator_stack([p, RationalMatrix.identity(2) - p], 2).dtype == object
+        assert family_stacks([(p,), (q,)], 2)[0].dtype == object
+        assert family_stacks([(p,), (RationalMatrix.identity(2) - p,)], 2)[0].dtype == object
         edge, empty = parse_graph("2; 0-1"), parse_graph("2;")
         commuting = Realization(edge, 2, METHOD_RANK_ONE, [p, RationalMatrix.identity(2) - p])
         assert verify_realization(edge, commuting).passed
@@ -512,16 +518,15 @@ class TestVertexOperators:
         ]
 
     def test_operators_wider_than_their_elements(self):
-        # D = a^2 + b^2 is about 2^24: the elements fit the float64 stack
+        # D = a^2 + b^2 is about 2^24: the elements alone would fit float64
         # (3 max|N|^2 < 2^53), but e3's weight 3 D puts 3 (sum_k w_k max|N_k|)^2
-        # above 2^53, so the operators take Python ints
-        a, b = 2897, 2903
-        wide = [rank_one_projection(u) for u in ((a, b, 0), (-b, a, 0), (0, 0, 1))]
+        # above 2^53; one bound covers both stacks, so both take Python ints
+        wide = wide_family()
         d = wide[0].denominator
-        assert d == wide[1].denominator == a * a + b * b
-        stack = numerator_stack(wide, 3)
-        assert stack.dtype == np.float64
-        assert weighted_sums([stack], [[1, 2, 3 * d]], 3).dtype == object
+        assert d == wide[1].denominator == WIDE_A**2 + WIDE_B**2
+        assert family_stacks([(p,) for p in wide], 3)[0].dtype == np.float64
+        stack, ops = family_stacks([wide], 3)
+        assert stack.dtype == ops.dtype == object
         eye = RationalMatrix.identity(3)
         pin, slant = rank_one_projection((0, 0, 1)), rank_one_projection((1, 0, 1))
         families = [wide, [pin, eye - pin], [slant, eye - slant], [wide[0], eye - wide[0]]]
@@ -549,15 +554,20 @@ class TestVertexOperators:
 
     def test_operators_are_weighted_sums(self):
         r = realize_rank_one(FORK)
-        stack = numerator_stack(r.projections, r.space_dim)
-        ops = weighted_sums([stack[:2], stack[2:]], [[1, 2], [1]], r.space_dim)
+        ps = r.projections
+        assert [p.denominator for p in ps] == [1, 2, 2]
+        stack, ops = family_stacks([ps[:2], ps[2:]], r.space_dim)
         assert ops.dtype == np.float64
-        assert np.array_equal(ops[0], stack[0] + 2 * stack[1])
+        # weights (k+1) L / D_k with L = lcm(1, 2) = 2
+        assert np.array_equal(ops[0], 2 * stack[0] + 2 * stack[1])
         assert np.array_equal(ops[1], stack[2])
         # one wide family puts every operator in Python ints
-        wide = weighted_sums([stack[:2], stack[2:]], [[1, 2**60], [1]], r.space_dim)
-        assert wide.dtype == object
-        assert wide[1].tolist() == stack[2].astype(np.int64).tolist()
+        wide = wide_family()
+        d = wide[0].denominator
+        stack, ops = family_stacks([wide, wide[2:]], 3)
+        assert ops.dtype == object
+        assert ops[0].tolist() == (stack[0] + 2 * stack[1] + 3 * d * stack[2]).tolist()
+        assert ops[1].tolist() == stack[3].tolist()
 
 
 # a^2 + b^2 is about 2^67, so these numerators are Python integers
