@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -114,7 +115,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -139,15 +140,33 @@ def _load_graph(path: str) -> Graph:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None = None) -> None:
+def _write_over(path: str, data: bytes) -> None:
+    """Write `data` over the file at `path` in place, creating it if needed,
+    and cut off what is left of a longer old file.  Truncating a file that
+    holds data before writing (``open(path, "w")``) costs more than the write
+    on some file systems.  Unlike a new file renamed over the old one, this
+    keeps symlinks, hard links and the mode; a device or FIFO reports size 0,
+    so it is never truncated."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old_size = os.fstat(fd).st_size
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if old_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict) -> None:
     report_text = None
-    if args.out and payload_obj is not None:
+    if args.out:
         payload_text = serialize.dumps(payload_obj)
         if payload_obj is report_obj:
             report_text = payload_text  # one document for both: serialize it once
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload_text + "\n")
+            _write_over(args.out, (payload_text + "\n").encode("utf-8"))
         except OSError as exc:
             # before anything is printed, so stdout stays empty
             raise InputError(f"cannot write {args.out}: {exc}") from exc

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -588,6 +589,27 @@ class TestErrorPaths:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1  # no traceback
 
+    @pytest.mark.parametrize("command", ["realize", "verify", "dilate", "jm-check"])
+    def test_non_utf8_input_is_input_error(self, fork_file, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe3; 0-1")
+        real = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--out", str(real)]) == 0
+        eye = np.eye(2, dtype=complex)
+        coin = write_povm(tmp_path, "coin.json", POVM(2, ("h", "t"), {"h": eye / 2, "t": eye / 2}))
+        argv = {
+            "realize": ["realize", str(bad)],
+            "verify": ["verify", fork_file, str(bad)],
+            "dilate": ["dilate", str(bad)],
+            "jm-check": ["jm-check", coin, str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: ")
+        assert len(captured.err.splitlines()) == 1  # no traceback
+
     def test_internal_error_is_not_called_input_error(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("kaput")
@@ -597,6 +619,107 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: kaput\n")
         assert "Traceback (most recent call last)" in err and "kaput" in err.splitlines()[-1]
+
+
+class TestOutOverwrite:
+    """``--out`` is written over an existing file in place: the file ends up
+    holding exactly the bytes a fresh file gets, whatever it held before."""
+
+    @pytest.fixture
+    def argv(self, fork_file):
+        return ["realize", fork_file, "--method", "rank-one", "--outcomes", "3"]
+
+    @pytest.fixture
+    def fresh(self, argv, tmp_path, capsys):
+        """(stdout, file bytes) of the call writing a new file."""
+        path = tmp_path / "fresh.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        return capsys.readouterr().out, path.read_bytes()
+
+    @staticmethod
+    def run(argv, out, capsys):
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("before", ["longer", "shorter", "same"])
+    def test_existing_file(self, argv, fresh, tmp_path, capsys, before):
+        stdout, data = fresh
+        target = tmp_path / "target.json"
+        target.write_bytes({"longer": data + b"tail" * 5000, "shorter": b"{}\n", "same": data}[before])
+        assert self.run(argv, target, capsys) == (0, stdout, "")
+        assert target.read_bytes() == data
+
+    def test_dev_null(self, argv, fresh, capsys):
+        assert self.run(argv, os.devnull, capsys) == (0, fresh[0], "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_dev_full(self, argv, fresh, capsys):
+        code, out, err = self.run(argv, "/dev/full", capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert len(err.splitlines()) == 1
+
+    def test_symlink_rewrites_its_target(self, argv, fresh, tmp_path, capsys):
+        stdout, data = fresh
+        target = tmp_path / "target.json"
+        target.write_bytes(b"junk" * 5000)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert self.run(argv, link, capsys) == (0, stdout, "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == data
+
+    def test_mode_and_hard_link_kept(self, argv, fresh, tmp_path, capsys):
+        stdout, data = fresh
+        target = tmp_path / "target.json"
+        target.write_bytes(b"junk" * 5000)
+        target.chmod(0o640)
+        twin = tmp_path / "twin.json"
+        os.link(target, twin)
+        assert self.run(argv, target, capsys) == (0, stdout, "")
+        assert target.read_bytes() == twin.read_bytes() == data
+        st = target.stat()
+        assert (st.st_mode & 0o777, st.st_nlink, st.st_ino) == (0o640, 2, twin.stat().st_ino)
+
+    def test_read_only_file_exits_2(self, argv, fresh, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"old")
+        target.chmod(0o444)
+        if os.geteuid() == 0:
+            # root passes the kernel's permission check on a read-only file;
+            # refuse the write as the kernel does for every other user
+            real_open = os.open
+
+            def checked_open(path, flags, *rest):
+                if flags & (os.O_WRONLY | os.O_RDWR) and not os.stat(path).st_mode & 0o222:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real_open(path, flags, *rest)
+
+            monkeypatch.setattr(os, "open", checked_open)
+        code, out, err = self.run(argv, target, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert target.read_bytes() == b"old"
+
+    def test_out_is_never_opened_with_truncation(self, argv, fresh, tmp_path, capsys, monkeypatch):
+        # truncating a file that holds data costs more than writing it on
+        # some file systems, so --out must not be opened with O_TRUNC
+        target = tmp_path / "target.json"
+        target.write_bytes(b"junk" * 5000)
+        flags_seen = []
+        real_open = os.open
+
+        def spy(path, flags, *rest):
+            if os.fspath(path) == str(target):
+                flags_seen.append(flags)
+            return real_open(path, flags, *rest)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert self.run(argv, target, capsys) == (0, fresh[0], "")
+        assert target.read_bytes() == fresh[1]
+        assert flags_seen, "--out was not opened through os.open"
+        assert not any(flags & os.O_TRUNC for flags in flags_seen)
 
 
 class TestExponentLiterals:

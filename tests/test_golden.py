@@ -170,6 +170,16 @@ def test_large_file_bytes(large_graph, options):
     assert _run(["verify", str(large_graph), str(out)]) == b'{"passed":true,"violations":[]}\n'
 
 
+
+@pytest.mark.parametrize("options", list(LARGE_DIGESTS), ids=" ".join)
+def test_large_file_bytes_over_longer_file(large_graph, options):
+    # --out is written in place: a longer old file must not leave a tail
+    out = large_graph.with_name("over-" + "-".join(options).strip("-") + ".json")
+    out.write_bytes(b"junk" * 400_000)  # 1.6 MB, longer than either file
+    stdout = _run(["realize", str(large_graph), *options, "--out", str(out)])
+    digests = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == LARGE_DIGESTS[options]
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
