@@ -12,9 +12,10 @@ threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class RationalMatrix:
         if grid.dtype == np.int64:
             num, den = grid.copy(), 1
         else:
-            num, den = _rational_entries(grid.tolist())
+            num, den = _rational_entries(grid.tolist(), grid.shape[1])
             num = num.reshape(grid.shape)
         m = self._reduced(num, den * _as_fraction(denominator))
         self._num, self._den = m._num, m._den
@@ -99,8 +100,9 @@ class RationalMatrix:
         ncols = {len(r) for r in rows}
         if len(ncols) > 1:
             raise InputError("ragged rows")
-        num, den = _rational_entries(rows)
-        return cls._reduced(num.reshape(len(rows), ncols.pop() if rows else 0), den)
+        width = ncols.pop() if rows else 0
+        num, den = _rational_entries(rows, width)
+        return cls._reduced(num.reshape(len(rows), width), den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -114,7 +116,8 @@ class RationalMatrix:
     def outer(cls, u, v, denominator=1) -> "RationalMatrix":
         """Outer product of vectors of the literals `from_rows` accepts,
         divided by the literal `denominator`."""
-        (nu, du), (nv, dv) = _rational_entries([list(u)]), _rational_entries([list(v)])
+        u, v = list(u), list(v)
+        (nu, du), (nv, dv) = _rational_entries([u], len(u)), _rational_entries([v], len(v))
         return cls._reduced(np.outer(nu.astype(object), nv.astype(object)), du * dv * _as_fraction(denominator))
 
     # -- structure ---------------------------------------------------------
@@ -533,38 +536,58 @@ class _Slots(dict):
         return slot
 
 
-def _poolable(chunks: list) -> bool:
-    """Whether equal dict keys among the literals are equal literals.  Str
-    and int ones are; 1, 1.0 and True are equal keys but not equal literals.
-    A chunk of strings passes the join, which runs at C speed."""
-    try:
-        for chunk in chunks:
-            "".join(chunk)
-    except TypeError:
-        return set(map(type, chain.from_iterable(chunks))) <= {str, int}
-    return True
-
-
-def _rational_entries(chunks: list) -> tuple[np.ndarray, int]:
+def _rational_entries(chunks: list, width: int) -> tuple[np.ndarray, int]:
     """Flat integer numerators of the literal lists `chunks`, in order, over
-    one common denominator.
+    one common denominator.  Each chunk is a run of whole rows of `width`
+    literals.
 
-    One pass over the literals pools them and indexes each into the pool;
-    then each distinct literal is parsed once by `_as_fraction`, in order of
-    first appearance, so the accepted set is exactly its and a bad literal is
-    reported at its first occurrence.  Literals that `_poolable` rejects are
-    each parsed where they stand.
+    Rows are pooled first, keyed by their literals joined with NUL: the join
+    proves every literal a string, and within one width equal keys are equal
+    rows unless a literal holds a NUL, which no valid literal does.  The keys
+    come from one iterator over the chunks, and no row is kept: a list of
+    row tuples sets off garbage-collector passes that cost about as much as
+    the row pool saves.  Then the literals of the distinct rows, sliced from
+    their chunks, are pooled, and each distinct literal is parsed once by
+    `_as_fraction`.  Both pools keep order of first appearance, so the
+    accepted set is exactly `_as_fraction`'s and a bad literal is reported
+    at its first occurrence.  Chunks holding a non-string literal skip the
+    row pool; their str and int literals are still pooled (1, 1.0 and True
+    are equal keys but not equal literals), and any other literal is parsed
+    where it stands.
     """
     size = sum(map(len, chunks))
-    if _poolable(chunks):
-        slots = _Slots()
-        index = np.fromiter(map(slots.__getitem__, chain.from_iterable(chunks)), dtype=np.intp, count=size)
-        distinct = list(slots)
+    rows = size // width if width else 0
+    slots = _Slots()
+    try:
+        keys = map("\x00".join, zip(*[chain.from_iterable(chunks)] * width))
+        row_index = np.fromiter(map(slots.__getitem__, keys), dtype=np.intp, count=rows)
+    except TypeError:  # a non-string literal
+        row_index, poolable = None, set(map(type, chain.from_iterable(chunks))) <= {str, int}
     else:
-        distinct, index = list(chain.from_iterable(chunks)), np.arange(size)
-    values = [_as_fraction(x) for x in distinct]
+        poolable = True
+    distinct = chunks
+    if row_index is not None and len(slots) < rows:
+        # the first occurrence of each row, in order of first appearance,
+        # sliced from its chunk
+        starts = list(accumulate((len(c) // width for c in chunks), initial=0))
+        distinct = []
+        for i in np.unique(row_index, return_index=True)[1].tolist():
+            k = bisect_right(starts, i) - 1
+            at = (i - starts[k]) * width
+            distinct.append(chunks[k][at : at + width])
+    if poolable:
+        pool = _Slots()
+        index = np.fromiter(map(pool.__getitem__, chain.from_iterable(distinct)), dtype=np.intp,
+                            count=sum(map(len, distinct)))
+        literals = list(pool)
+    else:
+        literals, index = list(chain.from_iterable(chunks)), np.arange(size)
+    values = [_as_fraction(x) for x in literals]
     den = math.lcm(*(f.denominator for f in values))
-    return _store(_ints(f.numerator * (den // f.denominator) for f in values))[index], den
+    num = _store(_ints(f.numerator * (den // f.denominator) for f in values))[index]
+    if distinct is not chunks:
+        num = num.reshape(len(distinct), width)[row_index].ravel()
+    return num, den
 
 
 def _complex_matrix(entries: list, rows: int, cols: int) -> np.ndarray:
@@ -586,11 +609,11 @@ def _complex_matrix(entries: list, rows: int, cols: int) -> np.ndarray:
 
 def matrices_from_json_obj(objs: list) -> list:
     """Matrices of wire objects.  Each object's structure is checked in
-    order; then the rational literals of all of them are parsed by one
-    `_rational_entries` call, and each run of consecutive matrices of one
-    shape is normalized together."""
+    order; then each run of consecutive rational matrices of one width is
+    parsed by one `_rational_entries` call, row by row in file order, and
+    each run of consecutive matrices of one shape is normalized together."""
     out: list = []
-    rational, chunks = [], []
+    rational = []
     for obj in objs:
         rows, cols, scalar, entries = fields(obj, "matrix", "rows", "cols", "scalar", "entries")
         count(rows, "matrix rows", 0)
@@ -598,21 +621,21 @@ def matrices_from_json_obj(objs: list) -> list:
         if not isinstance(entries, list) or len(entries) != rows * cols:
             raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
         if scalar == "rational":
-            rational.append((len(out), (rows, cols)))
-            chunks.append(entries)
+            rational.append((len(out), rows, cols, entries))
             out.append(None)
         elif scalar == "complex":
             out.append(_complex_matrix(entries, rows, cols))
         else:
             raise InputError(f"unknown scalar regime {scalar!r}")
-    if rational:
-        num, den = _rational_entries(chunks)
+    for cols, run in groupby(rational, key=lambda r: r[2]):
+        run = list(run)
+        num, den = _rational_entries([r[3] for r in run], cols)
         at = 0
-        # consecutive rational matrices of one shape are one slice of `num`
-        for (rows, cols), run in groupby(rational, key=lambda r: r[1]):
-            run = list(run)
-            end = at + len(run) * rows * cols
-            for (i, _), m in zip(run, matrices_from_stack(num[at:end].reshape(len(run), rows, cols), den)):
+        # consecutive matrices of one shape are one slice of `num`
+        for rows, same in groupby(run, key=lambda r: r[1]):
+            same = list(same)
+            end = at + len(same) * rows * cols
+            for (i, *_), m in zip(same, matrices_from_stack(num[at:end].reshape(len(same), rows, cols), den)):
                 out[i] = m
             at = end
     return out

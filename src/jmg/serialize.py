@@ -63,21 +63,24 @@ def _write_seq(items, out: list[str]) -> None:
             out.append("[" + ",".join(["[%.17g,%.17g]"] * len(items)) % parts + "]")
             return
     out.append("[")
-    try:
-        # raises TypeError at the first item that is not a str
-        text = "".join(items)
-    except TypeError:
+    text = None
+    if items and isinstance(items[0], str):
+        try:
+            # raises TypeError at the first item that is not a str
+            text = "".join(items)
+        except TypeError:
+            pass
+    if text is None:
         for i, item in enumerate(items):
             if i:
                 out.append(",")
             _write(item, out)
+    elif text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        # strings the encoder writes unchanged (the literals of a rational
+        # matrix), quoted in one join
+        out.append('"' + '","'.join(items) + '"')
     else:
-        if items and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-            # strings the encoder writes unchanged (the literals of a
-            # rational matrix), quoted in one join
-            out.append('"' + '","'.join(items) + '"')
-        else:
-            out.append(",".join(map(encode_basestring_ascii, items)))
+        out.append(",".join(map(encode_basestring_ascii, items)))
     out.append("]")
 
 

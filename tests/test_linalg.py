@@ -879,6 +879,60 @@ class TestOnePassPooling:
         assert batched_read(objs) == reference_read(objs) == f"bad rational literal {first_bad!r}"
 
 
+GOOD_ROW_LITERALS = ["1/2", "2/4", "-3", "0/1", "7/3", 0, 1, 5]
+BAD_ROW_LITERALS = ["1e3", 0.5, 1.0, True, False, "1\x000", "\x00", "0\x00/1"]
+
+
+def repeated_row_objs(taint: bool):
+    """1-4 rational matrices of widths 0-4 whose rows are prefixes of 1-3
+    pool rows, so rows repeat within and across matrices."""
+    literal = st.sampled_from(GOOD_ROW_LITERALS + (BAD_ROW_LITERALS if taint else []))
+    pool = st.lists(st.lists(literal, min_size=4, max_size=4), min_size=1, max_size=3)
+    shape = st.tuples(st.integers(0, 4), st.integers(0, 4), st.lists(st.integers(0, 2), min_size=4, max_size=4))
+
+    def matrix(pool, rows, cols, picks):
+        # the rows of a width-w matrix are the first w literals of pool rows
+        picked = [pool[k % len(pool)][:cols] for k in picks[:rows]]
+        return {"rows": rows, "cols": cols, "scalar": "rational", "entries": [x for row in picked for x in row]}
+
+    return st.tuples(pool, st.lists(shape, min_size=1, max_size=4)).map(
+        lambda drawn: [matrix(drawn[0], *s) for s in drawn[1]])
+
+
+def literal_by_literal(objs):
+    """(rows, cols, Fractions) of each matrix, each literal parsed by
+    `_as_fraction` in file order, or the text of the first error."""
+    try:
+        return [(o["rows"], o["cols"], [_as_fraction(x) for x in o["entries"]]) for o in objs]
+    except InputError as exc:
+        return str(exc)
+
+
+def row_pooled(objs):
+    try:
+        mats = matrices_from_json_obj(objs)
+    except InputError as exc:
+        return str(exc)
+    return [(m.rows, m.cols, [x for row in m.to_fractions() for x in row]) for m in mats]
+
+
+class TestRowPooling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(repeated_row_objs))
+    # 0 and False, 1 and 1.0 are equal keys, but only the ints are rationals
+    @example([{"rows": 2, "cols": 2, "scalar": "rational", "entries": [0, 1, False, 1.0]}])
+    def test_reader_matches_literal_by_literal(self, objs):
+        assert row_pooled(objs) == literal_by_literal(objs)
+
+    @pytest.mark.parametrize("nul_first", [False, True])
+    def test_nul_literal_is_no_row_of_another_width(self, nul_first):
+        # "1\x000" is the NUL-joined key of the row ["1", "0"]
+        wide = {"rows": 1, "cols": 2, "scalar": "rational", "entries": ["1", "0"]}
+        narrow = {"rows": 1, "cols": 1, "scalar": "rational", "entries": ["1\x000"]}
+        objs = [narrow, wide] if nul_first else [wide, narrow]
+        assert row_pooled(objs) == literal_by_literal(objs) == "bad rational literal '1\\x000'"
+
+
 class TestExponentLiterals:
     @pytest.mark.parametrize("literal", ["1e3000000", "1E3", "2.5e-1", "-1e0", " 3e2 "])
     def test_rejected(self, literal):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from jmg.errors import InputError
 from jmg.graphs import parse_graph
 from jmg.povm import (
     POVM,
+    DilationResult,
     JointPOVM,
     compression,
     dilation_to_json_obj,
@@ -28,6 +30,7 @@ from jmg.povm import (
 )
 from jmg.linalg import matrices_to_json_obj, matrix_to_json_obj, psd_sqrt
 from jmg.realize import lift_to_pvms, realize_direct_sum
+from jmg.serialize import dumps
 
 from helpers import basis_pvm, exact_pvm_to_float, haar_unitary, random_povm
 
@@ -477,9 +480,46 @@ class TestOneWriterCallPerDocument:
 
     def test_dilation(self, calls):
         result = neumark_dilate(trine_povm())
-        assert dilation_to_json_obj(result) == {
-            "enlarged_dim": result.enlarged_dim,
-            "isometry": matrix_to_json_obj(result.isometry),
-            "pvm": per_matrix_povm_obj(result.pvm),
-        }
-        assert calls == [1 + 3]
+        assert dilation_to_json_obj(result) == per_matrix_dilation_obj(result)
+        # the block projectors are written from shared entries, not by the writer
+        assert calls == [1]
+
+
+def per_matrix_dilation_obj(result) -> dict:
+    return {
+        "enlarged_dim": result.enlarged_dim,
+        "isometry": matrix_to_json_obj(result.isometry),
+        "pvm": per_matrix_povm_obj(result.pvm),
+    }
+
+
+class TestSharedProjectorEntries:
+    @pytest.mark.parametrize("dim, outcomes", [(2, 3), (3, 5), (4, 2)])
+    def test_solver_dilations_keep_their_bytes(self, dim, outcomes):
+        result = neumark_dilate(random_povm(np.random.default_rng([dim, outcomes]), dim, outcomes))
+        assert dumps(dilation_to_json_obj(result)) == dumps(per_matrix_dilation_obj(result))
+
+    def test_other_elements_keep_their_bytes(self):
+        result = neumark_dilate(trine_povm())
+        zero_sign = result.pvm.elements["0"].copy()
+        zero_sign[0, 1] = complex(-0.0, 0.0)  # equal to 0, but not bit for bit
+        one_sign = result.pvm.elements["1"].copy()
+        one_sign[2, 2] = complex(1.0, -0.0)
+        pvm = POVM(6, ("0", "1", "2"), {"0": zero_sign, "1": one_sign, "2": np.eye(6, dtype=complex) / 3})
+        hand_made = DilationResult(result.isometry, pvm, result.enlarged_dim)
+        text = dumps(dilation_to_json_obj(hand_made))
+        assert text == dumps(per_matrix_dilation_obj(hand_made))
+        assert "[-0,0]" in text and "[1,-0]" in text
+
+    def test_nineteen_outcomes_allocate_no_entry_lists(self):
+        dim, outcomes = 6, 19
+        labels = [str(k) for k in range(outcomes)]
+        result = neumark_dilate(POVM(dim, labels, {k: np.eye(dim, dtype=complex) / outcomes for k in labels}))
+        tracemalloc.start()
+        try:
+            dilation_to_json_obj(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one fresh [re, im] list per entry takes about 32 MB here
+        assert peak < 6e6

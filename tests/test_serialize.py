@@ -110,9 +110,11 @@ class TestStringListEdges:
             ["0/1"] * 5_000 + ["\\"] + ["0/1"] * 5_000,
             ["0/1"] * 10_000 + [7],
             ("1/2", "-3/4"),
+            [1, "a"],
+            ["a", 1],
         ],
         ids=["empty", "one-empty", "two-empty", "del", "del-inside", "quote", "backslash",
-             "then-int", "tuple"],
+             "then-int", "tuple", "int-then-str", "str-then-int"],
     )
     def test_matches_json_dumps(self, items):
         assert dumps(items) == json.dumps(items, separators=(",", ":"))
