@@ -132,15 +132,6 @@ class Hypergraph:
         return s in self.hyperedges
 
 
-def induced_hypergraph(graph: Graph) -> Hypergraph:
-    """Cliques of the graph, stored by maximal hyperedges with closure implied."""
-    return Hypergraph(
-        graph.vertex_count,
-        frozenset(frozenset(c) for c in maximal_cliques(graph)),
-        downward_closed=True,
-    )
-
-
 def hollow_triangle() -> Hypergraph:
     """Three vertices, all three pairs compatible, no triple: not graph-induced."""
     return Hypergraph(
@@ -202,11 +193,6 @@ def parse_graph(text: str) -> Graph:
             edges.append((a, b))
             pos += len(chunk) + 1
     return Graph(n, frozenset(edges))
-
-
-def serialize_graph(graph: Graph) -> str:
-    body = ", ".join(f"{a}-{b}" for a, b in graph.sorted_edges())
-    return f"{graph.vertex_count}; {body}" if body else f"{graph.vertex_count};"
 
 
 def graph_to_json_obj(graph: Graph) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, groupby
 
@@ -375,15 +374,6 @@ def rank_one_projections(v: RationalMatrix) -> list:
     return matrices_from_stack(num[:, :, None] * num[:, None, :], norms)
 
 
-def is_projection(p: RationalMatrix) -> bool:
-    """Exact test: symmetric and idempotent."""
-    if not isinstance(p, RationalMatrix):
-        raise InputError("is_projection operates on exact matrices")
-    if p.rows != p.cols:
-        raise InputError("projection test needs a square matrix")
-    return p.is_symmetric() and (p @ p) == p
-
-
 def numerical_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Singular values above tol (float), or the exact rank of M M^T or M^T M (rational)."""
     tolerance(tol)
@@ -423,13 +413,6 @@ def ldlt(h: RationalMatrix) -> tuple[np.ndarray, list, int]:
 # -- float regime -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermitianCheckReport:
-    max_asymmetry: float
-    min_eigenvalue: float
-    verdict: bool
-
-
 def as_complex(a) -> np.ndarray:
     if isinstance(a, RationalMatrix):
         raise InputError("float matrix expected, got a rational one: regimes do not mix")
@@ -444,20 +427,6 @@ def as_complex(a) -> np.ndarray:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix in a stack."""
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
-
-
-def hermitian_check(a, require_psd: bool = False, tol: float = DEFAULT_TOL) -> HermitianCheckReport:
-    """Asymmetry / spectrum report; to test a <= 1, pass 1 - a with PSD on."""
-    tolerance(tol)
-    arr = as_complex(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise InputError("hermitian_check needs a square matrix")
-    if arr.size == 0:
-        return HermitianCheckReport(0.0, 0.0, True)
-    asym = float(np.abs(arr - arr.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh(hermitize(arr)).min())
-    verdict = asym <= tol and (not require_psd or min_eig >= -tol)
-    return HermitianCheckReport(asym, min_eig, verdict)
 
 
 def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -519,10 +488,6 @@ def matrices_to_json_obj(mats) -> list:
             at += rows * cols
             objs[i] = {"rows": rows, "cols": cols, "scalar": "rational", "entries": entries}
     return objs
-
-
-def matrix_to_json_obj(m) -> dict:
-    return matrices_to_json_obj([m])[0]
 
 
 class _Slots(dict):
@@ -639,7 +604,3 @@ def matrices_from_json_obj(objs: list) -> list:
                 out[i] = m
             at = end
     return out
-
-
-def matrix_from_json_obj(obj):
-    return matrices_from_json_obj([obj])[0]

@@ -66,15 +66,13 @@ import numpy as np
 
 from ..errors import InputError, count, tolerance
 from ..linalg import hermitize
-from .model import JointPOVM, POVM, joint_povm_to_json_obj, validate_povm
+from .model import JointPOVM, joint_povm_to_json_obj, validate_povm
 
 DEFAULT_SOLVER_TOL = 1e-7
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_GUARD_VARS = 100_000
 GUARD_ENV_VAR = "JMG_GUARD_VARS"
 _SUMMARY_POINTS = 40  # about this many residuals of a run's history are reported
-_STALL_WINDOW_FRACTION = 0.1  # `stalled` reads this trailing share of them
-_STALL_REL_IMPROVEMENT = 1e-3  # and calls a smaller relative fall a plateau
 
 
 @dataclass
@@ -266,18 +264,6 @@ def _summarize(history) -> list:
     if picks[-1] != len(history) - 1:
         picks.append(len(history) - 1)
     return [(i, history[i]) for i in picks]
-
-
-def stalled(report: JmReport) -> bool:
-    """Residual plateau over the trailing window (evidence, not proof)."""
-    points = [r for _, r in report.residual_history_summary]
-    if report.feasible or len(points) < 2:
-        return False
-    span = max(1, int(len(points) * _STALL_WINDOW_FRACTION))
-    head, tail = points[-span - 1], points[-1]
-    if head <= 0:
-        return True
-    return (head - tail) / head < _STALL_REL_IMPROVEMENT
 
 
 def jm_report_to_json_obj(report: JmReport) -> dict:

@@ -9,9 +9,7 @@ from itertools import product
 import numpy as np
 
 from ..errors import InputError, count, fields, tolerance
-from ..linalg import (
-    DEFAULT_TOL, as_complex, commutator, hermitize, matrices_from_json_obj, matrices_to_json_obj,
-)
+from ..linalg import DEFAULT_TOL, as_complex, hermitize, matrices_from_json_obj, matrices_to_json_obj
 from ..serialize import dumps
 
 
@@ -67,33 +65,6 @@ def validate_povm(e: POVM, tol: float = DEFAULT_TOL) -> PovmCheckReport:
     sum_error = float(np.abs(sum(stack, np.zeros((d, d), dtype=complex)) - np.eye(d)).max())
     valid = asym <= tol and lo >= -tol and hi <= 1 + tol and sum_error <= tol
     return PovmCheckReport(asym, lo, hi, sum_error, valid)
-
-
-def pvm_defects(p: POVM) -> tuple[float, float]:
-    """(idempotency defect, orthogonality defect), max-abs over elements."""
-    idem, ortho = 0.0, 0.0
-    elems = p.element_list()
-    for i, a in enumerate(elems):
-        idem = max(idem, float(np.abs(a @ a - a).max()))
-        for b in elems[i + 1 :]:
-            ortho = max(ortho, float(np.abs(a @ b).max()))
-    return idem, ortho
-
-
-def pvm_jointly_measurable(pvms, tol: float = DEFAULT_TOL) -> bool:
-    """Pairwise elementwise commutation decides the whole family."""
-    tolerance(tol)
-    pvms = list(pvms)
-    dims = {p.space_dim for p in pvms}
-    if len(dims) > 1:
-        raise InputError(f"space dimensions differ: {sorted(dims)}")
-    for i, p in enumerate(pvms):
-        for q in pvms[i + 1 :]:
-            for a in p.element_list():
-                for b in q.element_list():
-                    if float(np.abs(commutator(a, b)).max()) > tol:
-                        return False
-    return True
 
 
 class JointPOVM(POVM):

@@ -7,11 +7,13 @@ judge.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from jmg.graphs import Graph
+from jmg.errors import InputError
+from jmg.graphs import Graph, Hypergraph, maximal_cliques
+from jmg.linalg import RationalMatrix, matrices_from_json_obj, matrices_to_json_obj
 from jmg.povm import POVM
 
 
@@ -146,3 +148,45 @@ def product_outcome_error(joint, povms) -> float:
         for o in e.outcomes:
             worst = max(worst, float(np.abs(marg.elements[o] - e.elements[o]).max()))
     return worst
+
+
+def is_projection(p: RationalMatrix) -> bool:
+    """Exact test: symmetric and idempotent."""
+    return p.is_symmetric() and p @ p == p
+
+
+def pvm_jointly_measurable(pvms, tol: float = 1e-9) -> bool:
+    """Sharp observables are jointly measurable exactly when every pair of
+    their elements commutes; here within tol, max-abs."""
+    pvms = list(pvms)
+    dims = {p.space_dim for p in pvms}
+    if len(dims) > 1:
+        raise InputError(f"space dimensions differ: {sorted(dims)}")
+    return all(
+        np.abs(a @ b - b @ a).max() <= tol
+        for p, q in combinations(pvms, 2)
+        for a in p.element_list()
+        for b in q.element_list()
+    )
+
+
+def induced_hypergraph(graph: Graph) -> Hypergraph:
+    """Cliques of the graph, stored by maximal hyperedges with closure implied."""
+    cliques = frozenset(map(frozenset, maximal_cliques(graph)))
+    return Hypergraph(graph.vertex_count, cliques, downward_closed=True)
+
+
+def serialize_graph(graph: Graph) -> str:
+    """The edge-list text of `graph`, as `parse_graph` reads it."""
+    body = ", ".join(f"{a}-{b}" for a, b in graph.sorted_edges())
+    return f"{graph.vertex_count}; {body}" if body else f"{graph.vertex_count};"
+
+
+# the one-matrix wire codec: the list codec on a list of one
+
+def matrix_to_json_obj(m) -> dict:
+    return matrices_to_json_obj([m])[0]
+
+
+def matrix_from_json_obj(obj):
+    return matrices_from_json_obj([obj])[0]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,25 @@ class TestRealize:
         graph.write_text('{"vertices": 2, "edges": []}')
         assert main(["realize", str(graph)]) == 0
         assert json.loads(capsys.readouterr().out)["space_dim"] == 2
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("40;", [], "40 operators on dimension 1560"),
+        ("64;", ["--method", "direct-sum"], "64 operators on dimension 4032"),
+        ("3; 0-1", ["--method", "rank-one", "--outcomes", "0:100000"], "100004 operators on dimension 100003"),
+    ], ids=["edgeless-40", "edgeless-64", "outcomes-100000"])
+    def test_size_guard(self, tmp_path, capsys, text, args, message):
+        # rejected before anything is allocated: unguarded, the first ran past
+        # 60 s and the others asked for gigabytes and petabytes
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        assert main(["realize", str(graph), *args, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} exceed 8388608 matrix entries\n"
+        assert not out.exists()
 
     def test_deterministic_output(self, fork_file, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

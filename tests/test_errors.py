@@ -6,28 +6,18 @@ import pytest
 
 from jmg.errors import InputError
 from jmg.graphs import graph_from_json_obj, parse_graph
-from jmg.linalg import (
-    RationalMatrix,
-    hermitian_check,
-    matrix_from_json_obj,
-    matrix_to_json_obj,
-    numerical_rank,
-    psd_sqrt,
-)
+from jmg.linalg import RationalMatrix, numerical_rank, psd_sqrt
 from jmg.povm import (
     POVM,
     JointPOVM,
     jm_feasible,
-    joint_dilation,
-    joint_povm_from_json_obj,
-    joint_povm_to_json_obj,
     neumark_dilate,
     noisy_orthogonal_triple,
     povm_from_json_obj,
     povm_to_json_obj,
-    pvm_jointly_measurable,
-    validate_povm,
 )
+from jmg.povm.dilation import joint_dilation
+from jmg.povm.model import joint_povm_from_json_obj, joint_povm_to_json_obj, validate_povm
 from jmg.realize import (
     extend_outcomes,
     lift_to_pvms,
@@ -40,10 +30,9 @@ from jmg.realize import (
     verify_realization,
 )
 
-from helpers import basis_pvm
+from helpers import matrix_from_json_obj, matrix_to_json_obj
 
 FORK = parse_graph("3; 0-1, 0-2")
-HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def _pair():
@@ -59,12 +48,8 @@ def _dilate_pair(tol):
 TOL_ENTRY_POINTS = {
     "verify_realization": lambda tol: verify_realization(FORK, realize_direct_sum(FORK), tol),
     "numerical_rank": lambda tol: numerical_rank(np.eye(2), tol),
-    "hermitian_check": lambda tol: hermitian_check(np.eye(2), tol=tol),
     "psd_sqrt": lambda tol: psd_sqrt(np.eye(2), tol),
     "validate_povm": lambda tol: validate_povm(_pair()[0], tol),
-    "pvm_jointly_measurable": lambda tol: pvm_jointly_measurable(
-        [basis_pvm(2, [[0], [1]]), basis_pvm(2, [[0], [1]], HADAMARD)], tol
-    ),
     "neumark_dilate": lambda tol: neumark_dilate(_pair()[0], tol),
     "joint_dilation": _dilate_pair,
     "jm_feasible": lambda tol: jm_feasible(_pair(), tol),

@@ -9,15 +9,13 @@ from jmg.graphs import (
     graph_from_json_obj,
     graph_to_json_obj,
     hollow_triangle,
-    induced_hypergraph,
     is_graph_induced,
     maximal_cliques,
     non_edges,
     parse_graph,
-    serialize_graph,
 )
 
-from helpers import all_graphs, brute_force_maximal_cliques, graph_from_mask
+from helpers import all_graphs, brute_force_maximal_cliques, graph_from_mask, induced_hypergraph, serialize_graph
 
 FORK = parse_graph("3; 0-1, 0-2")
 

@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 from jmg.errors import InputError
 from jmg.linalg import (
-    HermitianCheckReport,
     RationalMatrix,
     _as_fraction,
     commutator,
     direct_sum,
-    hermitian_check,
-    is_projection,
     ldlt,
     matrices_from_json_obj,
     matrices_to_json_obj,
-    matrix_from_json_obj,
-    matrix_to_json_obj,
     numerical_rank,
     psd_sqrt,
 )
+
+from helpers import is_projection, matrix_from_json_obj, matrix_to_json_obj
 
 HALF = Fraction(1, 2)
 PIN = RationalMatrix.from_rows([[1, 0], [0, 0]])
@@ -381,27 +378,6 @@ class TestPsdSqrt:
     def test_clamps_tiny_negative(self):
         s = psd_sqrt(np.diag([1.0, -1e-12]).astype(complex))
         assert np.linalg.eigvalsh(s).min() >= 0
-
-
-class TestHermitianCheck:
-    def test_half_identity(self):
-        rep = hermitian_check(np.eye(2, dtype=complex) / 2, require_psd=True)
-        assert rep.verdict
-        assert rep.min_eigenvalue == pytest.approx(0.5)
-
-    def test_asymmetric_fails(self):
-        rep = hermitian_check(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert not rep.verdict
-        assert rep.max_asymmetry == pytest.approx(1.0)
-
-    def test_noisy_effect_spectrum(self):
-        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-        rep = hermitian_check((np.eye(2) + 0.6 * sigma_x) / 2, require_psd=True)
-        assert rep.verdict
-        assert rep.min_eigenvalue == pytest.approx(0.2)
-
-    def test_report_type(self):
-        assert isinstance(hermitian_check(np.eye(1, dtype=complex)), HermitianCheckReport)
 
 
 class TestNumericalRank:

@@ -11,28 +11,30 @@ from jmg.errors import InputError
 from jmg.graphs import parse_graph
 from jmg.povm import (
     POVM,
-    DilationResult,
     JointPOVM,
     compression,
     dilation_to_json_obj,
     jm_feasible,
-    joint_dilation,
-    joint_povm_from_json_obj,
-    joint_povm_to_json_obj,
     marginal,
     neumark_dilate,
     noisy_orthogonal_triple,
     povm_from_json_obj,
     povm_to_json_obj,
-    pvm_defects,
-    pvm_jointly_measurable,
-    validate_povm,
 )
-from jmg.linalg import matrices_to_json_obj, matrix_to_json_obj, psd_sqrt
+from jmg.povm.dilation import DilationResult, joint_dilation
+from jmg.povm.model import joint_povm_from_json_obj, joint_povm_to_json_obj, validate_povm
+from jmg.linalg import matrices_to_json_obj, psd_sqrt
 from jmg.realize import lift_to_pvms, realize_direct_sum
 from jmg.serialize import dumps
 
-from helpers import basis_pvm, exact_pvm_to_float, haar_unitary, random_povm
+from helpers import (
+    basis_pvm,
+    exact_pvm_to_float,
+    haar_unitary,
+    matrix_to_json_obj,
+    pvm_jointly_measurable,
+    random_povm,
+)
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -136,8 +138,9 @@ class TestNeumarkDilate:
         e = trine_povm()
         d = neumark_dilate(e)
         assert d.enlarged_dim == 6
-        idem, ortho = pvm_defects(d.pvm)
-        assert idem == 0 and ortho == 0
+        blocks = d.pvm.element_list()
+        assert all(np.array_equal(a @ a, a) for a in blocks)
+        assert not any(np.any(a @ b) for i, a in enumerate(blocks) for b in blocks[i + 1 :])
         for o in e.outcomes:
             assert np.linalg.norm(compression(d.isometry, d.pvm.elements[o]) - e.elements[o]) < 1e-9
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jmg import realize
 from jmg.errors import InputError
 from jmg.graphs import graph_from_json_obj, graph_to_json_obj, non_edges, parse_graph
 from jmg.linalg import (
@@ -13,7 +14,6 @@ from jmg.linalg import (
     commutator,
     direct_sum,
     family_stacks,
-    is_projection,
     numerical_rank,
 )
 from jmg.realize import (
@@ -41,7 +41,7 @@ from jmg.realize import (
     verify_realization,
 )
 
-from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask
+from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask, is_projection
 
 FORK = parse_graph("3; 0-1, 0-2")
 TRIANGLE = parse_graph("3; 0-1, 0-2, 1-2")
@@ -330,6 +330,28 @@ class TestExtendOutcomes:
         ) + sum(c - 2 for c in counts.values())
         assert all(len(pv.pvms[x]) == counts[x] for x in counts)
         assert verify_realization(g, pv).passed
+
+
+EDGE = parse_graph("3; 0-1")  # non-edges 0-2 and 1-2
+
+
+class TestSizeGuard:
+    # each call writes operators x dim^2 entries; the bound admits exactly that many
+    @pytest.mark.parametrize("build, entries", [
+        (lambda: realize_direct_sum(EDGE), 3 * 4**2),
+        (lambda: realize_direct_sum(TRIANGLE), 3 * 1**2),
+        (lambda: realize_rank_one(EDGE), 3 * 5**2),
+        (lambda: restrict_to_span(realize_rank_one(EDGE)), 3 * 5**2),
+        (lambda: make_faithful(realize_direct_sum(EDGE)), 3 * 7**2),
+        (lambda: extend_outcomes(realize_direct_sum(EDGE), {0: 3, 1: 2, 2: 2}), 7 * 5**2),
+    ], ids=["direct-sum", "direct-sum-complete", "rank-one", "restrict-to-span", "make-faithful",
+            "extend-outcomes"])
+    def test_bound_is_inclusive(self, monkeypatch, build, entries):
+        monkeypatch.setattr(realize, "MAX_REALIZATION_ENTRIES", entries)
+        build()
+        monkeypatch.setattr(realize, "MAX_REALIZATION_ENTRIES", entries - 1)
+        with pytest.raises(InputError, match=f"exceed {entries - 1} matrix entries"):
+            build()
 
 
 class TestVerifyRealization:

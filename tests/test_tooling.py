@@ -1,5 +1,7 @@
-"""The benchmark harness and the README's library example, run as shipped."""
+"""The benchmark harness and the README's library example, run as shipped,
+and a guard against library code that nothing reaches."""
 
+import ast
 import os
 import re
 import subprocess
@@ -11,6 +13,19 @@ import numpy as np
 from jmg.povm import compression
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "jmg"
+
+# Public definitions that nothing in the program calls, each kept for a reason.
+REFERENCE_DEFINITIONS = {
+    "psd_sqrt": "test_povm checks the batched square roots of neumark_dilate against it",
+    "direct_sum": "test_realize checks the vectorized constructions against it",
+    "joint_dilation": "README documents it, and a proof that a witness dilates can call it",
+    "joint_povm_from_json_obj": "a re-check of a jm-check report reads the witness with it",
+}
+# Re-exports that no consumer takes through the package.
+UNIMPORTED_EXPORTS = {
+    "InputError": "every entry point raises it, and a library caller catches it as jmg.InputError",
+}
 
 
 def test_bench_selfcheck_passes():
@@ -24,11 +39,14 @@ def test_bench_selfcheck_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_readme_library_quickstart():
+def _quickstart() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    return re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_library_quickstart():
     ns: dict = {}
-    exec(compile(block, "README.md", "exec"), ns)
+    exec(compile(_quickstart(), "README.md", "exec"), ns)
     g, r, small = ns["g"], ns["r"], ns["small"]
     non_edges = g.vertex_count * (g.vertex_count - 1) // 2 - len(g.edges)
     assert r.space_dim == g.vertex_count + non_edges
@@ -40,3 +58,88 @@ def test_readme_library_quickstart():
     for o in povm.outcomes:
         back = compression(dilated.isometry, dilated.pvm.elements[o])
         assert np.abs(back - povm.elements[o]).max() <= 1e-8
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _references(tree: ast.AST) -> set:
+    """Every name the code loads, reads as an attribute or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _bound(stmt: ast.stmt) -> list:
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_public_definition_is_reached():
+    # reached: named by another top-level statement of the package (imports
+    # and the __init__ re-exports do not count), by bench/, by the acceptance
+    # gate or by the README quickstart
+    statements = [
+        (path, stmt)
+        for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+        for stmt in _tree(path).body if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+    ]
+    outside = _references(ast.parse(_quickstart()))
+    for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        outside |= _references(_tree(path))
+    inside = [_references(stmt) for _, stmt in statements]
+    defined, unreached = set(), []
+    for i, (path, stmt) in enumerate(statements):
+        for name in _bound(stmt):
+            defined.add(name)
+            if name.startswith("_") or name in outside or name in REFERENCE_DEFINITIONS:
+                continue
+            if not any(name in refs for j, refs in enumerate(inside) if j != i):
+                unreached.append(f"{path.relative_to(SRC)}: {name}")
+    assert unreached == []
+    assert set(REFERENCE_DEFINITIONS) <= defined
+
+
+def _through_package(tree: ast.AST) -> set:
+    """Names imported from jmg or jmg.povm (from .povm inside the package), or
+    read as attributes of either."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in {(0, "jmg"), (0, "jmg.povm"), (1, "povm")}:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            if getattr(base, "id", None) in ("jmg", "povm") or getattr(base, "attr", None) in ("jmg", "povm"):
+                out.add(node.attr)
+    return out
+
+
+def test_every_export_is_imported_through_the_package():
+    exports = {
+        alias.asname or alias.name
+        for init in (SRC / "__init__.py", SRC / "povm" / "__init__.py")
+        for node in _tree(init).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    consumers = [
+        SRC / "cli.py",
+        *sorted((ROOT / "bench").glob("*.py")),
+        *(ROOT / "tests" / name for name in
+          ("test_acceptance.py", "test_tracing.py", "test_tooling.py", "test_cli.py")),
+    ]
+    used = _through_package(ast.parse(_quickstart()))
+    for path in consumers:
+        used |= _through_package(_tree(path))
+    assert sorted(exports - used - set(UNIMPORTED_EXPORTS)) == []
+    assert set(UNIMPORTED_EXPORTS) <= exports
