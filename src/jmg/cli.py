@@ -140,33 +140,38 @@ def _load_graph(path: str) -> Graph:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _write_over(path: str, data: bytes) -> None:
-    """Write `data` over the file at `path` in place, creating it if needed,
-    and cut off what is left of a longer old file.  Truncating a file that
-    holds data before writing (``open(path, "w")``) costs more than the write
-    on some file systems.  Unlike a new file renamed over the old one, this
-    keeps symlinks, hard links and the mode; a device or FIFO reports size 0,
-    so it is never truncated."""
+def _write_over(path: str, *chunks: bytes) -> None:
+    """Write `chunks`, one after another, over the file at `path` in place,
+    creating it if needed, and cut off what is left of a longer old file.
+    Truncating a file that holds data before writing (``open(path, "w")``)
+    costs more than the write on some file systems.  Unlike a new file
+    renamed over the old one, this keeps symlinks, hard links and the mode;
+    a device or FIFO reports size 0, so it is never truncated."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         old_size = os.fstat(fd).st_size
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if old_size > len(data):
-            os.ftruncate(fd, len(data))
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view):]
+        size = sum(map(len, chunks))
+        if old_size > size:
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 
 
-def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict) -> None:
+def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None) -> None:
+    """Print the report and, with --out, write the payload to that path; a
+    caller that builds the payload only for --out passes None without it."""
     report_text = None
     if args.out:
         payload_text = serialize.dumps(payload_obj)
         if payload_obj is report_obj:
             report_text = payload_text  # one document for both: serialize it once
         try:
-            _write_over(args.out, (payload_text + "\n").encode("utf-8"))
+            # the newline is its own chunk: appending it would copy the text
+            _write_over(args.out, payload_text.encode("utf-8"), b"\n")
         except OSError as exc:
             # before anything is printed, so stdout stays empty
             raise InputError(f"cannot write {args.out}: {exc}") from exc
@@ -221,11 +226,9 @@ def _cmd_realize(args) -> int:
         result = extend_outcomes(result, counts)
     report = verify_realization(graph, result, check_tol)
     if isinstance(result, PvmRealization):
-        payload = pvm_realization_to_json_obj(result)
-        kind = "pvm_realization"
+        to_json_obj, kind = pvm_realization_to_json_obj, "pvm_realization"
     else:
-        payload = realization_to_json_obj(result)
-        kind = "realization"
+        to_json_obj, kind = realization_to_json_obj, "realization"
     summary = {
         "kind": kind,
         "space_dim": result.space_dim,
@@ -240,7 +243,8 @@ def _cmd_realize(args) -> int:
     ]
     for v in report.violations:
         pretty.append(f"  pair {v.pair}: expected {v.expected}, observed {v.observed}")
-    _emit(args, summary, pretty, payload)
+    # the wire object is only written to --out; a large one costs its size in memory
+    _emit(args, summary, pretty, to_json_obj(result) if args.out else None)
     return 0 if report.passed else 1
 
 

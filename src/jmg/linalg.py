@@ -19,6 +19,7 @@ from itertools import accumulate, chain, groupby
 import numpy as np
 
 from .errors import InputError, count, fields, tolerance
+from .serialize import Literals
 
 DEFAULT_TOL = 1e-9
 
@@ -450,55 +451,94 @@ def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 # -- JSON wire format ---------------------------------------------------------
 
 
+class _Slots(dict):
+    """Key -> slot: a key not seen before takes the next free slot, so the
+    keys are the distinct ones in order of first appearance."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        self[key] = slot = len(self)
+        return slot
+
+
+# integer types narrower than int64, each with its largest value
+_NARROW_CODES = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32))
+
+
+def _distinct_rows(mats) -> tuple[list, list, list]:
+    """For rational matrices of one denominator and one width: the literal
+    list and the JSON text (quoted, comma-joined) of each distinct row, and
+    the distinct-row index of every row of the matrices, in order.
+
+    Rows are pooled by the bytes of their codes: int64 numerators are their
+    own codes, Python-int numerators are coded by their rank among the
+    distinct values, and codes are stored in the narrowest integer type that
+    holds them, so the keys are short.  Each distinct value is then reduced
+    and formatted once, and each distinct row joined once.  A literal is the
+    lowest-terms fraction, so pooling does not change it."""
+    den, width = mats[0]._den, mats[0].cols
+    if not width:
+        return [[]], [""], [0] * sum(m.rows for m in mats)
+    codes = np.concatenate([m._num for m in mats])
+    values = None
+    if codes.dtype == object:
+        values, codes = np.unique(codes, return_inverse=True)
+    peak = _max_abs(codes)
+    dtype = next((t for t, top in _NARROW_CODES if peak <= top), np.int64)
+    codes = codes.reshape(-1, width).astype(dtype, copy=False)
+    keys = codes.view(np.dtype((np.void, codes.itemsize * width))).ravel().tolist()
+    slots = _Slots()
+    index = list(map(slots.__getitem__, keys))
+    distinct = np.frombuffer(b"".join(slots), dtype=dtype).reshape(-1, width)
+    # the distinct codes: each sorted code that differs from its left
+    # neighbour (np.unique builds a hash table, and its first use raises the
+    # peak resident memory by about 1.5 MB)
+    found = np.sort(distinct, axis=None, kind="stable")  # a radix sort for 8- and 16-bit codes
+    first = np.ones(found.shape, dtype=bool)
+    first[1:] = found[1:] != found[:-1]
+    found = found[first]
+    literals = []
+    for v in (found if values is None else values[found]).tolist():
+        g = math.gcd(v, den)
+        literals.append(f"{v // g}/{den // g}")
+    rows = np.array(literals, dtype=object)[np.searchsorted(found, distinct)].tolist()
+    return rows, ['"' + '","'.join(row) + '"' for row in rows], index
+
+
+def rows_to_json_obj(m: RationalMatrix) -> list:
+    """The rows of `m`, each a wire list of literals."""
+    literals, texts, index = _distinct_rows([m])
+    return [Literals([literals[k]], "[" + texts[k] + "]") for k in index]
+
+
 def matrices_to_json_obj(mats) -> list:
-    """Wire objects of `mats`.  The rational matrices of one denominator
-    share one literal table: their numerators are sorted once, each distinct
-    value is reduced and formatted once, and one binary search indexes every
-    entry into the table.  A literal is the lowest-terms fraction, so the
-    table does not change it."""
+    """Wire objects of `mats`.  The rational matrices of one denominator and
+    one width are written by distinct row (`_distinct_rows`): each entries
+    list is a `Literals` whose text joins the texts of its rows."""
     objs: list = [None] * len(mats)
-    by_den: dict = {}
+    groups: dict = {}
     for i, m in enumerate(mats):
         if isinstance(m, RationalMatrix):
-            by_den.setdefault(m._den, []).append(i)
+            groups.setdefault((m._den, m.cols), []).append(i)
         else:
             arr = as_complex(m)
             # each complex128 is the memory layout of one (re, im) pair of
             # doubles; a strided view is copied into that layout first
             entries = np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist()
             objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
-    for den, group in by_den.items():
-        nums = np.concatenate([mats[i]._num.ravel() for i in group])
-        values = np.sort(nums)
-        # the distinct values: each sorted value that differs from its left
-        # neighbour (np.unique would sort again for the inverse, or hash)
-        distinct = np.ones(values.shape, dtype=bool)
-        distinct[1:] = values[1:] != values[:-1]
-        values = values[distinct]
-        index = np.searchsorted(values, nums)
-        literals = []
-        for v in values.tolist():
-            g = math.gcd(v, den)
-            literals.append(f"{v // g}/{den // g}")
-        table = np.array(literals, dtype=object)
+    for (_, cols), group in groups.items():
+        literals, texts, index = _distinct_rows([mats[i] for i in group])
         at = 0
         for i in group:
-            rows, cols = mats[i].shape
-            entries = table[index[at : at + rows * cols]].tolist()
-            at += rows * cols
+            rows = mats[i].rows
+            mine = index[at : at + rows]
+            at += rows
+            # a matrix of width 0 has empty rows, which its text does not list
+            text = "[" + ",".join(map(texts.__getitem__, mine)) + "]" if cols else "[]"
+            entries = Literals(map(literals.__getitem__, mine), text)
             objs[i] = {"rows": rows, "cols": cols, "scalar": "rational", "entries": entries}
     return objs
-
-
-class _Slots(dict):
-    """Literal -> slot: a literal not seen before takes the next free slot,
-    so the keys are the distinct literals in order of first appearance."""
-
-    __slots__ = ()
-
-    def __missing__(self, literal):
-        self[literal] = slot = len(self)
-        return slot
 
 
 def _rational_entries(chunks: list, width: int) -> tuple[np.ndarray, int]:

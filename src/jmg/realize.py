@@ -28,6 +28,7 @@ from .linalg import (
     matrices_to_json_obj,
     padded_numerators,
     rank_one_projections,
+    rows_to_json_obj,
 )
 
 METHOD_DIRECT_SUM = "direct_sum"
@@ -303,15 +304,20 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     and sum to 1.
 
     Denominators cancel in AB - BA, so the tests run on the integer
-    numerators N of one stack, and N^2 = D N is idempotency.
+    numerators N of one stack, and N^2 = D N is idempotency.  A PVM family
+    of projections sums to 1 when sum_k (L / D_k) N_k = L I, with L the lcm
+    of its denominators D_k; orthogonal projections that sum to 1 are
+    pairwise orthogonal, so the products N_i N_j run only for a family whose
+    sum fails, to name its first fault.
     Each family then gets one symmetric integer operator
-    A = sum_k (k+1) (L / D_k) N_k, with L the lcm of its denominators D_k.
+    A = sum_k (k+1) (L / D_k) N_k.
     As A = L sum_k (k+1) E_k for orthogonal projections E_k = N_k / D_k, it
     has the distinct eigenvalues (k+1) L on the ranges of the E_k (and 0 on
     the rest), so every E_k is a polynomial in A.  Two families therefore
     commute exactly when A_x and A_y do, that is when A_x A_y is symmetric,
     as A_y A_x = (A_x A_y)^T.  `family_stacks` builds the numerators and the
-    operators in one arithmetic tier, under one bound.
+    operators in one arithmetic tier, under one bound, which also bounds the
+    identity sums.
     """
     stack, ops = family_stacks(families, dim)
     dens = np.array([m.denominator for family in families for m in family], dtype=stack.dtype).reshape(-1, 1, 1)
@@ -323,21 +329,28 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
             (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
             & (np.matmul(chunk, chunk) == dens[i : i + step] * chunk).all(axis=(1, 2))
         ).tolist()
-    traces = np.trace(stack, axis1=1, axis2=2).tolist()
+    if pvms:
+        flat = stack.reshape(len(stack), dim * dim)
+        eye = np.eye(dim, dtype=stack.dtype).ravel()
+        nonzero = np.trace(stack, axis1=1, axis2=2).astype(bool).tolist()
     start = 0
     for x, family in enumerate(families):
         end = start + len(family)
-        for i in range(start, end):
-            if not projection[i]:
-                raise InputError(f"vertex {x}: element {i - start} is not a projection")
-            # N_i N_j for the family's j > i
-            if i + 1 < end and np.matmul(stack[i], stack[i + 1 : end]).any():
-                raise InputError(f"vertex {x}: elements are not orthogonal")
-        lcm = math.lcm(*(p.denominator for p in family))
-        # the family's elements are orthogonal projections, so their sum is a
-        # projection of rank sum_k tr(N_k) / D_k: it is 1 iff that rank is
-        # dim, compared here in integers after scaling by L
-        if pvms and sum(int(t) * (lcm // p.denominator) for t, p in zip(traces[start:end], family)) != dim * lcm:
+        sound = all(projection[start:end])
+        if sound and pvms:
+            # the identity sum, with weight 0 for a zero element (a projection
+            # of trace 0), as in `family_stacks`, whose bound covers the rest
+            lcm = math.lcm(*(m.denominator for m in family))
+            weights = [lcm // m.denominator if nz else 0 for m, nz in zip(family, nonzero[start:end])]
+            sound = bool((np.array(weights, dtype=stack.dtype) @ flat[start:end] == lcm * eye).all())
+        if not sound:
+            # the first fault, in the order of the checks
+            for i in range(start, end):
+                if not projection[i]:
+                    raise InputError(f"vertex {x}: element {i - start} is not a projection")
+                # N_i N_j for the family's j > i
+                if i + 1 < end and np.matmul(stack[i], stack[i + 1 : end]).any():
+                    raise InputError(f"vertex {x}: elements are not orthogonal")
             raise InputError(f"vertex {x}: elements do not sum to the identity")
         start = end
     n = len(families)
@@ -532,9 +545,7 @@ def realization_to_json_obj(r: Realization) -> dict:
         "vectors": None,
     }
     if r.vectors is not None:
-        v = RationalMatrix.from_rows(r.vectors)
-        entries = matrices_to_json_obj([v])[0]["entries"]
-        obj["vectors"] = [entries[i * v.cols : (i + 1) * v.cols] for i in range(v.rows)]
+        obj["vectors"] = rows_to_json_obj(RationalMatrix.from_rows(r.vectors))
     return obj
 
 

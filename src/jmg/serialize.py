@@ -8,10 +8,38 @@ locale- or hash-order-dependent state is involved.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
+
+
+class Literals(list):
+    """A read-only list of strings that JSON writes unchanged (printable
+    ASCII without quote or backslash), with `text`, the JSON text of the
+    whole list, which `dumps` writes as it stands.  `Literals(rows, text)`
+    holds the strings of the lists `rows`, in order.  Every mutator raises
+    TypeError, so the text cannot go stale; the list compares equal to a
+    plain one, and `list(literals)` is one."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, rows, text: str):
+        # list.__iadd__ extends in place, a row at a time, at C speed
+        self = reduce(list.__iadd__, rows, super().__new__(cls))
+        object.__setattr__(self, "text", text)
+        return self
+
+    def __init__(self, rows, text: str):
+        pass  # filled by __new__; list.__init__ would refill the list
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("Literals is read-only")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setattr__ = __delattr__ = _read_only
 
 
 def format_float(x: float) -> str:
@@ -49,6 +77,9 @@ def _write(obj, out: list[str]) -> None:
 
 
 def _write_seq(items, out: list[str]) -> None:
+    if type(items) is Literals:
+        out.append(items.text)
+        return
     first = type(items[0]) if items else None
     if first is float and set(map(type, items)) == {float} and all(map(math.isfinite, items)):
         # a float list in one `%` format, which spells a float as format_float
@@ -63,24 +94,10 @@ def _write_seq(items, out: list[str]) -> None:
             out.append("[" + ",".join(["[%.17g,%.17g]"] * len(items)) % parts + "]")
             return
     out.append("[")
-    text = None
-    if items and isinstance(items[0], str):
-        try:
-            # raises TypeError at the first item that is not a str
-            text = "".join(items)
-        except TypeError:
-            pass
-    if text is None:
-        for i, item in enumerate(items):
-            if i:
-                out.append(",")
-            _write(item, out)
-    elif text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        # strings the encoder writes unchanged (the literals of a rational
-        # matrix), quoted in one join
-        out.append('"' + '","'.join(items) + '"')
-    else:
-        out.append(",".join(map(encode_basestring_ascii, items)))
+    for i, item in enumerate(items):
+        if i:
+            out.append(",")
+        _write(item, out)
     out.append("]")
 
 

@@ -8,6 +8,7 @@ judge.
 from __future__ import annotations
 
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from jmg.errors import InputError
 from jmg.graphs import Graph, Hypergraph, maximal_cliques
 from jmg.linalg import RationalMatrix, matrices_from_json_obj, matrices_to_json_obj
 from jmg.povm import POVM
+from jmg.serialize import format_float
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -190,3 +192,25 @@ def matrix_to_json_obj(m) -> dict:
 
 def matrix_from_json_obj(obj):
     return matrices_from_json_obj([obj])[0]
+
+
+def reference_dumps(obj) -> str:
+    """Item by item: the writer before whole-list formatting."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(reference_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        return "{" + ",".join(encode_basestring_ascii(k) + ":" + reference_dumps(obj[k]) for k in keys) + "}"
+    raise InputError(f"cannot serialize value of type {type(obj).__name__}")

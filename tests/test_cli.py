@@ -142,6 +142,26 @@ class TestRealize:
         assert captured.err == f"error: {message} exceed 8388608 matrix entries\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, builder", [
+        ([], "realization_to_json_obj"),
+        (["--method", "rank-one"], "realization_to_json_obj"),
+        (["--outcomes", "3"], "pvm_realization_to_json_obj"),
+    ])
+    def test_payload_built_only_for_out(self, fork_file, tmp_path, capsys, monkeypatch, options, builder):
+        # the wire object goes only to --out; without it nothing builds one
+        calls = []
+        for name in ("realization_to_json_obj", "pvm_realization_to_json_obj"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda r, real=real, name=name: calls.append(name) or real(r))
+        assert main(["realize", fork_file, *options]) == 0
+        without = capsys.readouterr().out
+        assert calls == []
+        out = tmp_path / "r.json"
+        assert main(["realize", fork_file, *options, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == without
+        assert calls == [builder]
+        assert json.loads(out.read_text())["space_dim"] == json.loads(without)["space_dim"]
+
     def test_deterministic_output(self, fork_file, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["realize", fork_file, "--method", "rank-one", "--out", str(out1)])
@@ -662,11 +682,12 @@ class TestOutOverwrite:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    @pytest.mark.parametrize("before", ["longer", "shorter", "same"])
+    @pytest.mark.parametrize("before", ["longer", "one-longer", "shorter", "same"])
     def test_existing_file(self, argv, fresh, tmp_path, capsys, before):
         stdout, data = fresh
         target = tmp_path / "target.json"
-        target.write_bytes({"longer": data + b"tail" * 5000, "shorter": b"{}\n", "same": data}[before])
+        old = {"longer": data + b"tail" * 5000, "one-longer": data + b"\n", "shorter": b"{}\n", "same": data}
+        target.write_bytes(old[before])
         assert self.run(argv, target, capsys) == (0, stdout, "")
         assert target.read_bytes() == data
 

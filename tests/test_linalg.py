@@ -18,8 +18,9 @@ from jmg.linalg import (
     numerical_rank,
     psd_sqrt,
 )
+from jmg.serialize import dumps
 
-from helpers import is_projection, matrix_from_json_obj, matrix_to_json_obj
+from helpers import is_projection, matrix_from_json_obj, matrix_to_json_obj, reference_dumps
 
 HALF = Fraction(1, 2)
 PIN = RationalMatrix.from_rows([[1, 0], [0, 0]])
@@ -737,6 +738,22 @@ def small_or_wide_matrices():
     )
 
 
+def repeated_row_matrices():
+    """Matrices whose rows are drawn from a few distinct rows, scaled by a
+    random rational, so rows repeat within and across matrices and one call
+    mixes denominators, widths, empty shapes and numerators past 2^62."""
+    row_pool = st.integers(0, 3).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.one_of(fractions_strategy(), wide_fractions()), min_size=cols, max_size=cols),
+            min_size=1, max_size=3,
+        )
+    )
+    return st.tuples(row_pool, st.lists(st.integers(0, 2), max_size=5), fractions_strategy()).map(
+        lambda t: RationalMatrix.from_rows([t[0][i % len(t[0])] for i in t[1]]) * (t[2] or 1)
+        if t[1] else RationalMatrix.zeros(0, len(t[0][0]))
+    )
+
+
 class TestBatchedCodec:
     def test_writer_matches_per_matrix(self):
         assert matrices_to_json_obj(MIXED) == [reference_to_json_obj(m) for m in MIXED]
@@ -758,6 +775,27 @@ class TestBatchedCodec:
         for m, got in zip(mats, matrices_from_json_obj(objs)):
             assert same_matrix(got, m)
             assert same_matrix(got, reference_from_json_obj(reference_to_json_obj(m)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(repeated_row_matrices(), max_size=6))
+    def test_written_bytes_match_per_entry(self, mats):
+        objs = matrices_to_json_obj(mats)
+        reference = [reference_to_json_obj(m) for m in mats]
+        assert dumps(objs) == reference_dumps(reference)
+        for m, got in zip(mats, matrices_from_json_obj(objs)):
+            assert same_matrix(got, m)
+
+    def test_rows_of_every_shape(self):
+        wide = RationalMatrix.from_rows([[2**62, Fraction(-1, 3)], [2**62, Fraction(-1, 3)], [0, 2**70 + 1]])
+        mats = [
+            RationalMatrix.zeros(0, 3), RationalMatrix.zeros(3, 0), RationalMatrix.zeros(0, 0),
+            wide, wide * Fraction(1, 7), TILT, PIN, TILT * 3,
+            np.array([[1j]]),
+        ]
+        objs = matrices_to_json_obj(mats)
+        assert dumps(objs) == reference_dumps([reference_to_json_obj(m) for m in mats])
+        assert [dumps(o["entries"]) for o in objs[:3]] == ["[]", "[]", "[]"]
+        assert wide._num.dtype == object
 
     def test_bad_literal_in_last_matrix(self):
         objs = [reference_to_json_obj(m) for m in (TILT, PIN, TILT)]

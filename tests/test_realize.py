@@ -618,6 +618,19 @@ class TestPvmSumCheck:
         with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
             verify_realization(g, PvmRealization(g, 3, [family]))
 
+    @pytest.mark.parametrize("scale", [1, HUGE_A], ids=["float64", "python-int"])
+    def test_zero_elements_and_sums(self, scale):
+        # a zero element adds nothing to a family's sum; the sum alone decides
+        # a family of projections, in either arithmetic tier
+        p = rank_one_projection((scale, 1, 0))
+        eye, zero = RationalMatrix.identity(3), RationalMatrix.zeros(3, 3)
+        g = parse_graph("2; 0-1")
+        good = PvmRealization(g, 3, [[zero, p, eye - p, zero], [eye, zero]])
+        assert verify_realization(g, good).passed
+        short = PvmRealization(g, 3, [[zero, p, eye - p - rank_one_projection((0, 0, 1))], [eye]])
+        with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
+            verify_realization(g, short)
+
     def test_non_orthogonal_reported_first(self):
         pin = RationalMatrix.from_rows([[1, 0], [0, 0]])
         tilt = RationalMatrix.from_rows([[HALF, HALF], [HALF, HALF]])

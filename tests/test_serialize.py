@@ -3,7 +3,7 @@ import json
 import math
 import random
 import struct
-from json.encoder import encode_basestring_ascii
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from jmg import serialize
 from jmg.errors import InputError
-from jmg.linalg import matrices_to_json_obj
-from jmg.serialize import dumps, format_float
+from jmg.linalg import RationalMatrix, matrices_to_json_obj
+from jmg.serialize import Literals, dumps, format_float
+
+from helpers import reference_dumps
 
 
 class TestFormatFloat:
@@ -126,28 +128,6 @@ class TestStringListEdges:
         items = [Literal("1/2"), "0/1", Literal('"')]
         assert dumps(items) == json.dumps(items, separators=(",", ":"))
         assert dumps(items[:2]) == '["1/2","0/1"]'
-
-
-def reference_dumps(obj) -> str:
-    """Item by item: the writer before whole-list formatting."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(reference_dumps, obj)) + "]"
-    if isinstance(obj, dict):
-        keys = sorted(obj)
-        return "{" + ",".join(encode_basestring_ascii(k) + ":" + reference_dumps(obj[k]) for k in keys) + "}"
-    raise InputError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def bit_pattern_floats(rng: random.Random, count: int) -> list:
@@ -313,3 +293,57 @@ class TestWholeListFormatting:
         floats = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
         assert len(floats) > 99_000
         assert ",".join(["%.17g"] * len(floats)) % tuple(floats) == ",".join(format(x, ".17g") for x in floats)
+
+
+class TestLiterals:
+    """The entries list of a written rational matrix carries its own text."""
+
+    @staticmethod
+    def entries():
+        rows = [[Fraction(1, 3), 0, Fraction(-2, 9)], [Fraction(1, 3), 0, Fraction(-2, 9)], [1, 1, 1]]
+        return matrices_to_json_obj([RationalMatrix.from_rows(rows)])[0]["entries"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda e: e.append("0/1"),
+            lambda e: e.extend(["0/1"]),
+            lambda e: e.insert(0, "0/1"),
+            lambda e: e.pop(),
+            lambda e: e.remove("1/1"),
+            lambda e: e.clear(),
+            lambda e: e.sort(),
+            lambda e: e.reverse(),
+            lambda e: e.__setitem__(0, "0/1"),
+            lambda e: e.__setitem__(slice(0, 2), []),
+            lambda e: e.__delitem__(0),
+            lambda e: e.__iadd__(["0/1"]),
+            lambda e: e.__imul__(2),
+            lambda e: setattr(e, "text", "[]"),
+            lambda e: delattr(e, "text"),
+        ],
+        ids=["append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse", "setitem",
+             "setslice", "delitem", "iadd", "imul", "set-text", "del-text"],
+    )
+    def test_every_mutator_raises(self, mutate):
+        entries = self.entries()
+        assert type(entries) is Literals
+        before, text = list(entries), dumps(entries)
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(entries)
+        assert entries == before and dumps(entries) == text
+
+    def test_plain_copy_writes_the_same_bytes(self):
+        entries = self.entries()
+        plain = list(entries)
+        assert type(plain) is list and plain == entries
+        assert dumps(plain) == dumps(entries) == reference_dumps(plain)
+        assert dumps(entries) == '["1/3","0/1","-2/9","1/3","0/1","-2/9","1/1","1/1","1/1"]'
+        # a copy is a plain list that may change; the written list does not
+        plain.append("0/1")
+        assert dumps(entries) == dumps(plain[:-1])
+
+    def test_empty(self):
+        empty = Literals([[], []], "[]")
+        assert empty == [] and dumps({"e": empty}) == '{"e":[]}'
+
