@@ -3,12 +3,13 @@ on three small graphs, `verify` of every file written, failing `verify` runs
 against the complement of the fork, a cycle realized with a different outcome
 count per vertex and verified against a wrong graph, and two demos.  Files of
 the size the large benchmark writes (16 vertices, 30 non-edges, up to 1.1 MB)
-are pinned by their sha256 digests instead of checked-in copies.
+are pinned by their sha256 digests instead of checked-in copies, and so are
+the outputs of `dilate`, `jm-check` and `demo hollow-triangle`.
 
-Every output compared here is exact (rational matrices, or no matrices at
-all), except the span-restricted files, whose float entries are built from
-exact integers by elementwise IEEE operations; so no byte depends on the
-BLAS build.  To regenerate the files after
+Every golden file is exact (rational matrices, or no matrices at all),
+except the span-restricted files, whose float entries are built from exact
+integers by elementwise IEEE operations; so no byte of them depends on the
+BLAS build.  The digests of the float commands do.  To regenerate the files after
 an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,13 +22,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from itertools import combinations
-
+from helpers import random_povm
 from jmg.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -148,6 +151,10 @@ LARGE_DIGESTS = {
         "befce4e73b13cb12c1b8ccac6b38bb6c1ef414dbf63702dfd7674240177ddaa2",
         "96249eeead5419e12d4fe83269111e646fa74d1b60b0090e9ebbc62dda4ef583",
     ),
+    ("--method", "rank-one-restricted"): (
+        "0c209355b8c3b720f8e45efcf767f6e0aa0cc8d97c05a913924bcde61c67ac9d",
+        "574f710508c7c1c8e8f74edd7f91f9660e92f72a7fca705613ee80fafc1a5faf",
+    ),
 }
 
 
@@ -179,6 +186,76 @@ def test_large_file_bytes_over_longer_file(large_graph, options):
     stdout = _run(["realize", str(large_graph), *options, "--out", str(out)])
     digests = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests == LARGE_DIGESTS[options]
+
+
+# Outputs of the float commands, pinned by sha256 of (stdout, --out file).
+# Their bytes come from eigh and matrix products, so unlike the exact files
+# above they are pinned for one numpy and LAPACK build.  Each POVM file is
+# written here with the stdlib json module, so no input depends on the writer.
+
+def _povm_file(path: Path, elements) -> str:
+    d = len(elements[0])
+    labels = [str(k) for k in range(len(elements))]
+    matrix = lambda e: {  # noqa: E731
+        "rows": d, "cols": d, "scalar": "complex",
+        "entries": [[float(z.real), float(z.imag)] for z in np.asarray(e, dtype=complex).flat],
+    }
+    doc = {"space_dim": d, "outcomes": labels, "elements": {k: matrix(e) for k, e in zip(labels, elements)}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def povm_files(tmp_path_factory) -> dict:
+    work = tmp_path_factory.mktemp("float")
+    # the qubit projector diag(1, 0) with -0.0 parts off the diagonal
+    projector = np.array([[1, complex(-0.0, -0.0)], [complex(0.0, -0.0), 0]])
+    # the standard and Fourier bases of a qutrit at visibility 0.6, below the
+    # 0.683 at which the pair stops being jointly measurable
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    noisy = [
+        [0.6 * np.outer(b[:, k], b[:, k].conj()) + 0.4 * np.eye(3) / 3 for k in range(3)]
+        for b in (np.eye(3), fourier)
+    ]
+    return {
+        "p19": _povm_file(work / "p19.json", random_povm(np.random.default_rng(19), 6, 19).element_list()),
+        "qubit": _povm_file(work / "qubit.json", [projector, np.diag([0.0, 1.0])]),
+        "standard": _povm_file(work / "standard.json", noisy[0]),
+        "fourier": _povm_file(work / "fourier.json", noisy[1]),
+    }
+
+
+FLOAT_DIGESTS = {
+    ("dilate", "p19"): (
+        "8f3df0a13b18cd1eb38263760561bf5332c5d7ef58308b1eb9c7e8ed85ca4646",
+        "491e7e9060f2d55256e55ca63af27d9aed4dfa2aa12232239005442fae3c6c4b",
+    ),
+    ("dilate", "qubit"): (
+        "d012c0d40c6e1f0d55ecdd2b2053b2b53241b80a0ba6e27b9492523582e24f84",
+        "7b16f5ddcabfebfbc6e9ee744d8e054f9d48b0b93a6abf7f5e24b5f5b096c4f5",
+    ),
+    # the report with its complex witness, which holds -0.0 parts
+    ("jm-check", "standard", "fourier"): (
+        "ad674c3b03782ce78cc6876f077d1b88676e7203e03ffbcfc3f4dcb715e0e3bd",
+        "ad674c3b03782ce78cc6876f077d1b88676e7203e03ffbcfc3f4dcb715e0e3bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(FLOAT_DIGESTS), ids=" ".join)
+def test_float_file_bytes(povm_files, tmp_path, call):
+    command, *names = call
+    out = tmp_path / "out.json"
+    stdout = _run([command, *map(povm_files.get, names), "--out", str(out)])
+    digests = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == FLOAT_DIGESTS[call]
+
+
+def test_hollow_triangle_demo_bytes():
+    # the report embeds the three noisy POVM documents and the solver's witnesses
+    stdout = _run(["demo", "hollow-triangle"])
+    assert hashlib.sha256(stdout).hexdigest() == "4f93388f929f77122a7a8353c0cbeb2ae3b8fc316ce52e2f2f6660131a334d86"
+
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
