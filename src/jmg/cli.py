@@ -277,7 +277,7 @@ def _cmd_dilate(args) -> int:
         f"enlarged dimension: {result.enlarged_dim}",
         f"max reconstruction residual: {residual:.3e}",
     ]
-    _emit(args, summary, pretty, dilation_to_json_obj(result))
+    _emit(args, summary, pretty, dilation_to_json_obj(result) if args.out else None)
     return 0
 
 

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, groupby
 import numpy as np
 
 from .errors import InputError, count, fields, tolerance
-from .serialize import Literals
+from .serialize import Raw
 
 DEFAULT_TOL = 1e-9
 
@@ -466,10 +466,10 @@ class _Slots(dict):
 _NARROW_CODES = tuple((t, int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32))
 
 
-def _distinct_rows(mats) -> tuple[list, list, list]:
-    """For rational matrices of one denominator and one width: the literal
-    list and the JSON text (quoted, comma-joined) of each distinct row, and
-    the distinct-row index of every row of the matrices, in order.
+def _distinct_rows(mats) -> tuple[list, list]:
+    """For rational matrices of one denominator and one width: the JSON text
+    (quoted literals, comma-joined) of each distinct row, and the
+    distinct-row index of every row of the matrices, in order.
 
     Rows are pooled by the bytes of their codes: int64 numerators are their
     own codes, Python-int numerators are coded by their rank among the
@@ -479,7 +479,7 @@ def _distinct_rows(mats) -> tuple[list, list, list]:
     lowest-terms fraction, so pooling does not change it."""
     den, width = mats[0]._den, mats[0].cols
     if not width:
-        return [[]], [""], [0] * sum(m.rows for m in mats)
+        return [""], [0] * sum(m.rows for m in mats)
     codes = np.concatenate([m._num for m in mats])
     values = None
     if codes.dtype == object:
@@ -503,19 +503,22 @@ def _distinct_rows(mats) -> tuple[list, list, list]:
         g = math.gcd(v, den)
         literals.append(f"{v // g}/{den // g}")
     rows = np.array(literals, dtype=object)[np.searchsorted(found, distinct)].tolist()
-    return rows, ['"' + '","'.join(row) + '"' for row in rows], index
+    return ['"' + '","'.join(row) + '"' for row in rows], index
 
 
-def rows_to_json_obj(m: RationalMatrix) -> list:
-    """The rows of `m`, each a wire list of literals."""
-    literals, texts, index = _distinct_rows([m])
-    return [Literals([literals[k]], "[" + texts[k] + "]") for k in index]
+def rows_to_json_obj(m: RationalMatrix) -> Raw:
+    """The rows of `m` as a JSON list of literal lists."""
+    texts, index = _distinct_rows([m])
+    return Raw("[" + ",".join(["[" + texts[k] + "]" for k in index]) + "]")
 
 
 def matrices_to_json_obj(mats) -> list:
-    """Wire objects of `mats`.  The rational matrices of one denominator and
-    one width are written by distinct row (`_distinct_rows`): each entries
-    list is a `Literals` whose text joins the texts of its rows."""
+    """Wire objects of `mats`, for `serialize.dumps`: the entries of each are
+    a `Raw`, their JSON text.  The rational matrices of one denominator and
+    one width are written by distinct row (`_distinct_rows`), so a text joins
+    the texts of its rows; a complex matrix is written in one `%` format over
+    its (re, im) doubles, which spells each as `serialize.format_float`
+    does (`as_complex` has rejected non-finite entries)."""
     objs: list = [None] * len(mats)
     groups: dict = {}
     for i, m in enumerate(mats):
@@ -525,10 +528,11 @@ def matrices_to_json_obj(mats) -> list:
             arr = as_complex(m)
             # each complex128 is the memory layout of one (re, im) pair of
             # doubles; a strided view is copied into that layout first
-            entries = np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist()
-            objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": entries}
+            parts = tuple(np.ascontiguousarray(arr).view(np.float64).ravel().tolist())
+            text = "[" + ",".join(["[%.17g,%.17g]"] * arr.size) % parts + "]"
+            objs[i] = {"rows": arr.shape[0], "cols": arr.shape[1], "scalar": "complex", "entries": Raw(text)}
     for (_, cols), group in groups.items():
-        literals, texts, index = _distinct_rows([mats[i] for i in group])
+        texts, index = _distinct_rows([mats[i] for i in group])
         at = 0
         for i in group:
             rows = mats[i].rows
@@ -536,8 +540,7 @@ def matrices_to_json_obj(mats) -> list:
             at += rows
             # a matrix of width 0 has empty rows, which its text does not list
             text = "[" + ",".join(map(texts.__getitem__, mine)) + "]" if cols else "[]"
-            entries = Literals(map(literals.__getitem__, mine), text)
-            objs[i] = {"rows": rows, "cols": cols, "scalar": "rational", "entries": entries}
+            objs[i] = {"rows": rows, "cols": cols, "scalar": "rational", "entries": Raw(text)}
     return objs
 
 

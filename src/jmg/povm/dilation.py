@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import InputError, tolerance
 from ..linalg import hermitize, matrices_to_json_obj
-from .model import POVM, JointPOVM, _povm_obj, marginal, validate_povm
+from .model import POVM, JointPOVM, marginal, povm_to_json_obj, validate_povm
 
 DEFAULT_DILATION_TOL = 1e-8
 
@@ -95,35 +95,9 @@ def compression(isometry: np.ndarray, operator: np.ndarray) -> np.ndarray:
     return hermitize(isometry.conj().T @ operator @ isometry)
 
 
-def _projector_obj(element) -> dict | None:
-    """The wire object of `element` when it is, bit for bit, a diagonal
-    matrix of 0s and 1s, as a block projector of `neumark_dilate` is (a -0.0
-    part is not 0.0), with every entry one shared [0.0, 0.0] or [1.0, 0.0]
-    list; None for any other element.  It writes the same bytes as
-    `matrices_to_json_obj`, which allocates one list per entry."""
-    if not (isinstance(element, np.ndarray) and element.dtype == np.complex128 and element.ndim == 2):
-        return None
-    rows, cols = element.shape
-    ones = np.flatnonzero(element.diagonal() == 1)
-    expected = np.zeros((rows, cols), dtype=complex)
-    expected[ones, ones] = 1
-    if element.tobytes() != expected.tobytes():
-        return None
-    zero, one = [0.0, 0.0], [1.0, 0.0]
-    entries = [zero] * (rows * cols)
-    for i in ones.tolist():
-        entries[i * cols + i] = one
-    return {"rows": rows, "cols": cols, "scalar": "complex", "entries": entries}
-
-
 def dilation_to_json_obj(result: DilationResult) -> dict:
-    pvm = result.pvm
-    elements = [pvm.elements[o] for o in pvm.outcomes]
-    shared = [_projector_obj(e) for e in elements]
-    # the isometry and any other element take one writer call
-    isometry, *written = matrices_to_json_obj(
-        [result.isometry, *(e for e, obj in zip(elements, shared) if obj is None)]
-    )
-    written = iter(written)
-    objs = [next(written) if obj is None else obj for obj in shared]
-    return {"enlarged_dim": result.enlarged_dim, "isometry": isometry, "pvm": _povm_obj(pvm, objs)}
+    return {
+        "enlarged_dim": result.enlarged_dim,
+        "isometry": matrices_to_json_obj([result.isometry])[0],
+        "pvm": povm_to_json_obj(result.pvm),
+    }

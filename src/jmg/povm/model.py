@@ -96,16 +96,10 @@ def marginal(joint: JointPOVM, factor: int) -> POVM:
 
 
 def povm_to_json_obj(e: POVM) -> dict:
-    return _povm_obj(e, matrices_to_json_obj([e.elements[o] for o in e.outcomes]))
-
-
-def _povm_obj(e: POVM, element_objs: list) -> dict:
-    """The document of `e`, given the wire objects of its elements in
-    outcome order (so that a caller writes them with its own matrices)."""
     return {
         "space_dim": e.space_dim,
         "outcomes": list(e.outcomes),
-        "elements": dict(zip(e.outcomes, element_objs)),
+        "elements": dict(zip(e.outcomes, matrices_to_json_obj(e.element_list()))),
     }
 
 

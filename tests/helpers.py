@@ -7,6 +7,7 @@ judge.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
@@ -16,7 +17,7 @@ from jmg.errors import InputError
 from jmg.graphs import Graph, Hypergraph, maximal_cliques
 from jmg.linalg import RationalMatrix, matrices_from_json_obj, matrices_to_json_obj
 from jmg.povm import POVM
-from jmg.serialize import format_float
+from jmg.serialize import dumps, format_float
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -182,6 +183,12 @@ def serialize_graph(graph: Graph) -> str:
     """The edge-list text of `graph`, as `parse_graph` reads it."""
     body = ", ".join(f"{a}-{b}" for a, b in graph.sorted_edges())
     return f"{graph.vertex_count}; {body}" if body else f"{graph.vertex_count};"
+
+
+def wire(obj):
+    """A writer's wire object as a reader takes it: through its JSON text,
+    as the CLI writes and reads files."""
+    return json.loads(dumps(obj))
 
 
 # the one-matrix wire codec: the list codec on a list of one

@@ -237,6 +237,21 @@ class TestDilate:
         assert main(["dilate", path]) == 0
         assert json.loads(capsys.readouterr().out)["enlarged_dim"] == 6
 
+    def test_payload_built_only_for_out(self, tmp_path, capsys, monkeypatch):
+        # as for realize: the dilation's wire object goes only to --out
+        calls = []
+        real = cli.dilation_to_json_obj
+        monkeypatch.setattr(cli, "dilation_to_json_obj", lambda r: calls.append(r) or real(r))
+        path = write_povm(tmp_path, "e.json", noisy_orthogonal_triple(0.4)[0])
+        assert main(["dilate", path]) == 0
+        without = capsys.readouterr().out
+        assert calls == []
+        out = tmp_path / "d.json"
+        assert main(["dilate", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == without
+        assert len(calls) == 1
+        assert json.loads(out.read_text())["enlarged_dim"] == json.loads(without)["enlarged_dim"]
+
     def test_nan_tolerance_exits_2(self, tmp_path, capsys):
         path = write_povm(tmp_path, "e.json", noisy_orthogonal_triple(0.4)[0])
         assert main(["dilate", path, "--tol", "nan"]) == 2

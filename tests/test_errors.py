@@ -30,7 +30,7 @@ from jmg.realize import (
     verify_realization,
 )
 
-from helpers import matrix_from_json_obj, matrix_to_json_obj
+from helpers import matrix_from_json_obj, matrix_to_json_obj, wire
 
 FORK = parse_graph("3; 0-1, 0-2")
 
@@ -70,14 +70,14 @@ def _valid_documents():
     povms = _pair()
     return {
         "graph": (graph_from_json_obj, {"vertices": 3, "edges": [[0, 1], [0, 2]]}),
-        "matrix": (matrix_from_json_obj, matrix_to_json_obj(RationalMatrix.identity(2))),
-        "realization": (realization_from_json_obj, realization_to_json_obj(realization)),
+        "matrix": (matrix_from_json_obj, wire(matrix_to_json_obj(RationalMatrix.identity(2)))),
+        "realization": (realization_from_json_obj, wire(realization_to_json_obj(realization))),
         "pvm realization": (
             pvm_realization_from_json_obj,
-            pvm_realization_to_json_obj(lift_to_pvms(realization)),
+            wire(pvm_realization_to_json_obj(lift_to_pvms(realization))),
         ),
-        "POVM": (povm_from_json_obj, povm_to_json_obj(povms[0])),
-        "joint POVM": (joint_povm_from_json_obj, joint_povm_to_json_obj(jm_feasible(povms).witness)),
+        "POVM": (povm_from_json_obj, wire(povm_to_json_obj(povms[0]))),
+        "joint POVM": (joint_povm_from_json_obj, wire(joint_povm_to_json_obj(jm_feasible(povms).witness))),
     }
 
 

@@ -34,6 +34,7 @@ from helpers import (
     matrix_to_json_obj,
     pvm_jointly_measurable,
     random_povm,
+    wire,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -352,13 +353,13 @@ class TestJointDilation:
 
 
 def joint_witness_obj() -> dict:
-    return joint_povm_to_json_obj(jm_feasible(noisy_orthogonal_triple(0.5)[:2]).witness)
+    return wire(joint_povm_to_json_obj(jm_feasible(noisy_orthogonal_triple(0.5)[:2]).witness))
 
 
 class TestJsonFormats:
     def test_povm_round_trip(self):
         e = trine_povm()
-        back = povm_from_json_obj(povm_to_json_obj(e))
+        back = povm_from_json_obj(wire(povm_to_json_obj(e)))
         assert back.space_dim == 2
         assert back.outcomes == e.outcomes
         for o in e.outcomes:
@@ -367,13 +368,13 @@ class TestJsonFormats:
     def test_joint_round_trip(self):
         povms = noisy_orthogonal_triple(0.5)[:2]
         witness = jm_feasible(povms).witness
-        back = joint_povm_from_json_obj(joint_povm_to_json_obj(witness))
+        back = joint_povm_from_json_obj(wire(joint_povm_to_json_obj(witness)))
         assert back.factor_outcome_sets == witness.factor_outcome_sets
         for t in witness.outcomes:
             assert np.allclose(back.elements[t], witness.elements[t])
 
     def test_missing_element_rejected(self):
-        obj = povm_to_json_obj(trine_povm())
+        obj = wire(povm_to_json_obj(trine_povm()))
         del obj["elements"]["2"]
         with pytest.raises(InputError, match="missing element"):
             povm_from_json_obj(obj)
@@ -398,14 +399,14 @@ class TestJsonFormats:
             joint_povm_from_json_obj(obj)
 
     def test_povm_boolean_space_dim_rejected(self):
-        obj = povm_to_json_obj(trine_povm())
+        obj = wire(povm_to_json_obj(trine_povm()))
         obj["space_dim"] = True
         with pytest.raises(InputError, match="space_dim must be a positive integer"):
             povm_from_json_obj(obj)
 
     def test_joint_repeated_factor_label_rejected(self):
         obj = {"space_dim": 2, "factor_outcomes": [["+", "+"]],
-               "elements": {'["+"]': matrix_to_json_obj(EYE2)}}
+               "elements": {'["+"]': wire(matrix_to_json_obj(EYE2))}}
         with pytest.raises(InputError, match="duplicate outcome labels"):
             joint_povm_from_json_obj(obj)
 
@@ -414,7 +415,7 @@ class TestJsonFormats:
         ([0, 1], ['["0"]', '["1"]'], "factor outcome labels must be strings"),
     ])
     def test_joint_non_string_labels_rejected(self, labels, keys, message):
-        elements = {key: matrix_to_json_obj(EYE2 / 2) for key in keys}
+        elements = {key: wire(matrix_to_json_obj(EYE2 / 2)) for key in keys}
         obj = {"space_dim": 2, "factor_outcomes": [labels], "elements": elements}
         with pytest.raises(InputError, match=message):
             joint_povm_from_json_obj(obj)
@@ -423,7 +424,7 @@ class TestJsonFormats:
         obj = joint_witness_obj()
         elements = obj["elements"]
         elements[next(iter(elements))] = {"rows": 2}
-        elements['"++"'] = matrix_to_json_obj(EYE2)
+        elements['"++"'] = wire(matrix_to_json_obj(EYE2))
         with pytest.raises(InputError, match="not a list of outcome labels"):
             joint_povm_from_json_obj(obj)
 
@@ -479,13 +480,13 @@ class TestOneWriterCallPerDocument:
                 json.dumps(list(t), separators=(",", ":")): matrix_to_json_obj(j.elements[t]) for t in j.outcomes
             },
         }
-        assert joint_povm_from_json_obj(obj).outcomes == j.outcomes
+        assert joint_povm_from_json_obj(wire(obj)).outcomes == j.outcomes
 
     def test_dilation(self, calls):
         result = neumark_dilate(trine_povm())
         assert dilation_to_json_obj(result) == per_matrix_dilation_obj(result)
-        # the block projectors are written from shared entries, not by the writer
-        assert calls == [1]
+        # the isometry, then the dilated PVM as one document
+        assert calls == [1, 3]
 
 
 def per_matrix_dilation_obj(result) -> dict:
@@ -497,6 +498,9 @@ def per_matrix_dilation_obj(result) -> dict:
 
 
 class TestSharedProjectorEntries:
+    """Dilation documents: the bytes of one writer call per matrix, and no
+    list per entry on the way."""
+
     @pytest.mark.parametrize("dim, outcomes", [(2, 3), (3, 5), (4, 2)])
     def test_solver_dilations_keep_their_bytes(self, dim, outcomes):
         result = neumark_dilate(random_povm(np.random.default_rng([dim, outcomes]), dim, outcomes))

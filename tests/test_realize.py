@@ -40,8 +40,9 @@ from jmg.realize import (
     restrict_to_span,
     verify_realization,
 )
+from jmg.serialize import dumps
 
-from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask, is_projection
+from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask, is_projection, reference_dumps, wire
 
 FORK = parse_graph("3; 0-1, 0-2")
 TRIANGLE = parse_graph("3; 0-1, 0-2, 1-2")
@@ -1000,7 +1001,7 @@ class TestForkObstruction:
 class TestJsonFormats:
     def test_realization_round_trip(self):
         r = realize_rank_one(FORK)
-        back = realization_from_json_obj(realization_to_json_obj(r))
+        back = realization_from_json_obj(wire(realization_to_json_obj(r)))
         assert back.space_dim == r.space_dim
         assert back.method == r.method
         assert all(back.projections[x] == r.projections[x] for x in range(3))
@@ -1008,14 +1009,14 @@ class TestJsonFormats:
 
     def test_restricted_round_trip(self):
         rr = restrict_to_span(realize_rank_one(FORK))
-        back = realization_from_json_obj(realization_to_json_obj(rr))
+        back = realization_from_json_obj(wire(realization_to_json_obj(rr)))
         assert back.space_dim == rr.space_dim
         for x in range(3):
             assert np.allclose(back.projections[x], rr.projections[x])
 
     def test_pvm_realization_round_trip(self):
         pv = lift_to_pvms(realize_direct_sum(FORK))
-        back = pvm_realization_from_json_obj(pvm_realization_to_json_obj(pv))
+        back = pvm_realization_from_json_obj(wire(pvm_realization_to_json_obj(pv)))
         assert back.space_dim == pv.space_dim
         assert all(back.pvms[x] == pv.pvms[x] for x in range(3))
 
@@ -1028,19 +1029,19 @@ class TestJsonFormats:
         ],
     )
     def test_pvm_family_shape_rejected(self, family, message):
-        obj = pvm_realization_to_json_obj(lift_to_pvms(realize_direct_sum(FORK)))
+        obj = wire(pvm_realization_to_json_obj(lift_to_pvms(realize_direct_sum(FORK))))
         obj["pvms"][1] = family
         with pytest.raises(InputError, match=message):
             pvm_realization_from_json_obj(obj)
 
     def test_wrong_vector_length_rejected(self):
-        obj = realization_to_json_obj(realize_rank_one(parse_graph("3; 0-1")))
+        obj = wire(realization_to_json_obj(realize_rank_one(parse_graph("3; 0-1"))))
         obj["vectors"][1] = obj["vectors"][1][:-1]
         with pytest.raises(InputError, match="vertex 1: vector length 4 != space_dim 5"):
             realization_from_json_obj(obj)
 
     def test_bad_method_rejected(self):
-        obj = realization_to_json_obj(realize_direct_sum(FORK))
+        obj = wire(realization_to_json_obj(realize_direct_sum(FORK)))
         obj["method"] = "mystery"
         with pytest.raises(InputError, match="method"):
             realization_from_json_obj(obj)
@@ -1063,8 +1064,9 @@ class TestJsonFormats:
         r = Realization(parse_graph(f"{n};"), dim, METHOD_RANK_ONE, projections, vecs)
         obj = realization_to_json_obj(r)
         # each component in lowest terms, as Fraction formats it
-        assert obj["vectors"] == [[f"{c.numerator}/{c.denominator}" for c in row] for row in rows]
-        assert realization_from_json_obj(obj).vectors == vecs
+        expected = [[f"{c.numerator}/{c.denominator}" for c in row] for row in rows]
+        assert dumps(obj["vectors"]) == reference_dumps(expected)
+        assert realization_from_json_obj(wire(obj)).vectors == vecs
         gram = [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in rows] for u in rows]
         assert rank_one_gram(r).to_fractions() == gram
 

@@ -143,3 +143,15 @@ def test_every_export_is_imported_through_the_package():
         used |= _through_package(_tree(path))
     assert sorted(exports - used - set(UNIMPORTED_EXPORTS)) == []
     assert set(UNIMPORTED_EXPORTS) <= exports
+
+
+def test_matrix_wire_keys_only_in_linalg():
+    # the matrix wire format is written and read in one module: no other
+    # module spells its keys, so none builds or reads a matrix object itself
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {node.value!r}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "linalg.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and node.value in ("scalar", "entries")
+    ]
+    assert found == []
