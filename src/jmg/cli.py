@@ -35,7 +35,6 @@ from .povm import (
     hollow_triangle_report_to_json_obj,
 )
 from .realize import (
-    METHOD_RANK_ONE_RESTRICTED,
     PvmRealization,
     extend_outcomes,
     fork_obstruction,
@@ -209,6 +208,11 @@ def _parse_outcome_spec(spec: str, vertex_count: int) -> dict:
 def _cmd_realize(args) -> int:
     graph = _load_graph(args.graph_file)
     check_tol = args.tol if args.tol is not None else DEFAULT_TOL
+    # the options are checked before a construction, which can take seconds
+    if args.method == "rank-one-restricted" and (args.faithful or args.outcomes is not None):
+        flag = "--faithful" if args.faithful else "--outcomes"
+        raise InputError(f"{flag} needs an exact method (direct-sum or rank-one)")
+    counts = None if args.outcomes is None else _parse_outcome_spec(args.outcomes, graph.vertex_count)
     if args.method == "direct-sum":
         result = realize_direct_sum(graph)
     elif args.method == "rank-one":
@@ -216,13 +220,8 @@ def _cmd_realize(args) -> int:
     else:
         result = restrict_to_span(realize_rank_one(graph))
     if args.faithful:
-        if result.method == METHOD_RANK_ONE_RESTRICTED:
-            raise InputError("--faithful needs an exact method (direct-sum or rank-one)")
         result = make_faithful(result)
-    if args.outcomes is not None:
-        if result.method == METHOD_RANK_ONE_RESTRICTED:
-            raise InputError("--outcomes needs an exact method (direct-sum or rank-one)")
-        counts = _parse_outcome_spec(args.outcomes, graph.vertex_count)
+    if counts is not None:
         result = extend_outcomes(result, counts)
     report = verify_realization(graph, result, check_tol)
     if isinstance(result, PvmRealization):

@@ -286,8 +286,9 @@ def _as_fraction(x) -> Fraction:
 
 
 # Integer products are exact in float64 while every partial sum stays below
-# this bound.
+# this bound, and in float32 below 2^24.
 _FLOAT64_EXACT = 2**53
+_FLOAT32_EXACT = 2**24
 
 
 def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +300,11 @@ def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
     With S = max over families of sum_k w_k max|N_k| (at least max|N|) and
     B = max(dim * S^2, max(D) * max|N|), every entry and partial sum of an A,
     of a product of two As or of two Ns, and of a D N is an integer below B.
-    Both stacks are float64 when B < 2^53 (doubles hold these integers
-    exactly, so BLAS products compare exactly) and Python ints otherwise.
+    Both stacks take the narrowest type whose significand holds every integer
+    below B: float32 when B < 2^24, float64 when B < 2^53, Python ints
+    otherwise.  Each sum of integer products in such a type, in any order,
+    only adds integers below B, so no step rounds and BLAS products compare
+    exactly.
     """
     mats = [m for family in families for m in family]
     terms, bound = [], 0  # (w_k, max|N_k|) per element, by family
@@ -309,8 +313,8 @@ def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
         terms.append([((k + 1) * (lcm // m._den), _max_abs(m._num)) for k, m in enumerate(family)])
         bound = max(bound, sum(w * peak for w, peak in terms[-1]))
     big = max((peak for family in terms for _, peak in family), default=0)
-    exact = max(dim * bound * bound, max((m._den for m in mats), default=1) * big) < _FLOAT64_EXACT
-    dtype = np.float64 if exact else object
+    b = max(dim * bound * bound, max((m._den for m in mats), default=1) * big)
+    dtype = np.float32 if b < _FLOAT32_EXACT else np.float64 if b < _FLOAT64_EXACT else object
     # each stack is written once, in its final dtype
     stack = np.array([m._num for m in mats], dtype=dtype).reshape(len(mats), dim, dim)
     if len(mats) == len(families):

@@ -291,10 +291,10 @@ _EXACT_COMMUTE = {True: "commutator = 0 (exact)", False: "commutator != 0 (exact
 _PVM_COMMUTE = {True: "all cross commutators = 0", False: "commutator != 0 (exact)"}
 
 
-# The projection checks take the stack in chunks of about this many entries
-# (256 KB of float64), so their temporaries stay small and cache-resident
-# whatever the size of the realization.
-_CHUNK_ENTRIES = 2**15
+# The projection checks take the stack in chunks of about this many bytes,
+# so their temporaries stay small and cache-resident whatever the size of the
+# realization and the width of its tier.
+_CHUNK_BYTES = 2**18
 
 
 def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
@@ -321,7 +321,7 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     """
     stack, ops = family_stacks(families, dim)
     dens = np.array([m.denominator for family in families for m in family], dtype=stack.dtype).reshape(-1, 1, 1)
-    step = max(1, _CHUNK_ENTRIES // max(1, dim * dim))
+    step = max(1, _CHUNK_BYTES // (stack.itemsize * max(1, dim * dim)))
     projection = []
     for i in range(0, len(stack), step):
         chunk = stack[i : i + step]

@@ -17,6 +17,9 @@ from jmg.povm import POVM, noisy_orthogonal_triple, povm_to_json_obj
 from jmg.serialize import dumps
 
 
+EXACT_ONLY = "needs an exact method (direct-sum or rank-one)"
+
+
 @pytest.fixture
 def fork_file(tmp_path):
     path = tmp_path / "fork.txt"
@@ -96,6 +99,28 @@ class TestRealize:
     def test_faithful_rejected_on_restricted(self, fork_file, capsys):
         code = main(["realize", fork_file, "--method", "rank-one-restricted", "--faithful"])
         assert code == 2
+
+    @pytest.mark.parametrize("options, message", [
+        (["--method", "rank-one-restricted", "--faithful"], f"--faithful {EXACT_ONLY}"),
+        (["--method", "rank-one-restricted", "--outcomes", "3"], f"--outcomes {EXACT_ONLY}"),
+        (["--method", "rank-one-restricted", "--faithful", "--outcomes", "3"], f"--faithful {EXACT_ONLY}"),
+        (["--outcomes", "0:3,0:4"], "--outcomes names vertex 0 twice"),
+        (["--method", "rank-one", "--outcomes", "30:3"], "--outcomes names vertex 30 outside 0..29"),
+    ], ids=["faithful", "outcomes", "both", "spec-twice", "spec-outside"])
+    def test_options_rejected_before_construction(self, tmp_path, capsys, monkeypatch, options, message):
+        # an edgeless 30-vertex graph takes a tenth of a second to realize;
+        # a bad option is reported without building anything
+        def unreachable(*args):
+            raise AssertionError("construction ran")
+
+        for name in ("realize_direct_sum", "realize_rank_one", "restrict_to_span", "make_faithful", "extend_outcomes"):
+            monkeypatch.setattr(cli, name, unreachable)
+        graph = tmp_path / "g.txt"
+        graph.write_text("30;")
+        assert main(["realize", str(graph), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_malformed_graph(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from jmg.linalg import (
     numerical_rank,
 )
 from jmg.realize import (
-    _CHUNK_ENTRIES,
+    _CHUNK_BYTES,
     METHOD_DIRECT_SUM,
     METHOD_RANK_ONE,
     METHOD_RANK_ONE_RESTRICTED,
@@ -411,6 +414,9 @@ BIG_A, BIG_B = 1_048_583, 1_048_573
 MID_A, MID_B = 11_580, 11_573
 # a^2 + b^2 is about 2^24
 WIDE_A, WIDE_B = 2897, 2903
+# a^2 + b^2 is about 2^16, so 2 * max|num|^2 is about 2^31: past float32's
+# 2^24 and below float64's 2^53
+DOUBLE_A, DOUBLE_B = 181, 179
 
 
 def wide_family() -> list:
@@ -438,10 +444,47 @@ class TestBatchedVerify:
         assert [v.pair for v in report.violations] == per_pair_violations(checked, r)
         assert report.passed == (not report.violations)
 
-    def test_constructions_take_the_float64_path(self):
+    def test_constructions_take_the_float32_path(self):
         r = realize_rank_one(FORK)
         families = [(r.projections[x],) for x in range(3)]
-        assert family_stacks(families, r.space_dim)[0].dtype == np.float64
+        assert family_stacks(families, r.space_dim)[0].dtype == np.float32
+
+    @pytest.mark.parametrize("seed", [1, 977, None], ids=["random-1", "random-977", "star"])
+    def test_benchmark_shapes_take_float32(self, seed):
+        # 16 vertices and 30 non-edges, through direct-sum and three-outcome
+        # rank-one: two random graphs, and a star that puts 15 of the
+        # non-edges at vertex 0, the largest denominator this shape allows
+        pairs = list(combinations(range(16), 2))
+        if seed is None:
+            missing = pairs[:15] + [p for p in pairs if p[0] > 0][:15]
+        else:
+            missing = [pairs[i] for i in np.random.default_rng(seed).choice(len(pairs), 30, replace=False)]
+        graph = parse_graph("16; " + ", ".join(f"{a}-{b}" for a, b in pairs if (a, b) not in missing))
+        assert len(non_edges(graph).pairs) == 30
+        ds = realize_direct_sum(graph)
+        pv = extend_outcomes(realize_rank_one(graph), {x: 3 for x in range(16)})
+        assert family_stacks([(p,) for p in ds.projections], ds.space_dim)[1].dtype == np.float32
+        assert family_stacks(pv.pvms, pv.space_dim)[1].dtype == np.float32
+        assert verify_realization(graph, ds).passed and verify_realization(graph, pv).passed
+
+    def test_float64_band_pair(self):
+        p = rank_one_projection((DOUBLE_A, DOUBLE_B))
+        q = rank_one_projection((DOUBLE_B, DOUBLE_A))
+        eye = RationalMatrix.identity(2)
+        assert family_stacks([(p,), (q,)], 2)[0].dtype == np.float64
+        assert family_stacks([(p,), (eye - p,)], 2)[0].dtype == np.float64
+        edge, empty = parse_graph("2; 0-1"), parse_graph("2;")
+        commuting = Realization(edge, 2, METHOD_RANK_ONE, [p, eye - p])
+        assert verify_realization(edge, commuting).passed
+        assert verify_realization(edge, lift_to_pvms(commuting)).passed
+        assert [(v.pair, v.observed) for v in verify_realization(empty, commuting).violations] == [
+            ((0, 1), "commutator = 0 (exact)")
+        ]
+        tilted = Realization(empty, 2, METHOD_RANK_ONE, [p, q])
+        assert verify_realization(empty, tilted).passed
+        assert [(v.pair, v.observed) for v in verify_realization(edge, tilted).violations] == [
+            ((0, 1), "commutator != 0 (exact)")
+        ]
 
     def test_big_int_fallback_commuting_pair(self):
         p = rank_one_projection((BIG_A, BIG_B))
@@ -563,16 +606,18 @@ class TestVertexOperators:
         assert len(report.violations) == 6
 
     def test_projections_checked_in_chunks(self):
-        # no edges on 8 vertices: dimension 56, so the 16 elements of the
-        # lift span two chunks of the projection check
-        empty, complete = parse_graph("8;"), graph_from_mask(8, (1 << 28) - 1)
+        # no edges on 9 vertices: dimension 72 in float32, so the 18 elements
+        # of the lift span two chunks of the projection check
+        empty, complete = parse_graph("9;"), graph_from_mask(9, (1 << 36) - 1)
         pv = lift_to_pvms(realize_direct_sum(empty))
-        assert 16 > _CHUNK_ENTRIES // pv.space_dim**2 > 1
+        stack, _ = family_stacks(pv.pvms, pv.space_dim)
+        assert stack.dtype == np.float32
+        assert 18 > _CHUNK_BYTES // stack[0].nbytes > 1
         assert verify_realization(empty, pv).passed
-        assert len(verify_realization(complete, pv).violations) == 28
+        assert len(verify_realization(complete, pv).violations) == 36
         bent = [list(family) for family in pv.pvms]
-        bent[7][1] = bent[7][1] * 2
-        with pytest.raises(InputError, match="vertex 7: element 1 is not a projection"):
+        bent[8][1] = bent[8][1] * 2
+        with pytest.raises(InputError, match="vertex 8: element 1 is not a projection"):
             verify_realization(empty, PvmRealization(empty, pv.space_dim, bent))
 
     def test_operators_are_weighted_sums(self):
@@ -580,10 +625,18 @@ class TestVertexOperators:
         ps = r.projections
         assert [p.denominator for p in ps] == [1, 2, 2]
         stack, ops = family_stacks([ps[:2], ps[2:]], r.space_dim)
-        assert ops.dtype == np.float64
+        assert ops.dtype == np.float32
         # weights (k+1) L / D_k with L = lcm(1, 2) = 2
         assert np.array_equal(ops[0], 2 * stack[0] + 2 * stack[1])
         assert np.array_equal(ops[1], stack[2])
+        # a family in the float64 band: L = D, so the weights are 1 and 2
+        p = rank_one_projection((DOUBLE_A, DOUBLE_B))
+        rest = RationalMatrix.identity(2) - p
+        assert rest.denominator == p.denominator == DOUBLE_A**2 + DOUBLE_B**2
+        stack, ops = family_stacks([[p, rest], [p]], 2)
+        assert ops.dtype == np.float64
+        assert ops[0].tolist() == (p._num + 2 * rest._num).tolist()
+        assert ops[1].tolist() == p._num.tolist()
         # one wide family puts every operator in Python ints
         wide = wide_family()
         d = wide[0].denominator
@@ -591,6 +644,115 @@ class TestVertexOperators:
         assert ops.dtype == object
         assert ops[0].tolist() == (stack[0] + 2 * stack[1] + 3 * d * stack[2]).tolist()
         assert ops[1].tolist() == stack[3].tolist()
+
+
+def reference_bound(families, dim: int) -> int:
+    """B = max(dim S^2, max D max|N|) of `family_stacks`, from the Fraction
+    entries of each element: D is the lcm of their denominators, N = D E."""
+    sums, peaks, dens = [0], [0], [1]
+    for family in families:
+        parts = []
+        for e in family:
+            fracs = [f for row in e.to_fractions() for f in row]
+            d = math.lcm(*(f.denominator for f in fracs))
+            parts.append((d, max(abs(f * d) for f in fracs)))
+        lcm = math.lcm(*(d for d, _ in parts))
+        sums.append(sum((k + 1) * (lcm // d) * peak for k, (d, peak) in enumerate(parts)))
+        peaks += [peak for _, peak in parts if peak]
+        dens += [d for d, peak in parts if peak]
+    return max(dim * max(sums) ** 2, max(dens) * max(peaks))
+
+
+def reference_tier(families, dim: int):
+    bound = reference_bound(families, dim)
+    return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else object
+
+
+def reference_fault(families, pvms: bool):
+    """The first fault `verify_realization` names, found by exact arithmetic."""
+    for x, family in enumerate(families):
+        eye = RationalMatrix.identity(family[0].rows)
+        if all(map(is_projection, family)) and (not pvms or functools.reduce(RationalMatrix.__add__, family) == eye):
+            continue
+        for i, e in enumerate(family):
+            if not is_projection(e):
+                return f"vertex {x}: element {i} is not a projection"
+            if not all((e @ f).is_zero() for f in family[i + 1 :]):
+                return f"vertex {x}: elements are not orthogonal"
+        return f"vertex {x}: elements do not sum to the identity"
+    return None
+
+
+def band_families(a: int, dim: int, pvms: bool, miss=None) -> list:
+    """Vertices 0 and 1 on u = (a, a-1) and its orthogonal v = (1-a, a) in
+    the first two coordinates, which commute, and vertex 2 on the all-ones
+    vector, which commutes with neither; each a binary PVM {p, 1-p} or its
+    projection p.  `miss` moves one integer by 1: an off-diagonal or a
+    diagonal numerator of vertex 0's projection (no longer symmetric, or no
+    longer idempotent), or a coordinate of v (vertex 1 stops commuting)."""
+    pad = [0] * (dim - 2)
+    u, v = [a, a - 1, *pad], [1 - a + (miss == "commute"), a, *pad]
+    ps = [rank_one_projection(w) for w in (u, v, [1] * dim)]
+    if miss in ("symmetry", "idempotence"):
+        num = ps[0]._num.astype(np.int64)
+        num[1 if miss == "idempotence" else 0, 1] += 1  # below the peak a^2
+        ps[0] = RationalMatrix(num, ps[0].denominator)
+    eye = RationalMatrix.identity(dim)
+    return [[p, eye - rank_one_projection(w)] if pvms else [p] for p, w in zip(ps, (u, v, [1] * dim))]
+
+
+@functools.lru_cache(maxsize=None)
+def band_edge(limit: int, dim: int, pvms: bool) -> int:
+    """The largest a whose `band_families` have B below `limit`; a + 1 has
+    B at or above it."""
+    lo, hi = 2, 2**14
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_bound(band_families(mid, dim, pvms), dim) < limit:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestTierBands:
+    """Families whose bound B lands just below or just above 2^24 and 2^53
+    take the tier B picks, and every tier gives the exact verdicts and fault
+    messages, near misses included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2**24, 2**53]),
+        st.booleans(),
+        st.integers(2, 3),
+        st.booleans(),
+        st.sampled_from([None, "symmetry", "idempotence", "commute"]),
+        st.integers(0, 7),
+    )
+    def test_bands_match_the_exact_reference(self, limit, above, dim, pvms, miss, mask):
+        a = band_edge(limit, dim, pvms) + above
+        assert (reference_bound(band_families(a, dim, pvms), dim) >= limit) == above
+        families = band_families(a, dim, pvms, miss)
+        tier = reference_tier(families, dim)
+        assert tier == reference_tier(band_families(a, dim, pvms), dim)
+        assert family_stacks(families, dim)[0].dtype == tier
+        built = parse_graph("3; 0-1")
+        if pvms:
+            r = PvmRealization(built, dim, families)
+        else:
+            r = Realization(built, dim, METHOD_RANK_ONE, [p for p, in families])
+        fault = reference_fault(families, pvms)
+        assert (fault is None) == (miss in (None, "commute"))
+        for graph in (built, graph_from_mask(3, mask)):
+            if fault:
+                with pytest.raises(InputError) as caught:
+                    verify_realization(graph, r)
+                assert str(caught.value) == fault
+                continue
+            report = verify_realization(graph, r)
+            assert [v.pair for v in report.violations] == per_pair_violations(graph, r)
+        if fault is None:
+            assert per_pair_violations(built, r) == ([(0, 1)] if miss else [])
 
 
 # a^2 + b^2 is about 2^67, so these numerators are Python integers
@@ -619,14 +781,19 @@ class TestPvmSumCheck:
         with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
             verify_realization(g, PvmRealization(g, 3, [family]))
 
-    @pytest.mark.parametrize("scale", [1, HUGE_A], ids=["float64", "python-int"])
-    def test_zero_elements_and_sums(self, scale):
+    @pytest.mark.parametrize(
+        "scale, tier",
+        [(1, np.float32), (1000, np.float64), (HUGE_A, object)],
+        ids=["float32", "float64", "python-int"],
+    )
+    def test_zero_elements_and_sums(self, scale, tier):
         # a zero element adds nothing to a family's sum; the sum alone decides
-        # a family of projections, in either arithmetic tier
+        # a family of projections, in every arithmetic tier
         p = rank_one_projection((scale, 1, 0))
         eye, zero = RationalMatrix.identity(3), RationalMatrix.zeros(3, 3)
         g = parse_graph("2; 0-1")
         good = PvmRealization(g, 3, [[zero, p, eye - p, zero], [eye, zero]])
+        assert family_stacks(good.pvms, 3)[0].dtype == tier
         assert verify_realization(g, good).passed
         short = PvmRealization(g, 3, [[zero, p, eye - p - rank_one_projection((0, 0, 1))], [eye]])
         with pytest.raises(InputError, match="vertex 0: elements do not sum to the identity"):
