@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -293,8 +294,97 @@ _PVM_COMMUTE = {True: "all cross commutators = 0", False: "commutator != 0 (exac
 
 # The projection checks take the stack in chunks of about this many bytes,
 # so their temporaries stay small and cache-resident whatever the size of the
-# realization and the width of its tier.
-_CHUNK_BYTES = 2**18
+# realization and the width of its tier.  A chunk on a block of scattered
+# coordinates is a copy, one temporary more than a view.
+_CHUNK_BYTES = 2**17
+
+# A verify whose dense work is below this many multiply-adds runs on the
+# whole space as one block: finding the blocks would cost about as much as
+# it saves.
+_ONE_BLOCK_WORK = 2**22
+
+# The most multiply-adds one verify may count.  On a 2-vCPU host a
+# 40-vertex rank-one realization with 390 non-edges (dimension 430) counts
+# 6.5e10 and verifies in 0.94 s in float32; Python-int verifies run far
+# slower per multiply-add.
+MAX_VERIFY_WORK = 2**36
+
+
+def _check_work(work: int) -> None:
+    """Reject a verify of `work` multiply-adds before its first product."""
+    if work > MAX_VERIFY_WORK:
+        raise InputError(f"verification would take {work} multiply-adds, more than {MAX_VERIFY_WORK}")
+
+
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """The least coordinate of each coordinate's connected component in the
+    symmetric boolean `pattern`: each round takes the least label among the
+    neighbours, then the label of that label, until no label moves."""
+    dim = len(pattern)
+    labels = np.arange(dim)
+    while True:
+        moved = np.minimum(np.where(pattern, labels, dim).min(axis=1, initial=dim), labels)
+        moved = moved[moved]
+        if np.array_equal(moved, labels):
+            return labels
+        labels = moved
+
+
+def _restrict(a: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The (k, d, d) stack `a` on the K blocks of size b of `coords`, as a
+    (k, K, b, b) stack: a view when they are one run of coordinates."""
+    blocks, b = coords.shape
+    first = int(coords[0, 0]) if b else 0
+    if blocks == 1 and np.array_equal(coords[0], np.arange(first, first + b)):
+        return a[:, None, first : first + b, first : first + b]
+    return a[:, coords[:, :, None], coords[:, None, :]]
+
+
+def _common_blocks(stack: np.ndarray, ops: np.ndarray) -> tuple[list, int]:
+    """The blocks a verify runs on, grouped by size, and the multiply-adds
+    it will take.  Each group of K blocks of size b is (coordinates,
+    operators, active): the coordinates of its blocks as a (K, b) array, the
+    n family operators on them as an (n, K, b, b) stack, and whether each
+    operator is not a multiple of the identity there (n, K).
+
+    The blocks are the connected components of the union of the elements'
+    nonzero patterns, so every element, and every operator, is block
+    diagonal on them.  On a block of size b each element's checks cost b^3,
+    and so does the product of each pair of families active there; the
+    whole space as one block, with every family active, costs
+    (m + n(n-1)/2) dim^3.  That is taken when it is small, or when the
+    blocks would not cut it."""
+    m, n, dim = len(stack), len(ops), stack.shape[-1]
+    dense = (m + n * (n - 1) // 2) * dim**3
+    whole = [(np.arange(dim)[None], ops[:, None], np.ones((n, 1), dtype=bool))]
+    if dense < _ONE_BLOCK_WORK:
+        return whole, dense
+    pattern = np.zeros((dim, dim), dtype=bool)
+    step = max(1, _CHUNK_BYTES // (dim * dim))
+    for i in range(0, m, step):
+        pattern |= (stack[i : i + step] != 0).any(axis=0)
+    pattern |= pattern.T
+    labels = _components(pattern)
+    # the coordinates by block, each block in order, blocks by least coordinate
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    if len(starts) == 1:
+        return whole, dense
+    sizes = np.diff(starts, append=dim)
+    groups, work = [], 0
+    for b in sorted(set(sizes.tolist())):
+        coords = order[starts[sizes == b, None] + np.arange(b)]
+        operators = _restrict(ops, coords)
+        # a multiple of the identity has a constant diagonal, and no more
+        # nonzero entries than its diagonal has
+        diagonal = operators[..., np.arange(b), np.arange(b)]
+        active = (diagonal != diagonal[..., :1]).any(axis=2)
+        xs, ks = np.nonzero(~active)
+        active[xs, ks] = np.count_nonzero(operators[xs, ks], axis=(1, 2)) > np.count_nonzero(diagonal[xs, ks], axis=1)
+        counts = active.sum(axis=0)
+        work += int((m + counts * (counts - 1) // 2).sum()) * b**3
+        groups.append((coords, operators, active))
+    return (groups, work) if work < dense else (whole, dense)
 
 
 def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
@@ -318,48 +408,87 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     as A_y A_x = (A_x A_y)^T.  `family_stacks` builds the numerators and the
     operators in one arithmetic tier, under one bound, which also bounds the
     identity sums.
+
+    The projection checks and the pair products run on the blocks of
+    `_common_blocks`: a block diagonal matrix is a projection, or a
+    symmetric product, exactly when each of its blocks is, and a family
+    whose operator is a multiple of the identity on a block commutes with
+    every family there.  Equal-size blocks share each product call.
     """
+    if not families:
+        return {}
     stack, ops = family_stacks(families, dim)
-    dens = np.array([m.denominator for family in families for m in family], dtype=stack.dtype).reshape(-1, 1, 1)
-    step = max(1, _CHUNK_BYTES // (stack.itemsize * max(1, dim * dim)))
-    projection = []
-    for i in range(0, len(stack), step):
-        chunk = stack[i : i + step]
-        projection += (
-            (chunk == chunk.transpose(0, 2, 1)).all(axis=(1, 2))
-            & (np.matmul(chunk, chunk) == dens[i : i + step] * chunk).all(axis=(1, 2))
-        ).tolist()
+    groups, work = _common_blocks(stack, ops)
+    _check_work(work)
+    m, n = len(stack), len(families)
+    dens = np.array([e.denominator for family in families for e in family], dtype=stack.dtype).reshape(-1, 1, 1, 1)
+    sound = np.ones(m, dtype=bool)
+    for coords, operators, _ in groups:
+        # the elements on the blocks, taken a chunk at a time, as a block of
+        # scattered coordinates is a copy
+        step = max(1, _CHUNK_BYTES // (stack.itemsize * max(1, coords.size * coords.shape[1])))
+        for i in range(0, m, step):
+            chunk = operators[i : i + step] if ops is stack else _restrict(stack[i : i + step], coords)
+            sound[i : i + step] &= (chunk == chunk.swapaxes(2, 3)).all(axis=(1, 2, 3)) & (
+                np.matmul(chunk, chunk) == dens[i : i + step] * chunk
+            ).all(axis=(1, 2, 3))
+    projection = sound.tolist()
+    if ops is not stack:
+        # a family is sound when all its elements are
+        firsts = np.cumsum([0] + [len(family) for family in families[:-1]])
+        sound = np.logical_and.reduceat(sound, firsts)
     if pvms:
-        flat = stack.reshape(len(stack), dim * dim)
+        # the identity sums, with weight 0 for a zero element (a projection
+        # of trace 0), as in `family_stacks`, whose bound covers the rest;
+        # on the whole space, as they cost m dim^2 multiply-adds, no more
+        # than building the stack did
+        flat = stack.reshape(m, dim * dim)
         eye = np.eye(dim, dtype=stack.dtype).ravel()
         nonzero = np.trace(stack, axis1=1, axis2=2).astype(bool).tolist()
-    start = 0
-    for x, family in enumerate(families):
-        end = start + len(family)
-        sound = all(projection[start:end])
-        if sound and pvms:
-            # the identity sum, with weight 0 for a zero element (a projection
-            # of trace 0), as in `family_stacks`, whose bound covers the rest
-            lcm = math.lcm(*(m.denominator for m in family))
-            weights = [lcm // m.denominator if nz else 0 for m, nz in zip(family, nonzero[start:end])]
-            sound = bool((np.array(weights, dtype=stack.dtype) @ flat[start:end] == lcm * eye).all())
-        if not sound:
-            # the first fault, in the order of the checks
-            for i in range(start, end):
-                if not projection[i]:
-                    raise InputError(f"vertex {x}: element {i - start} is not a projection")
-                # N_i N_j for the family's j > i
-                if i + 1 < end and np.matmul(stack[i], stack[i + 1 : end]).any():
-                    raise InputError(f"vertex {x}: elements are not orthogonal")
-            raise InputError(f"vertex {x}: elements do not sum to the identity")
-        start = end
-    n = len(families)
-    commutes = {}
-    for x in range(n - 1):
-        prod = np.matmul(ops[x], ops[x + 1 :])  # A_x A_y for every y > x
-        verdicts = (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2)).tolist()
-        commutes.update(zip([(x, y) for y in range(x + 1, n)], verdicts))
-    return commutes
+        start = 0
+        for x, family in enumerate(families):
+            end = start + len(family)
+            if sound[x]:
+                lcm = math.lcm(*(e.denominator for e in family))
+                weights = [lcm // e.denominator if nz else 0 for e, nz in zip(family, nonzero[start:end])]
+                sound[x] = (np.array(weights, dtype=stack.dtype) @ flat[start:end] == lcm * eye).all()
+            start = end
+    if not sound.all():
+        # the first fault, in the order of the checks
+        x = int(np.argmin(sound))
+        start = sum(map(len, families[:x]))
+        end = start + len(families[x])
+        for i in range(start, end):
+            if not projection[i]:
+                raise InputError(f"vertex {x}: element {i - start} is not a projection")
+            # N_i N_j for the family's j > i, block by block
+            blocks = (_restrict(stack[i:end], coords) for coords, _, _ in groups)
+            if i + 1 < end and any(np.matmul(b[0], b[1:]).any() for b in blocks):
+                raise InputError(f"vertex {x}: elements are not orthogonal")
+        raise InputError(f"vertex {x}: elements do not sum to the identity")
+    # the verdict of each pair x < y, the pairs in order: (x, y) is at
+    # offset(x) + y - x - 1, offset(x) = x (2n - x - 1) / 2
+    commutes = np.ones(n * (n - 1) // 2, dtype=bool)
+    for _, operators, active in groups:
+        if not active.any():
+            continue
+        if operators.shape[1] == 1:
+            # one block: A_x A_y for every y > x among the families active on it
+            live = np.flatnonzero(active[:, 0])
+            live_ops = operators[:, 0] if len(live) == n else operators[live, 0]
+            for i, x in enumerate(live[:-1].tolist()):
+                prod = np.matmul(live_ops[i], live_ops[i + 1 :])
+                at = x * (2 * n - x - 1) // 2 - x - 1
+                ys = slice(at + x + 1, at + n) if len(live) == n else at + live[i + 1 :]
+                commutes[ys] &= (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))
+            continue
+        for x in range(n - 1):
+            # A_x A_y on each block of the group where both are active
+            ys, ks = np.nonzero(active[x + 1 :] & active[x])
+            if len(ys):
+                prod = np.matmul(operators[x, ks], operators[x + 1 + ys, ks])
+                commutes[x * (2 * n - x - 1) // 2 + ys[~(prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))]] = False
+    return dict(zip(combinations(range(n), 2), commutes.tolist()))
 
 
 def _float_commutator_norms(ops: list, tol: float) -> dict:
@@ -380,7 +509,9 @@ def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> V
     """Check that every operator is a projection (exactly, or within tol for
     float matrices) and every PVM family is orthogonal and sums to 1, raising
     InputError if not; then report commute-iff-edge over all vertex pairs.
-    Shapes and scalar regimes were checked when the realization was built."""
+    Raises InputError before the first product if the check would take more
+    than MAX_VERIFY_WORK multiply-adds.  Shapes and scalar regimes were
+    checked when the realization was built."""
     tolerance(tol)
     r = realization
     if r.graph.vertex_count != graph.vertex_count:
@@ -396,11 +527,13 @@ def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> V
             for pair, commutes in _exact_commutation(families, r.space_dim, pvms).items()
         }
     else:
+        n = len(r.projections)
+        _check_work(n * (n - 1) // 2 * r.space_dim**3)
         norms = _float_commutator_norms(r.projections, tol)
         checked = {pair: (norm <= tol, f"commutator norm {norm:.3e}") for pair, norm in norms.items()}
     violations = []
     for (x, y), (commutes, observed) in checked.items():
-        expected = graph.adjacent(x, y)
+        expected = (x, y) in graph.edges  # x < y, both vertices of `graph`
         if commutes != expected:
             violations.append(Violation((x, y), "commute" if expected else "non-commute", observed))
     return VerificationReport(not violations, violations)

@@ -167,6 +167,20 @@ class TestRealize:
         assert captured.err == f"error: {message} exceed 8388608 matrix entries\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, work", [
+        ([], (3 + 3) * 2**3),
+        (["--method", "rank-one-restricted"], 3 * 3**3),
+    ], ids=["direct-sum", "rank-one-restricted"])
+    def test_verify_work_guard(self, fork_file, tmp_path, capsys, monkeypatch, args, work):
+        # the verify inside realize counts its multiply-adds before its first product
+        monkeypatch.setattr(jmg.realize, "MAX_VERIFY_WORK", work - 1)
+        out = tmp_path / "r.json"
+        assert main(["realize", fork_file, *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verification would take {work} multiply-adds, more than {work - 1}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("options, builder", [
         ([], "realization_to_json_obj"),
         (["--method", "rank-one"], "realization_to_json_obj"),
@@ -232,6 +246,16 @@ class TestVerify:
         other = tmp_path / "other.txt"
         other.write_text("4;")
         assert main(["verify", str(other), str(out)]) == 2
+
+    def test_work_guard(self, fork_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "real.json"
+        main(["realize", fork_file, "--out", str(out)])
+        capsys.readouterr()
+        monkeypatch.setattr(jmg.realize, "MAX_VERIFY_WORK", 47)  # the fork's direct sum counts 48
+        assert main(["verify", fork_file, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verification would take 48 multiply-adds, more than 47\n"
 
     def test_pvm_realization_file(self, fork_file, tmp_path, capsys):
         out = tmp_path / "pvms.json"

@@ -10,6 +10,7 @@ from jmg.errors import InputError
 from jmg.linalg import (
     RationalMatrix,
     _as_fraction,
+    _normalize,
     commutator,
     direct_sum,
     ldlt,
@@ -211,6 +212,58 @@ class TestToNdarray:
 
 SUM_AT_2_62 = RationalMatrix(np.array([[2**61, 1], [2**61, 2]], dtype=np.int64))
 PRODUCT_AT_2_62 = RationalMatrix(np.array([[2**31, 0], [2**31, 1]], dtype=np.int64))
+
+
+def reference_normalize(stack: np.ndarray, dens: list) -> tuple[list, list]:
+    """Each matrix over its denominator divided by the gcd of all its entries
+    and the denominator, in Python integers; a zero matrix gets denominator 1."""
+    nums, out = [], []
+    for m, d in zip(stack, dens):
+        g = math.gcd(*map(int, m.flat))
+        q = math.gcd(g, d) if g else 1
+        nums.append([[int(v) // q for v in row] for row in m.tolist()])
+        out.append(d // q if g else 1)
+    return nums, out
+
+
+@st.composite
+def normalize_stacks(draw):
+    """A stack of 0-4 matrices of 0-3 rows and columns, some zero, with
+    denominators; entries past 2^62 put it in Python ints, and a shared
+    factor f divides every diagonal entry and the denominator, so only the
+    full reduction decides the divisor."""
+    k, rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    wide = draw(st.booleans())
+    entry = st.one_of(st.integers(-12, 12), st.integers(-12, 12).map(lambda v: v * 2**62)) if wide else st.integers(-12, 12)
+    stack = np.array(draw(st.lists(st.lists(entry, min_size=rows * cols, max_size=rows * cols), min_size=k, max_size=k)),
+                     dtype=object if wide else np.int64).reshape(k, rows, cols)
+    dens = draw(st.lists(st.integers(1, 36), min_size=k, max_size=k))
+    for i in range(k):
+        choice = draw(st.sampled_from(["free", "zero", "shared"]))
+        if choice == "zero":
+            stack[i] = 0
+        elif choice == "shared":
+            f = draw(st.integers(2, 6))
+            for j in range(min(rows, cols)):
+                stack[i, j, j] *= f
+            dens[i] *= f
+    return stack, dens
+
+
+class TestNormalize:
+    @settings(max_examples=100, deadline=None)
+    @given(normalize_stacks())
+    @example((np.array([[[2, 0], [0, 0]]], dtype=np.int64), [2]))  # the direct-sum pin
+    @example((np.zeros((2, 2, 3), dtype=np.int64), [4, 1]))
+    def test_matches_the_full_reduction(self, case):
+        stack, dens = case
+        nums, got = _normalize(stack.copy(), list(dens))
+        want_nums, want = reference_normalize(stack, dens)
+        assert got == want
+        assert [m.tolist() for m in nums] == want_nums
+        for m, values in zip(nums, want_nums):
+            peak = max((abs(v) for row in values for v in row), default=0)
+            assert m.dtype == (np.int64 if peak < 2**62 else object)
 
 
 class TestStorageRule:

@@ -607,18 +607,22 @@ class TestVertexOperators:
 
     def test_projections_checked_in_chunks(self):
         # no edges on 9 vertices: dimension 72 in float32, so the 18 elements
-        # of the lift span two chunks of the projection check
+        # of the lift span several chunks of the projection check on the
+        # whole space; on its 36 blocks of size 2 they fit in one
         empty, complete = parse_graph("9;"), graph_from_mask(9, (1 << 36) - 1)
         pv = lift_to_pvms(realize_direct_sum(empty))
         stack, _ = family_stacks(pv.pvms, pv.space_dim)
         assert stack.dtype == np.float32
         assert 18 > _CHUNK_BYTES // stack[0].nbytes > 1
-        assert verify_realization(empty, pv).passed
-        assert len(verify_realization(complete, pv).violations) == 36
         bent = [list(family) for family in pv.pvms]
         bent[8][1] = bent[8][1] * 2
-        with pytest.raises(InputError, match="vertex 8: element 1 is not a projection"):
-            verify_realization(empty, PvmRealization(empty, pv.space_dim, bent))
+        for one_block_work in (2**62, realize._ONE_BLOCK_WORK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(realize, "_ONE_BLOCK_WORK", one_block_work)
+                assert verify_realization(empty, pv).passed
+                assert len(verify_realization(complete, pv).violations) == 36
+                with pytest.raises(InputError, match="vertex 8: element 1 is not a projection"):
+                    verify_realization(empty, PvmRealization(empty, pv.space_dim, bent))
 
     def test_operators_are_weighted_sums(self):
         r = realize_rank_one(FORK)
@@ -753,6 +757,203 @@ class TestTierBands:
             assert [v.pair for v in report.violations] == per_pair_violations(graph, r)
         if fault is None:
             assert per_pair_violations(built, r) == ([(0, 1)] if miss else [])
+
+
+# the vector (a, b) whose projection puts a realization in each arithmetic
+# tier: the last is the 2^41 pair of the Python-int fallback tests
+TIER_PAIRS = {np.float32: (2, 1), np.float64: (DOUBLE_A, DOUBLE_B), object: (BIG_A, BIG_B)}
+
+
+def verify_outcome(graph, r, one_block_work: int):
+    """What `verify_realization` reports, with the one-block case taken below
+    `one_block_work` multiply-adds: the violations, or the fault it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_ONE_BLOCK_WORK", one_block_work)
+        try:
+            report = verify_realization(graph, r)
+        except InputError as exc:
+            return str(exc)
+    return [(v.pair, v.expected, v.observed) for v in report.violations]
+
+
+@st.composite
+def block_realizations(draw):
+    """A realization of 2-4 vertices on a direct sum of two to four 2x2 and
+    1x1 blocks, the first 2x2 and in the arithmetic tier drawn, with at most
+    one near miss; and a graph on the same vertices to verify it against.
+
+    On a 2x2 block one vertex gets the projection onto (a, b), and another
+    either its complement (they commute) or the projection onto (b, a)
+    (they do not); on a 1x1 block some vertices get 1.  The near misses:
+    one numerator off by one in a 2x2 block, an entry off the diagonal at a
+    1x1 block, a projection that bridges two blocks, and for sharp
+    observables elements that are not orthogonal or do not sum to 1."""
+    tier = draw(st.sampled_from(sorted(TIER_PAIRS, key=str)))
+    a, b = TIER_PAIRS[tier]
+    n = draw(st.integers(2, 4))
+    kinds = ["pair"] + draw(st.lists(st.sampled_from(["pair", "single"]), min_size=1, max_size=3))
+    dim = sum(2 if kind == "pair" else 1 for kind in kinds)
+    grids = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(n)]
+    at, singles = 0, []
+    for kind in kinds:
+        if kind == "single":
+            for x in range(n):
+                grids[x][at][at] = Fraction(draw(st.integers(0, 1)))
+            singles.append(at)
+            at += 1
+            continue
+        x, y = draw(st.permutations(range(n)))[:2]
+        complement = draw(st.booleans())
+        u, v = (a, b), (b, a)
+        for i in range(2):
+            for j in range(2):
+                p_ij = Fraction(u[i] * u[j], a * a + b * b)
+                grids[x][at + i][at + j] = p_ij
+                grids[y][at + i][at + j] = (i == j) - p_ij if complement else Fraction(v[i] * v[j], a * a + b * b)
+        at += 2
+    pvms = draw(st.booleans())
+    misses = [None, "entry", "bridge"] + (["off-diagonal"] if singles else [])
+    if pvms:
+        misses += ["orthogonal"] + (["sum"] if singles else [])
+    miss = draw(st.sampled_from(misses))
+    x = draw(st.integers(0, n - 1))
+    if miss == "bridge":
+        s, t = 0, dim - 1  # the first block and the last
+        grids[x] = [[Fraction(i in (s, t) and j in (s, t), 2) for j in range(dim)] for i in range(dim)]
+    projections = [RationalMatrix.from_rows(grid) for grid in grids]
+    if miss == "entry":
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        num = projections[x]._num.astype(object)
+        num[i, j] += 1
+        projections[x] = RationalMatrix(num.astype(projections[x]._num.dtype), projections[x].denominator)
+    if miss == "off-diagonal":
+        s = draw(st.sampled_from(singles))
+        t = draw(st.sampled_from([c for c in range(dim) if c != s]))
+        projections[x] = projections[x] + RationalMatrix.outer([int(c == s) for c in range(dim)],
+                                                               [int(c == t) for c in range(dim)])
+    eye = RationalMatrix.identity(dim)
+    graph = graph_from_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    if not pvms:
+        return tier, graph, Realization(graph, dim, METHOD_RANK_ONE, projections)
+    families = [[p, eye - p] for p in projections]
+    if miss == "orthogonal":
+        families[x] = [families[x][0], families[x][0], families[x][1]]
+    if miss == "sum":
+        s = draw(st.sampled_from(singles))
+        unit = RationalMatrix.outer(*[[int(c == s) for c in range(dim)]] * 2)
+        p, rest = families[x]
+        families[x] = [p - unit, rest] if p.entry(s, s) else [p, rest - unit]
+    return tier, graph, PvmRealization(graph, dim, families)
+
+
+def one_block(found, m: int, n: int, dim: int) -> bool:
+    """Whether `_common_blocks` found the whole space as the one block, with
+    every family active on it, at the dense count."""
+    (coords, operators, active), = found[0]
+    return (coords.tolist() == [list(range(dim))] and operators.shape == (n, 1, dim, dim)
+            and active.tolist() == [[True]] * n and found[1] == (m + n * (n - 1) // 2) * dim**3)
+
+
+class TestCommonBlocks:
+    """Verify on the common blocks of the elements gives the verdicts and the
+    fault messages of the one-block case."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(block_realizations())
+    def test_blocks_match_the_one_block_case(self, case):
+        tier, graph, r = case
+        families = r.pvms if isinstance(r, PvmRealization) else [(p,) for p in r.projections]
+        assert family_stacks(families, r.space_dim)[0].dtype == tier
+        blocked = verify_outcome(graph, r, 0)
+        assert blocked == verify_outcome(graph, r, 2**62)
+        if isinstance(blocked, list):
+            assert [pair for pair, _, _ in blocked] == per_pair_violations(graph, r)
+
+    def test_blocks_are_components_of_the_union(self):
+        # coordinates 0 and 3 share an element, 1 and 2 another, 4 is alone
+        dim = 5
+        p = RationalMatrix.outer(*[[1, 0, 0, 1, 0]] * 2, 2)
+        q = RationalMatrix.outer(*[[0, 1, 1, 0, 0]] * 2, 2)
+        stack, ops = family_stacks([(p,), (q,)], dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(realize, "_ONE_BLOCK_WORK", 0)
+            groups, work = realize._common_blocks(stack, ops)
+        assert [coords.tolist() for coords, _, _ in groups] == [[[4]], [[0, 3], [1, 2]]]
+        # p and q are their own operators
+        assert [operators.tolist() for _, operators, _ in groups] == [
+            [[[[0]]], [[[0]]]],
+            [[[[1, 1], [1, 1]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[1, 1], [1, 1]]]],
+        ]
+        assert [active.tolist() for _, _, active in groups] == [[[False], [False]], [[True, False], [False, True]]]
+        # both elements on each of the three blocks, and no active pair
+        assert work == 2 * 1**3 + 2 * 2 * 2**3
+        # below the one-block bound the whole space is one block, dense
+        assert one_block(realize._common_blocks(stack, ops), 2, 2, dim)
+
+    def test_one_block_kept_when_blocks_cut_nothing(self):
+        r = realize_rank_one(TRIANGLE)  # diagonal: three blocks of size 1
+        stack, ops = family_stacks([(p,) for p in r.projections], 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(realize, "_ONE_BLOCK_WORK", 0)
+            assert realize._common_blocks(stack, ops)[1] == 3 * 3
+            tilt = rank_one_projection((1, 1, 1))
+            stack, ops = family_stacks([(tilt,), (tilt,)], 3)
+            assert one_block(realize._common_blocks(stack, ops), 2, 2, 3)
+
+
+def graph_with_non_edges(n: int, count: int, seed: int = 1):
+    """A seeded graph on n vertices with `count` non-edges."""
+    pairs = list(combinations(range(n), 2))
+    missing = {pairs[i] for i in np.random.default_rng(seed).choice(len(pairs), count, replace=False)}
+    return parse_graph(f"{n}; " + ", ".join(f"{a}-{b}" for a, b in pairs if (a, b) not in missing))
+
+
+def direct_sum_26() -> Realization:
+    """The direct sum of a 26-vertex graph with 284 non-edges: dimension 568,
+    8,388,224 entries, just under the size guard."""
+    return realize_direct_sum(graph_with_non_edges(26, 284))
+
+
+class TestVerifyAtScale:
+    """Realizations whose dense verify took about a second, with the work
+    their blocks count."""
+
+    def test_direct_sum_26_vertices(self):
+        # dimension 568: 284 blocks of size 2, each with the 26 elements and
+        # the one active pair of its non-edge
+        r = direct_sum_26()
+        stack, ops = family_stacks([(p,) for p in r.projections], r.space_dim)
+        groups, work = realize._common_blocks(stack, ops)
+        assert [operators.shape for _, operators, _ in groups] == [(26, 284, 2, 2)]
+        assert work == 284 * (26 + 1) * 2**3
+        assert verify_realization(r.graph, r).passed
+
+    def test_complete_rank_one_120_vertices(self):
+        # diagonal projections: 120 blocks of size 1, and no active pair
+        g = graph_with_non_edges(120, 0)
+        r = realize_rank_one(g)
+        stack, ops = family_stacks([(p,) for p in r.projections], r.space_dim)
+        groups, work = realize._common_blocks(stack, ops)
+        assert [operators.shape for _, operators, _ in groups] == [(120, 120, 1, 1)]
+        assert work == 120 * 120
+        assert verify_realization(g, r).passed
+
+
+class TestVerifyWorkGuard:
+    # the bound admits exactly the work a verify counts
+    @pytest.mark.parametrize("build, work", [
+        (lambda: realize_rank_one(FORK), (3 + 3) * 4**3),
+        (lambda: lift_to_pvms(realize_direct_sum(EDGE)), (6 + 3) * 4**3),
+        (lambda: restrict_to_span(realize_rank_one(FORK)), 3 * 3**3),
+        (direct_sum_26, 284 * (26 + 1) * 2**3),
+    ], ids=["exact", "pvm", "restricted", "blocks"])
+    def test_bound_is_inclusive(self, monkeypatch, build, work):
+        r = build()
+        monkeypatch.setattr(realize, "MAX_VERIFY_WORK", work)
+        assert verify_realization(r.graph, r).passed
+        monkeypatch.setattr(realize, "MAX_VERIFY_WORK", work - 1)
+        with pytest.raises(InputError, match=f"verification would take {work} multiply-adds, more than {work - 1}"):
+            verify_realization(r.graph, r)
 
 
 # a^2 + b^2 is about 2^67, so these numerators are Python integers
