@@ -226,26 +226,20 @@ def _normalize(num: np.ndarray, dens: list) -> tuple[list, list]:
     one storage rule; a zero matrix gets denominator 1.  That divisor divides
     the gcd of the diagonal and the denominator, so a matrix for which that
     is 1, such as a rank-one projection or its complement, is already
-    reduced, and only the others take the gcd of all their entries: each in
-    its own pass, or the whole stack in one pass when they are most of it,
-    as in a stack read over one common denominator.  The division is made in
-    place, so `num` must belong to the caller.  The numerators returned are
-    views of one array, so they share no memory with each other, but may
-    with `num`."""
-    k = len(num)
-    if k == 0:
+    reduced, and only the others take the gcd of all their entries.  The
+    division is made in place, so `num` must belong to the caller.  The
+    numerators returned are views of one array, so they share no memory with
+    each other, but may with `num`."""
+    if len(num) == 0:
         return [], []
     diagonal_gcds = np.gcd.reduce(np.diagonal(num, axis1=1, axis2=2), axis=1).tolist()
-    open_ = [i for i, (g, d) in enumerate(zip(diagonal_gcds, dens)) if math.gcd(g, d) != 1]
-    if 2 * len(open_) > k:
-        open_ = range(k)
-        entry_gcds = np.gcd.reduce(num.reshape(k, -1), axis=1).tolist()
-    else:
-        entry_gcds = [int(np.gcd.reduce(num[i], axis=None)) for i in open_]
     dens = list(dens)
-    for i, g in zip(open_, entry_gcds):
+    for i, g in enumerate(diagonal_gcds):
+        if math.gcd(g, dens[i]) == 1:
+            continue
         # a zero matrix keeps divisor 1 (its numerators stay 0) and gets den
         # 1; otherwise the divisor is at most max|num|, so it fits num's dtype
+        g = int(np.gcd.reduce(num[i], axis=None))
         q = math.gcd(g, dens[i]) if g else 1
         dens[i] = dens[i] // q if g else 1
         if q > 1:

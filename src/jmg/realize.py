@@ -292,10 +292,11 @@ _EXACT_COMMUTE = {True: "commutator = 0 (exact)", False: "commutator != 0 (exact
 _PVM_COMMUTE = {True: "all cross commutators = 0", False: "commutator != 0 (exact)"}
 
 
-# The projection checks take the stack in chunks of about this many bytes,
-# so their temporaries stay small and cache-resident whatever the size of the
-# realization and the width of its tier.  A chunk on a block of scattered
-# coordinates is a copy, one temporary more than a view.
+# The projection checks and the pair products take their operands in chunks
+# of about this many bytes, so their temporaries stay small and
+# cache-resident whatever the size of the realization and the width of its
+# tier.  A chunk on a block of scattered coordinates is a copy, one
+# temporary more than a view.
 _CHUNK_BYTES = 2**17
 
 # A verify whose dense work is below this many multiply-adds runs on the
@@ -303,39 +304,57 @@ _CHUNK_BYTES = 2**17
 # it saves.
 _ONE_BLOCK_WORK = 2**22
 
-# The most multiply-adds one verify may count.  On a 2-vCPU host a
-# 40-vertex rank-one realization with 390 non-edges (dimension 430) counts
-# 6.5e10 and verifies in 0.94 s in float32; Python-int verifies run far
-# slower per multiply-add.
+# The most multiply-adds one verify may count, at float32 cost: one in
+# float64 counts 2, one in complex128 (the float check) 8, and one in
+# Python integers 2^12.  Against float32 they took 2.1, 7.6 and 5,000-5,800
+# times as long on a 2-vCPU host with one BLAS thread.  A 40-vertex rank-one
+# realization with 390 non-edges (dimension 430) counts 6.5e10 in float32
+# and verifies in 0.8-1.1 s there.
 MAX_VERIFY_WORK = 2**36
+_COST = {np.dtype(np.float32): 1, np.dtype(np.float64): 2, np.dtype(np.complex128): 8, np.dtype(object): 2**12}
 
 
-def _check_work(work: int) -> None:
-    """Reject a verify of `work` multiply-adds before its first product."""
+def _check_work(work: int, dtype) -> None:
+    """Reject a verify of `work` multiply-adds in `dtype` before its first
+    product."""
+    work *= _COST[np.dtype(dtype)]
     if work > MAX_VERIFY_WORK:
-        raise InputError(f"verification would take {work} multiply-adds, more than {MAX_VERIFY_WORK}")
+        raise InputError(
+            f"verification would take {work} multiply-adds at float32 cost, more than {MAX_VERIFY_WORK}"
+        )
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
+def _components(pattern: np.ndarray) -> np.ndarray | None:
     """The least coordinate of each coordinate's connected component in the
-    symmetric boolean `pattern`: each round takes the least label among the
-    neighbours, then the label of that label, until no label moves."""
+    symmetric boolean `pattern`, or None if the search has not settled in
+    2 log2(dim) + 2 rounds.  The labels form a forest of stars: each round
+    hooks the root of each star to the least root among its coordinates'
+    neighbours, if that is below it, then points every coordinate at its
+    root, so the rounds stay few even on a long path whose coordinates run
+    away from its least one.  Each round costs O(dim^2)."""
     dim = len(pattern)
     labels = np.arange(dim)
-    while True:
-        moved = np.minimum(np.where(pattern, labels, dim).min(axis=1, initial=dim), labels)
-        moved = moved[moved]
-        if np.array_equal(moved, labels):
-            return labels
-        labels = moved
+    for _ in range(2 * dim.bit_length() + 2):
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels, np.where(pattern, labels, dim).min(axis=1, initial=dim))
+        jumped = hooked[hooked]
+        while (jumped != hooked).any():
+            hooked, jumped = jumped, jumped[jumped]
+        # one star is the whole space, whatever the next round would find
+        if not hooked.any() or (hooked == labels).all():
+            return hooked
+        labels = hooked
+    return None
 
 
 def _restrict(a: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The (k, d, d) stack `a` on the K blocks of size b of `coords`, as a
     (k, K, b, b) stack: a view when they are one run of coordinates."""
     blocks, b = coords.shape
-    first = int(coords[0, 0]) if b else 0
-    if blocks == 1 and np.array_equal(coords[0], np.arange(first, first + b)):
+    # each block's coordinates increase, so one block is a run when its last
+    # is b - 1 past its first
+    if blocks == 1 and (b == 0 or coords[0, -1] - coords[0, 0] == b - 1):
+        first = int(coords[0, 0]) if b else 0
         return a[:, None, first : first + b, first : first + b]
     return a[:, coords[:, :, None], coords[:, None, :]]
 
@@ -353,7 +372,9 @@ def _common_blocks(stack: np.ndarray, ops: np.ndarray) -> tuple[list, int]:
     and so does the product of each pair of families active there; the
     whole space as one block, with every family active, costs
     (m + n(n-1)/2) dim^3.  That is taken when it is small, or when the
-    blocks would not cut it."""
+    blocks would not cut it, or when `_components` does not settle.  The
+    search costs m dim^2 for the pattern and at most O(dim^2 log dim) for
+    its components, less than one dense product."""
     m, n, dim = len(stack), len(ops), stack.shape[-1]
     dense = (m + n * (n - 1) // 2) * dim**3
     whole = [(np.arange(dim)[None], ops[:, None], np.ones((n, 1), dtype=bool))]
@@ -365,6 +386,8 @@ def _common_blocks(stack: np.ndarray, ops: np.ndarray) -> tuple[list, int]:
         pattern |= (stack[i : i + step] != 0).any(axis=0)
     pattern |= pattern.T
     labels = _components(pattern)
+    if labels is None:
+        return whole, dense
     # the coordinates by block, each block in order, blocks by least coordinate
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
@@ -374,7 +397,8 @@ def _common_blocks(stack: np.ndarray, ops: np.ndarray) -> tuple[list, int]:
     groups, work = [], 0
     for b in sorted(set(sizes.tolist())):
         coords = order[starts[sizes == b, None] + np.arange(b)]
-        operators = _restrict(ops, coords)
+        # contiguous, as the pair products gather from it
+        operators = np.ascontiguousarray(_restrict(ops, coords))
         # a multiple of the identity has a constant diagonal, and no more
         # nonzero entries than its diagonal has
         diagonal = operators[..., np.arange(b), np.arange(b)]
@@ -413,81 +437,72 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     `_common_blocks`: a block diagonal matrix is a projection, or a
     symmetric product, exactly when each of its blocks is, and a family
     whose operator is a multiple of the identity on a block commutes with
-    every family there.  Equal-size blocks share each product call.
+    every family there.  The pair products run on every (x, y, block) of a
+    group where both families are active, a chunk at a time, so equal-size
+    blocks share each product call.
     """
     if not families:
         return {}
     stack, ops = family_stacks(families, dim)
     groups, work = _common_blocks(stack, ops)
-    _check_work(work)
+    _check_work(work, stack.dtype)
     m, n = len(stack), len(families)
     dens = np.array([e.denominator for family in families for e in family], dtype=stack.dtype).reshape(-1, 1, 1, 1)
-    sound = np.ones(m, dtype=bool)
+    projection = np.ones(m, dtype=bool)
     for coords, operators, _ in groups:
         # the elements on the blocks, taken a chunk at a time, as a block of
         # scattered coordinates is a copy
         step = max(1, _CHUNK_BYTES // (stack.itemsize * max(1, coords.size * coords.shape[1])))
         for i in range(0, m, step):
             chunk = operators[i : i + step] if ops is stack else _restrict(stack[i : i + step], coords)
-            sound[i : i + step] &= (chunk == chunk.swapaxes(2, 3)).all(axis=(1, 2, 3)) & (
+            projection[i : i + step] &= (chunk == chunk.swapaxes(2, 3)).all(axis=(1, 2, 3)) & (
                 np.matmul(chunk, chunk) == dens[i : i + step] * chunk
             ).all(axis=(1, 2, 3))
-    projection = sound.tolist()
-    if ops is not stack:
-        # a family is sound when all its elements are
-        firsts = np.cumsum([0] + [len(family) for family in families[:-1]])
-        sound = np.logical_and.reduceat(sound, firsts)
+    projection = projection.tolist()
     if pvms:
-        # the identity sums, with weight 0 for a zero element (a projection
-        # of trace 0), as in `family_stacks`, whose bound covers the rest;
-        # on the whole space, as they cost m dim^2 multiply-adds, no more
-        # than building the stack did
         flat = stack.reshape(m, dim * dim)
         eye = np.eye(dim, dtype=stack.dtype).ravel()
         nonzero = np.trace(stack, axis1=1, axis2=2).astype(bool).tolist()
-        start = 0
-        for x, family in enumerate(families):
-            end = start + len(family)
-            if sound[x]:
-                lcm = math.lcm(*(e.denominator for e in family))
-                weights = [lcm // e.denominator if nz else 0 for e, nz in zip(family, nonzero[start:end])]
-                sound[x] = (np.array(weights, dtype=stack.dtype) @ flat[start:end] == lcm * eye).all()
-            start = end
-    if not sound.all():
-        # the first fault, in the order of the checks
-        x = int(np.argmin(sound))
-        start = sum(map(len, families[:x]))
-        end = start + len(families[x])
-        for i in range(start, end):
-            if not projection[i]:
-                raise InputError(f"vertex {x}: element {i - start} is not a projection")
-            # N_i N_j for the family's j > i, block by block
-            blocks = (_restrict(stack[i:end], coords) for coords, _, _ in groups)
-            if i + 1 < end and any(np.matmul(b[0], b[1:]).any() for b in blocks):
-                raise InputError(f"vertex {x}: elements are not orthogonal")
-        raise InputError(f"vertex {x}: elements do not sum to the identity")
+    start = 0
+    for x, family in enumerate(families):
+        end = start + len(family)
+        sound = all(projection[start:end])
+        if sound and pvms:
+            # the identity sum, with weight 0 for a zero element (a projection
+            # of trace 0), as in `family_stacks`, whose bound covers the rest;
+            # on the whole space, as it costs dim^2 multiply-adds an element,
+            # no more than building the stack did
+            lcm = math.lcm(*(e.denominator for e in family))
+            weights = [lcm // e.denominator if nz else 0 for e, nz in zip(family, nonzero[start:end])]
+            sound = bool((np.array(weights, dtype=stack.dtype) @ flat[start:end] == lcm * eye).all())
+        if not sound:
+            # the first fault, in the order of the checks
+            for i in range(start, end):
+                if not projection[i]:
+                    raise InputError(f"vertex {x}: element {i - start} is not a projection")
+                # N_i N_j for the family's j > i, block by block
+                blocks = (_restrict(stack[i:end], coords) for coords, _, _ in groups)
+                if i + 1 < end and any(np.matmul(b[0], b[1:]).any() for b in blocks):
+                    raise InputError(f"vertex {x}: elements are not orthogonal")
+            raise InputError(f"vertex {x}: elements do not sum to the identity")
+        start = end
     # the verdict of each pair x < y, the pairs in order: (x, y) is at
     # offset(x) + y - x - 1, offset(x) = x (2n - x - 1) / 2
     commutes = np.ones(n * (n - 1) // 2, dtype=bool)
+    upper = ~np.tri(n, dtype=bool)[..., None]  # x < y
     for _, operators, active in groups:
-        if not active.any():
-            continue
-        if operators.shape[1] == 1:
-            # one block: A_x A_y for every y > x among the families active on it
-            live = np.flatnonzero(active[:, 0])
-            live_ops = operators[:, 0] if len(live) == n else operators[live, 0]
-            for i, x in enumerate(live[:-1].tolist()):
-                prod = np.matmul(live_ops[i], live_ops[i + 1 :])
-                at = x * (2 * n - x - 1) // 2 - x - 1
-                ys = slice(at + x + 1, at + n) if len(live) == n else at + live[i + 1 :]
-                commutes[ys] &= (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))
-            continue
-        for x in range(n - 1):
-            # A_x A_y on each block of the group where both are active
-            ys, ks = np.nonzero(active[x + 1 :] & active[x])
-            if len(ys):
-                prod = np.matmul(operators[x, ks], operators[x + 1 + ys, ks])
-                commutes[x * (2 * n - x - 1) // 2 + ys[~(prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))]] = False
+        # A_x A_y on each block k of the group where both are active, the
+        # (x, y, k) taken a chunk at a time; only blocks with two active
+        # families have any
+        live = np.flatnonzero(active.sum(axis=0) > 1)
+        xs, ys, ks = np.nonzero(upper & active[:, None, live] & active[:, live])
+        ks = live[ks]
+        pairs = xs * (2 * n - xs - 1) // 2 + ys - xs - 1
+        step = max(1, _CHUNK_BYTES // (stack.itemsize * operators.shape[-1] ** 2))
+        for i in range(0, len(pairs), step):
+            at = slice(i, i + step)
+            prod = np.matmul(operators[xs[at], ks[at]], operators[ys[at], ks[at]])
+            commutes[pairs[at][~(prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))]] = False
     return dict(zip(combinations(range(n), 2), commutes.tolist()))
 
 
@@ -528,7 +543,7 @@ def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> V
         }
     else:
         n = len(r.projections)
-        _check_work(n * (n - 1) // 2 * r.space_dim**3)
+        _check_work(n * (n - 1) * r.space_dim**3, np.complex128)  # two products a pair
         norms = _float_commutator_norms(r.projections, tol)
         checked = {pair: (norm <= tol, f"commutator norm {norm:.3e}") for pair, norm in norms.items()}
     violations = []

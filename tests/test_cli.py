@@ -169,16 +169,18 @@ class TestRealize:
 
     @pytest.mark.parametrize("args, work", [
         ([], (3 + 3) * 2**3),
-        (["--method", "rank-one-restricted"], 3 * 3**3),
+        (["--method", "rank-one-restricted"], 3 * 2 * 3**3 * 8),
     ], ids=["direct-sum", "rank-one-restricted"])
     def test_verify_work_guard(self, fork_file, tmp_path, capsys, monkeypatch, args, work):
-        # the verify inside realize counts its multiply-adds before its first product
+        # the verify inside realize counts its multiply-adds before its first
+        # product: float32 for the direct sum, two complex products a pair at
+        # 8 each for the float check
         monkeypatch.setattr(jmg.realize, "MAX_VERIFY_WORK", work - 1)
         out = tmp_path / "r.json"
         assert main(["realize", fork_file, *args, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: verification would take {work} multiply-adds, more than {work - 1}\n"
+        assert captured.err == f"error: verification would take {work} multiply-adds at float32 cost, more than {work - 1}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("options, builder", [
@@ -255,7 +257,7 @@ class TestVerify:
         assert main(["verify", fork_file, str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: verification would take 48 multiply-adds, more than 47\n"
+        assert captured.err == "error: verification would take 48 multiply-adds at float32 cost, more than 47\n"
 
     def test_pvm_realization_file(self, fork_file, tmp_path, capsys):
         out = tmp_path / "pvms.json"

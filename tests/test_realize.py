@@ -890,6 +890,24 @@ class TestCommonBlocks:
         # below the one-block bound the whole space is one block, dense
         assert one_block(realize._common_blocks(stack, ops), 2, 2, dim)
 
+    def test_components_of_a_path_away_from_its_least_coordinate(self):
+        # the path 0 - (d-1) - (d-2) - ... - 1: a search that moves each
+        # label one step a round takes d rounds; this one settles in a few
+        dim = 1024
+        path = [0, *range(dim - 1, 0, -1)]
+        pattern = np.eye(dim, dtype=bool)
+        pattern[path[:-1], path[1:]] = pattern[path[1:], path[:-1]] = True
+        assert realize._components(pattern).tolist() == [0] * dim
+        # split after its first 100 coordinates, it is two components
+        pattern[path[99], path[100]] = pattern[path[100], path[99]] = False
+        labels = np.where(np.isin(np.arange(dim), path[:100]), 0, min(path[100:]))
+        assert realize._components(pattern).tolist() == labels.tolist()
+        # as one element of a one-family stack, it is one block
+        element = pattern.astype(np.float32)
+        element[path[99], path[100]] = element[path[100], path[99]] = 1
+        stack = element[None]
+        assert one_block(realize._common_blocks(stack, stack), 1, 1, dim)
+
     def test_one_block_kept_when_blocks_cut_nothing(self):
         r = realize_rank_one(TRIANGLE)  # diagonal: three blocks of size 1
         stack, ops = family_stacks([(p,) for p in r.projections], 3)
@@ -939,20 +957,31 @@ class TestVerifyAtScale:
         assert verify_realization(g, r).passed
 
 
+def tier_pair(a: int, b: int) -> Realization:
+    """The two projections onto (a, b) and onto (b, a), on the empty graph."""
+    empty = parse_graph("2;")
+    return Realization(empty, 2, METHOD_RANK_ONE, [rank_one_projection((a, b)), rank_one_projection((b, a))])
+
+
 class TestVerifyWorkGuard:
-    # the bound admits exactly the work a verify counts
+    # the bound admits exactly the work a verify counts, at float32 cost:
+    # a float64 multiply-add counts 2, a Python-int one 2^12, and the float
+    # check takes two complex products a pair, at 8 each
     @pytest.mark.parametrize("build, work", [
         (lambda: realize_rank_one(FORK), (3 + 3) * 4**3),
         (lambda: lift_to_pvms(realize_direct_sum(EDGE)), (6 + 3) * 4**3),
-        (lambda: restrict_to_span(realize_rank_one(FORK)), 3 * 3**3),
+        (lambda: restrict_to_span(realize_rank_one(FORK)), 3 * 2 * 3**3 * 8),
         (direct_sum_26, 284 * (26 + 1) * 2**3),
-    ], ids=["exact", "pvm", "restricted", "blocks"])
+        (lambda: tier_pair(DOUBLE_A, DOUBLE_B), (2 + 1) * 2**3 * 2),
+        (lambda: tier_pair(MID_A, MID_B), (2 + 1) * 2**3 * 2**12),
+    ], ids=["exact", "pvm", "restricted", "blocks", "float64", "python-int"])
     def test_bound_is_inclusive(self, monkeypatch, build, work):
         r = build()
         monkeypatch.setattr(realize, "MAX_VERIFY_WORK", work)
         assert verify_realization(r.graph, r).passed
         monkeypatch.setattr(realize, "MAX_VERIFY_WORK", work - 1)
-        with pytest.raises(InputError, match=f"verification would take {work} multiply-adds, more than {work - 1}"):
+        message = f"verification would take {work} multiply-adds at float32 cost, more than {work - 1}"
+        with pytest.raises(InputError, match=message):
             verify_realization(r.graph, r)
 
 
