@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .errors import InputError, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, parse_graph
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, lift_entries
 from .povm import (
     DEFAULT_DILATION_TOL,
     DEFAULT_MAX_ITER,
@@ -119,7 +119,16 @@ def _read_text(path: str) -> str:
 
 
 def _parse_json(text: str, path: str):
+    """The JSON document `text`; its compact entries lists of strings are
+    read as `Raw`s of their text (see `linalg.lift_entries`)."""
+    skeleton, lists = lift_entries(text)
     try:
+        if lists:
+            raws = iter(lists)
+            try:
+                return json.loads(skeleton, parse_constant=lambda _: next(raws))
+            except ValueError:
+                pass  # `text` is invalid as well, and its own parse says where
         return json.loads(text)
     except ValueError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc

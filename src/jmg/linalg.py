@@ -11,10 +11,11 @@ threads.
 
 from __future__ import annotations
 
+import json
 import math
-from bisect import bisect_right
+import re
 from fractions import Fraction
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class RationalMatrix:
         if grid.dtype == np.int64:
             num, den = grid.copy(), 1
         else:
-            num, den = _rational_entries(grid.tolist(), grid.shape[1])
+            num, den = _rational_entries(grid.tolist())
             num = num.reshape(grid.shape)
         m = self._reduced(num, den * _as_fraction(denominator))
         self._num, self._den = m._num, m._den
@@ -101,7 +102,7 @@ class RationalMatrix:
         if len(ncols) > 1:
             raise InputError("ragged rows")
         width = ncols.pop() if rows else 0
-        num, den = _rational_entries(rows, width)
+        num, den = _rational_entries(rows)
         return cls._reduced(num.reshape(len(rows), width), den)
 
     @classmethod
@@ -117,7 +118,7 @@ class RationalMatrix:
         """Outer product of vectors of the literals `from_rows` accepts,
         divided by the literal `denominator`."""
         u, v = list(u), list(v)
-        (nu, du), (nv, dv) = _rational_entries([u], len(u)), _rational_entries([v], len(v))
+        (nu, du), (nv, dv) = _rational_entries([u]), _rational_entries([v])
         return cls._reduced(np.outer(nu.astype(object), nv.astype(object)), du * dv * _as_fraction(denominator))
 
     # -- structure ---------------------------------------------------------
@@ -314,16 +315,26 @@ def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
     exactly.
     """
     mats = [m for family in families for m in family]
+    nums = [m._num for m in mats]
+    # every element's max|N_k| in one reduction over the float32 stack, which
+    # is exact while each is below 2^24; the stack is kept in that tier
+    stack = None
+    if all(n.dtype == np.int64 for n in nums):
+        stack = np.array(nums, dtype=np.float32).reshape(len(mats), dim, dim)
+        peaks = np.abs(stack).max(axis=(1, 2), initial=0).astype(np.int64).tolist()
+    if stack is None or max(peaks, default=0) >= _FLOAT32_EXACT:
+        peaks = list(map(_max_abs, nums))
+    peaks = iter(peaks)
     terms, bound = [], 0  # (w_k, max|N_k|) per element, by family
     for family in families:
         lcm = math.lcm(*(m._den for m in family))
-        terms.append([((k + 1) * (lcm // m._den), _max_abs(m._num)) for k, m in enumerate(family)])
+        terms.append([((k + 1) * (lcm // m._den), next(peaks)) for k, m in enumerate(family)])
         bound = max(bound, sum(w * peak for w, peak in terms[-1]))
     big = max((peak for family in terms for _, peak in family), default=0)
     b = max(dim * bound * bound, max((m._den for m in mats), default=1) * big)
     dtype = np.float32 if b < _FLOAT32_EXACT else np.float64 if b < _FLOAT64_EXACT else object
-    # each stack is written once, in its final dtype
-    stack = np.array([m._num for m in mats], dtype=dtype).reshape(len(mats), dim, dim)
+    if stack is None or dtype is not np.float32:
+        stack = np.array(nums, dtype=dtype).reshape(len(mats), dim, dim)
     if len(mats) == len(families):
         return stack, stack
     ops = np.zeros((len(families), dim, dim), dtype=dtype)
@@ -555,58 +566,89 @@ def matrices_to_json_obj(mats) -> list:
     return objs
 
 
-def _rational_entries(chunks: list, width: int) -> tuple[np.ndarray, int]:
-    """Flat integer numerators of the literal lists `chunks`, in order, over
-    one common denominator.  Each chunk is a run of whole rows of `width`
-    literals.
-
-    Rows are pooled first, keyed by their literals joined with NUL: the join
-    proves every literal a string, and within one width equal keys are equal
-    rows unless a literal holds a NUL, which no valid literal does.  The keys
-    come from one iterator over the chunks, and no row is kept: a list of
-    row tuples sets off garbage-collector passes that cost about as much as
-    the row pool saves.  Then the literals of the distinct rows, sliced from
-    their chunks, are pooled, and each distinct literal is parsed once by
-    `_as_fraction`.  Both pools keep order of first appearance, so the
-    accepted set is exactly `_as_fraction`'s and a bad literal is reported
-    at its first occurrence.  Chunks holding a non-string literal skip the
-    row pool; their str and int literals are still pooled (1, 1.0 and True
-    are equal keys but not equal literals), and any other literal is parsed
-    where it stands.
-    """
-    size = sum(map(len, chunks))
-    rows = size // width if width else 0
-    slots = _Slots()
-    try:
-        keys = map("\x00".join, zip(*[chain.from_iterable(chunks)] * width))
-        row_index = np.fromiter(map(slots.__getitem__, keys), dtype=np.intp, count=rows)
-    except TypeError:  # a non-string literal
-        row_index, poolable = None, set(map(type, chain.from_iterable(chunks))) <= {str, int}
-    else:
-        poolable = True
-    distinct = chunks
-    if row_index is not None and len(slots) < rows:
-        # the first occurrence of each row, in order of first appearance,
-        # sliced from its chunk
-        starts = list(accumulate((len(c) // width for c in chunks), initial=0))
-        distinct = []
-        for i in np.unique(row_index, return_index=True)[1].tolist():
-            k = bisect_right(starts, i) - 1
-            at = (i - starts[k]) * width
-            distinct.append(chunks[k][at : at + width])
-    if poolable:
-        pool = _Slots()
-        index = np.fromiter(map(pool.__getitem__, chain.from_iterable(distinct)), dtype=np.intp,
-                            count=sum(map(len, distinct)))
-        literals = list(pool)
-    else:
-        literals, index = list(chain.from_iterable(chunks)), np.arange(size)
-    values = [_as_fraction(x) for x in literals]
+def _numerators(values: list, index) -> tuple[np.ndarray, int]:
+    """The numerators of the Fractions `values` over their common
+    denominator, taken at `index` (all of them, in order, for None)."""
     den = math.lcm(*(f.denominator for f in values))
-    num = _store(_ints(f.numerator * (den // f.denominator) for f in values))[index]
-    if distinct is not chunks:
-        num = num.reshape(len(distinct), width)[row_index].ravel()
-    return num, den
+    num = _store(_ints(f.numerator * (den // f.denominator) for f in values))
+    return (num if index is None else num[index]), den
+
+
+def _rational_entries(chunks: list) -> tuple[np.ndarray, int]:
+    """Flat integer numerators of the literal lists `chunks`, in order, over
+    one common denominator.
+
+    The literals are pooled when every one is a `str` or an `int` (1, 1.0
+    and True are equal keys but not equal literals), in order of first
+    appearance, and each distinct literal is parsed once by `_as_fraction`,
+    so a bad literal is reported at its first occurrence; any other input is
+    parsed literal by literal.
+    """
+    literals = list(chain.from_iterable(chunks))
+    index = None
+    if set(map(type, literals)) <= {str, int}:
+        pool = _Slots()
+        index = np.fromiter(map(pool.__getitem__, literals), dtype=np.intp, count=len(literals))
+        literals = list(pool)
+    return _numerators([_as_fraction(x) for x in literals], index)
+
+
+# A literal the text path takes: `_as_fraction` reads it, and in quotes it
+# is a JSON string that reads back as itself.
+_PLAIN_LITERAL = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def _text_rows(text: str, rows: int, cols: int) -> list | None:
+    """The rows of the JSON list `text` of rows * cols > 0 entries, each as
+    the text of its cols items joined by `,`, when `text` is ASCII and holds
+    exactly rows * cols - 1 commas; None otherwise."""
+    size = rows * cols
+    if not size or not text.isascii() or text[:1] != "[" or text[-1:] != "]":
+        return None
+    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(","))
+    if len(commas) != size - 1:
+        return None
+    # each row lies between the `[` or a row-ending comma and the next
+    # row-ending comma or the `]`
+    bounds = [0, *commas[cols - 1 :: cols].tolist(), len(text) - 1]
+    return [text[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _text_entries(rows: list, width: int) -> tuple[np.ndarray, int] | None:
+    """`_rational_entries` of rows given as their texts, each with width - 1
+    commas (`_text_rows`), or None unless every row is quoted
+    `_PLAIN_LITERAL`s joined by `,`, which then number `width`.
+
+    Rows are pooled by their text, so only the distinct rows are split into
+    literals; those are pooled in turn and each distinct one is parsed once.
+    Both pools keep order of first appearance, so the literals are parsed in
+    the order `_rational_entries` parses them and a bad one is the same."""
+    slots = _Slots()
+    row_index = np.fromiter(map(slots.__getitem__, rows), dtype=np.intp, count=len(rows))
+    pool = _Slots()
+    index = []
+    for row in slots:
+        if row[:1] != '"' or row[-1:] != '"':
+            return None
+        index += map(pool.__getitem__, row[1:-1].split('","'))
+    literals = list(pool)
+    if not all(map(_PLAIN_LITERAL.fullmatch, literals)):
+        return None
+    num, den = _numerators([_as_fraction(x) for x in literals], np.array(index, dtype=np.intp))
+    return num.reshape(len(slots), width)[row_index].ravel(), den
+
+
+def _entry_list(entries, rows: int, cols: int) -> list:
+    """`entries` as the list of a rows x cols matrix's entries; a `Raw` is
+    read from its JSON text."""
+    if isinstance(entries, Raw):
+        try:
+            entries = json.loads(entries.text)
+        except ValueError as exc:
+            raise InputError(f"matrix entries are not valid JSON ({exc})") from exc
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
+    return entries
 
 
 def _complex_matrix(entries: list, rows: int, cols: int) -> np.ndarray:
@@ -626,21 +668,32 @@ def _complex_matrix(entries: list, rows: int, cols: int) -> np.ndarray:
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
+# An empty matrix's other dimension is bounded by no entry count.  Up to this
+# bound any stack of the matrices a document can hold stays far below
+# NumPy's limit on an array's size.
+_MAX_DIM = 2**31 - 1
+
+
 def matrices_from_json_obj(objs: list) -> list:
-    """Matrices of wire objects.  Each object's structure is checked in
-    order; then each run of consecutive rational matrices of one width is
-    parsed by one `_rational_entries` call, row by row in file order, and
-    each run of consecutive matrices of one shape is normalized together."""
+    """Matrices of wire objects, whose entries are a list or a `Raw` of its
+    JSON text.  Each object's structure is checked in order; then each run
+    of consecutive rational matrices of one width is parsed in one pass, and
+    each run of consecutive matrices of one shape is normalized together.
+    A run whose entries are all `Raw`s is parsed from their text by
+    `_text_entries`, and any other by `_rational_entries`."""
     out: list = []
     rational = []
     for obj in objs:
         rows, cols, scalar, entries = fields(obj, "matrix", "rows", "cols", "scalar", "entries")
         count(rows, "matrix rows", 0)
         count(cols, "matrix cols", 0)
-        if not isinstance(entries, list) or len(entries) != rows * cols:
-            raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
+        texts = _text_rows(entries.text, rows, cols) if isinstance(entries, Raw) and scalar == "rational" else None
+        if texts is None:
+            entries = _entry_list(entries, rows, cols)
+        if max(rows, cols) > _MAX_DIM:
+            raise InputError(f"matrix shape {rows}x{cols}: rows and cols must be at most {_MAX_DIM}")
         if scalar == "rational":
-            rational.append((len(out), rows, cols, entries))
+            rational.append((len(out), rows, cols, entries, texts))
             out.append(None)
         elif scalar == "complex":
             out.append(_complex_matrix(entries, rows, cols))
@@ -648,7 +701,12 @@ def matrices_from_json_obj(objs: list) -> list:
             raise InputError(f"unknown scalar regime {scalar!r}")
     for cols, run in groupby(rational, key=lambda r: r[2]):
         run = list(run)
-        num, den = _rational_entries([r[3] for r in run], cols)
+        parsed = None
+        if all(r[4] is not None for r in run):
+            parsed = _text_entries([row for r in run for row in r[4]], cols)
+        if parsed is None:
+            parsed = _rational_entries([_entry_list(entries, rows, cols) for _, rows, cols, entries, _ in run])
+        num, den = parsed
         at = 0
         # consecutive matrices of one shape are one slice of `num`
         for rows, same in groupby(run, key=lambda r: r[1]):
@@ -658,3 +716,74 @@ def matrices_from_json_obj(objs: list) -> list:
                 out[i] = m
             at = end
     return out
+
+
+# A compact entries list of strings opens with this; `"entries":[` spells the
+# key of the matrix wire format.
+_ENTRIES_LIST = '"entries":["'
+
+
+# `_string_items` checks its text a block at a time: temporaries of this
+# size stay in cache, where ones the size of a file's lists are fresh pages
+# on every call and cost several times the arithmetic.
+_BLOCK = 1 << 16
+
+
+def _string_items(text: str) -> bool:
+    """Whether `text` is one or more `"…"` items joined by `,`, each ASCII
+    with no quote, comma, backslash or control character inside: the body
+    of a JSON list of strings that json.loads reads back as written."""
+    if len(text) < 2 or text[0] != '"' or text[-1] != '"' or not text.isascii() or "\\" in text:
+        return False
+    # with a comma added on each side, every item's opening quote has a
+    # comma on its left only and its closing quote one on its right only,
+    # and every comma of `text` sits between a closing and an opening quote
+    b = np.frombuffer(f",{text},".encode("ascii"), dtype=np.uint8)
+    if b.min() < 32:
+        return False
+    for at in range(1, len(b) - 1, _BLOCK):
+        w = b[at - 1 : at + _BLOCK + 1]
+        quote, comma = w == ord('"'), w == ord(",")
+        if (quote[1:-1] & (comma[:-2] == comma[2:])).any() or (comma[1:-1] > (quote[:-2] & quote[2:])).any():
+            return False
+    return True
+
+
+def lift_entries(text: str) -> tuple[str, list]:
+    """`text` with each compact entries list of strings cut out and the
+    constant `NaN` in its place, and the lists cut, in document order, as
+    `Raw`s of their text; `(text, [])` when none is cut or the rest of
+    `text` already holds `NaN` or `Infinity`.
+
+    A list is cut when `"entries":[` follows `{` or `,` and its body, up to
+    the first `]`, passes `_string_items`.  Such a list is a complete JSON
+    value, so the cut text is valid JSON exactly when `text` is: where `text`
+    is valid the list is an object's value, and `NaN` is one too; where it
+    holds the list anywhere else (after a key inside a list, or with its
+    opening quote closing a string) both texts fail at the same point
+    before it.  json.loads of the cut text, with each `NaN` read as its
+    list, is therefore json.loads of `text` with those lists as `Raw`s.
+    """
+    spans, at = [], text.find(_ENTRIES_LIST)
+    while at > 0:
+        if text[at - 1] not in "{,":
+            at = text.find(_ENTRIES_LIST, at + 1)
+            continue
+        start = at + len(_ENTRIES_LIST) - 2  # the list's `[`
+        end = text.find("]", start) + 1
+        if not end:
+            break
+        spans.append((start, end))
+        at = text.find(_ENTRIES_LIST, end)
+    # the bodies are checked as one text: joined by `,`, they pass exactly
+    # when each of them does
+    if spans and not _string_items(",".join([text[s + 1 : e - 1] for s, e in spans])):
+        spans = [(s, e) for s, e in spans if _string_items(text[s + 1 : e - 1])]
+    if not spans:
+        return text, []
+    # the text around the cut lists
+    starts, ends = zip(*spans)
+    gaps = [text[e:s] for e, s in zip((0, *ends), (*starts, len(text)))]
+    if any("NaN" in gap or "Infinity" in gap for gap in gaps):
+        return text, []
+    return "NaN".join(gaps), [Raw(text[s:e]) for s, e in spans]

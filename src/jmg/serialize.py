@@ -17,8 +17,9 @@ from .errors import InputError
 @dataclass(frozen=True, slots=True)
 class Raw:
     """JSON text that `dumps` writes as it stands.  The matrix writer
-    (`linalg.matrices_to_json_obj`) hands its entries over this way, so a
-    wire object holding one is for `dumps`, not for a reader; stdlib
+    (`linalg.matrices_to_json_obj`) hands its entries over this way, and the
+    CLI's reader (`linalg.lift_entries`) hands compact entries lists of a
+    file over this way to the matrix reader, which takes either; stdlib
     `json.dumps` raises TypeError on it rather than quoting it."""
 
     text: str

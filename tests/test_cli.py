@@ -660,6 +660,24 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("wide", [10**12, 2**70])
+    @pytest.mark.parametrize("wide_rows", [False, True])
+    @pytest.mark.parametrize("method", ["direct-sum", "rank-one-restricted"])
+    def test_verify_empty_wide_matrix_is_input_error(self, fork_file, tmp_path, capsys, wide, wide_rows, method):
+        # a matrix with no entries bounds neither dimension by its entry
+        # count: 0 x 10^12 ran out of memory and 0 x 2^70 overflowed NumPy
+        path = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--method", method, "--out", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        shape = (wide, 0) if wide_rows else (0, wide)
+        payload["projections"][0].update(rows=shape[0], cols=shape[1], entries=[])
+        path.write_text(json.dumps(payload))
+        assert main(["verify", fork_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: matrix shape {shape[0]}x{shape[1]}: rows and cols must be at most {2**31 - 1}\n"
+
     @pytest.mark.parametrize("pair", [[None, 0], ["1", True], [0, True]])
     def test_complex_parts_must_be_numbers(self, tmp_path, capsys, pair):
         povm = noisy_orthogonal_triple(0.4)[0]

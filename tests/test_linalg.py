@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from jmg.linalg import (
     numerical_rank,
     psd_sqrt,
 )
-from jmg.serialize import dumps
+from jmg.serialize import Raw, dumps
 
 from helpers import is_projection, matrix_from_json_obj, matrix_to_json_obj, reference_dumps, wire
 
@@ -977,11 +978,19 @@ def literal_by_literal(objs):
 
 
 def row_pooled(objs):
-    try:
-        mats = matrices_from_json_obj(objs)
-    except InputError as exc:
-        return str(exc)
-    return [(m.rows, m.cols, [x for row in m.to_fractions() for x in row]) for m in mats]
+    """What the reader makes of `objs`, the same whether their entries are
+    lists or `Raw`s of their compact text, where the rows are pooled."""
+    as_text = [{**o, "entries": Raw(json.dumps(o["entries"], separators=(",", ":")))} for o in objs]
+    out = []
+    for doc in (objs, as_text):
+        try:
+            mats = matrices_from_json_obj(doc)
+        except InputError as exc:
+            out.append(str(exc))
+        else:
+            out.append([(m.rows, m.cols, [x for row in m.to_fractions() for x in row]) for m in mats])
+    assert out[0] == out[1]
+    return out[0]
 
 
 class TestRowPooling:
@@ -994,7 +1003,7 @@ class TestRowPooling:
 
     @pytest.mark.parametrize("nul_first", [False, True])
     def test_nul_literal_is_no_row_of_another_width(self, nul_first):
-        # "1\x000" is the NUL-joined key of the row ["1", "0"]
+        # "1\x000" joins the row ["1", "0"] with NUL, as row keys once did
         wide = {"rows": 1, "cols": 2, "scalar": "rational", "entries": ["1", "0"]}
         narrow = {"rows": 1, "cols": 1, "scalar": "rational", "entries": ["1\x000"]}
         objs = [narrow, wide] if nul_first else [wide, narrow]

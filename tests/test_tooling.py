@@ -155,3 +155,50 @@ def test_matrix_wire_keys_only_in_linalg():
         if isinstance(node, ast.Constant) and node.value in ("scalar", "entries")
     ]
     assert found == []
+
+
+# Every call of json.loads or json.load in the package, by the function that
+# makes it.  Only the CLI's reader parses a whole document, so every file the
+# CLI reads goes through the lift of its entries lists and through the one
+# `json.loads` the benchmark traces as serialize.loads.
+JSON_LOADS = {
+    ("cli.py", "_parse_json"): "every document the CLI reads",
+    ("linalg.py", "_entry_list"): "one matrix's entries, held as a Raw of their text",
+    ("povm/model.py", "joint_povm_from_json_obj"): "one joint outcome key",
+}
+
+
+# json's readers of a text: referring to one, even without calling it, counts
+JSON_READERS = ("load", "loads", "JSONDecoder", "decoder")
+
+
+def _json_readers(tree: ast.Module) -> set:
+    """The innermost function (or "<module>") around each reference to one
+    of json's readers: an attribute of the name `json`, or a name imported
+    from json."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names if alias.name in JSON_READERS
+    }
+    out = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in JSON_READERS
+                    and getattr(child.value, "id", None) == "json") or (
+                    isinstance(child, ast.Name) and child.id in imported):
+                out.add(where)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_json_loads_only_where_listed():
+    found = {
+        (str(path.relative_to(SRC)), where)
+        for path in sorted(SRC.rglob("*.py"))
+        for where in _json_readers(_tree(path))
+    }
+    assert found == set(JSON_LOADS)
