@@ -350,7 +350,9 @@ def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def commutator(a, b):
-    """ab - ba, exact for rational inputs, complex float otherwise."""
+    """ab - ba, exact for rational inputs, complex float otherwise.  The float
+    regime serves the span-restricted check; the exact one is the reference
+    that the tests of the vectorized exact verify compare against."""
     if isinstance(a, RationalMatrix) and isinstance(b, RationalMatrix):
         if a.rows != a.cols or a.shape != b.shape:
             raise InputError("commutator needs equal square matrices")
@@ -362,30 +364,20 @@ def commutator(a, b):
 
 
 def direct_sum(blocks):
-    """Block-diagonal matrix; an empty list yields the 0x0 rational matrix."""
+    """Block-diagonal matrix of square rational blocks; an empty list yields
+    the 0x0 matrix."""
     blocks = list(blocks)
-    if not blocks:
-        return RationalMatrix.zeros(0, 0)
-    exact = isinstance(blocks[0], RationalMatrix)
-    if exact:
-        for blk in blocks:
-            if not isinstance(blk, RationalMatrix) or blk.rows != blk.cols:
-                raise InputError("direct_sum expects square blocks of one regime")
-        den = math.lcm(*(blk.denominator for blk in blocks))
-        arrs = [blk._num.astype(object) * (den // blk.denominator) for blk in blocks]
-    else:
-        arrs = [as_complex(blk) for blk in blocks]
-        for arr in arrs:
-            if arr.shape[0] != arr.shape[1]:
-                raise InputError("direct_sum expects square blocks")
-    dim = sum(arr.shape[0] for arr in arrs)
-    out = np.zeros((dim, dim), dtype=arrs[0].dtype)
+    for blk in blocks:
+        if not isinstance(blk, RationalMatrix) or blk.rows != blk.cols:
+            raise InputError("direct_sum expects square rational blocks")
+    den = math.lcm(*(blk.denominator for blk in blocks))
+    out = np.zeros((sum(blk.rows for blk in blocks),) * 2, dtype=object)
     at = 0
-    for arr in arrs:
-        d = arr.shape[0]
-        out[at : at + d, at : at + d] = arr
+    for blk in blocks:
+        d = blk.rows
+        out[at : at + d, at : at + d] = blk._num.astype(object) * (den // blk.denominator)
         at += d
-    return RationalMatrix._reduced(out, den) if exact else out
+    return RationalMatrix._reduced(out, den)
 
 
 def rank_one_projections(v: RationalMatrix) -> list:
@@ -397,15 +389,11 @@ def rank_one_projections(v: RationalMatrix) -> list:
     return matrices_from_stack(num[:, :, None] * num[:, None, :], norms)
 
 
-def numerical_rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Singular values above tol (float), or the exact rank of M M^T or M^T M (rational)."""
-    tolerance(tol)
-    if isinstance(a, RationalMatrix):
-        return ldlt(a @ a.T if a.rows <= a.cols else a.T @ a)[2]
-    arr = as_complex(a)
-    if arr.size == 0:
-        return 0
-    return int(np.sum(np.linalg.svd(arr, compute_uv=False) > tol))
+def numerical_rank(a: RationalMatrix) -> int:
+    """The exact rank of a rational matrix: the rank of M M^T or M^T M."""
+    if not isinstance(a, RationalMatrix):
+        raise InputError("numerical_rank expects a rational matrix")
+    return ldlt(a @ a.T if a.rows <= a.cols else a.T @ a)[2]
 
 
 def ldlt(h: RationalMatrix) -> tuple[np.ndarray, list, int]:
@@ -534,6 +522,13 @@ def rows_to_json_obj(m: RationalMatrix) -> Raw:
     return Raw("[" + ",".join(["[" + texts[k] + "]" for k in index]) + "]")
 
 
+def rows_from_json_obj(obj):
+    """The list of rows that `rows_to_json_obj` writes, read back from its
+    `Raw`; any other value, such as the list a document holds, is returned
+    as it is, for the caller to check."""
+    return _entry_list(obj) if isinstance(obj, Raw) else obj
+
+
 def matrices_to_json_obj(mats) -> list:
     """Wire objects of `mats`, for `serialize.dumps`: the entries of each are
     a `Raw`, their JSON text.  The rational matrices of one denominator and
@@ -638,16 +633,17 @@ def _text_entries(rows: list, width: int) -> tuple[np.ndarray, int] | None:
     return num.reshape(len(slots), width)[row_index].ravel(), den
 
 
-def _entry_list(entries, rows: int, cols: int) -> list:
-    """`entries` as the list of a rows x cols matrix's entries; a `Raw` is
-    read from its JSON text."""
+def _entry_list(entries, size: int | None = None):
+    """`entries` as a list of `size` items, such as a rows x cols matrix's
+    rows * cols entries, or as any JSON value when `size` is None; a `Raw`
+    is read from its JSON text."""
     if isinstance(entries, Raw):
         try:
             entries = json.loads(entries.text)
         except ValueError as exc:
             raise InputError(f"matrix entries are not valid JSON ({exc})") from exc
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
+    if size is not None and (not isinstance(entries, list) or len(entries) != size):
+        raise InputError(f"expected {size} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
     return entries
 
 
@@ -689,7 +685,7 @@ def matrices_from_json_obj(objs: list) -> list:
         count(cols, "matrix cols", 0)
         texts = _text_rows(entries.text, rows, cols) if isinstance(entries, Raw) and scalar == "rational" else None
         if texts is None:
-            entries = _entry_list(entries, rows, cols)
+            entries = _entry_list(entries, rows * cols)
         if max(rows, cols) > _MAX_DIM:
             raise InputError(f"matrix shape {rows}x{cols}: rows and cols must be at most {_MAX_DIM}")
         if scalar == "rational":
@@ -705,7 +701,7 @@ def matrices_from_json_obj(objs: list) -> list:
         if all(r[4] is not None for r in run):
             parsed = _text_entries([row for r in run for row in r[4]], cols)
         if parsed is None:
-            parsed = _rational_entries([_entry_list(entries, rows, cols) for _, rows, cols, entries, _ in run])
+            parsed = _rational_entries([_entry_list(entries, rows * cols) for _, rows, cols, entries, _ in run])
         num, den = parsed
         at = 0
         # consecutive matrices of one shape are one slice of `num`

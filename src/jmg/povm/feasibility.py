@@ -57,7 +57,6 @@ that no joint observable exists.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import cycle, islice, product
@@ -70,8 +69,7 @@ from .model import JointPOVM, joint_povm_to_json_obj, validate_povm
 
 DEFAULT_SOLVER_TOL = 1e-7
 DEFAULT_MAX_ITER = 50_000
-DEFAULT_GUARD_VARS = 100_000
-GUARD_ENV_VAR = "JMG_GUARD_VARS"
+MAX_JOINT_VARIABLES = 100_000  # joint outcomes x d^2: the real variables of one iterate
 _SUMMARY_POINTS = 40  # about this many residuals of a run's history are reported
 
 
@@ -86,19 +84,6 @@ class JmReport:
     @property
     def feasible(self) -> bool:
         return self.verdict == "feasible"
-
-
-def resource_guard() -> int:
-    raw = os.environ.get(GUARD_ENV_VAR)
-    if raw is None:
-        return DEFAULT_GUARD_VARS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"{GUARD_ENV_VAR} must be positive")
-    return value
 
 
 def _marginal_system(povms, tuples):
@@ -210,11 +195,9 @@ def jm_feasible(
     outcome_sets = tuple(tuple(e.outcomes) for e in povms)
     joint_size = math.prod(len(s) for s in outcome_sets)
     variables = joint_size * d * d
-    guard = resource_guard()
-    if variables > guard:
+    if variables > MAX_JOINT_VARIABLES:
         raise InputError(
-            f"joint problem needs {variables} real variables, over the guard {guard} "
-            f"(override with {GUARD_ENV_VAR})"
+            f"joint problem needs {variables} real variables, over the guard {MAX_JOINT_VARIABLES}"
         )
     count(max_iter, "max_iter", 1)
     tolerance(tol)

@@ -29,6 +29,7 @@ from .linalg import (
     matrices_to_json_obj,
     padded_numerators,
     rank_one_projections,
+    rows_from_json_obj,
     rows_to_json_obj,
 )
 
@@ -38,6 +39,8 @@ METHOD_RANK_ONE_RESTRICTED = "rank_one_restricted"
 METHOD_FAITHFUL = "faithful_augmented"
 
 _EXACT_METHODS = {METHOD_DIRECT_SUM, METHOD_RANK_ONE, METHOD_FAITHFUL}
+# a tuple, so that a method read from a file is compared, whatever its type, not hashed
+_METHODS = (METHOD_DIRECT_SUM, METHOD_RANK_ONE, METHOD_FAITHFUL, METHOD_RANK_ONE_RESTRICTED)
 
 
 def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
@@ -47,8 +50,6 @@ def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
     for sharp observables, which are rational, like the projections of every
     method except the span-restricted one, which are complex float.  Only
     rank-one realizations have vectors, each spanning its projection's range."""
-    if method is not None and method not in _EXACT_METHODS | {METHOD_RANK_ONE_RESTRICTED}:
-        raise InputError(f"unknown method {method!r}")
     count(space_dim, "space_dim", 0)
     n = graph.vertex_count
     if len(families) != n:
@@ -98,6 +99,8 @@ class Realization:
     vectors: tuple | None = None
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise InputError(f"unknown method {self.method!r}")
         object.__setattr__(self, "projections", tuple(self.projections))
         families = [(p,) for p in self.projections]
         vectors = _check_realization(self.graph, self.space_dim, self.method, families, self.vectors)
@@ -704,7 +707,7 @@ def realization_from_json_obj(obj) -> Realization:
     graph = graph_from_json_obj(graph_obj)
     if not isinstance(mats, list):
         raise InputError("projections must list one matrix per vertex")
-    vectors = obj.get("vectors")
+    vectors = rows_from_json_obj(obj.get("vectors"))
     if vectors is not None:
         if not isinstance(vectors, list):
             raise InputError("vectors must list one vector per vertex")

@@ -366,10 +366,14 @@ class TestJmCheck:
         assert main(["jm-check", path]) == 2
 
     def test_guard_exceeded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("JMG_GUARD_VARS", "8")
+        # the pair has 4 joint outcomes on a qubit: 16 real variables
+        monkeypatch.setattr(jmg.povm.feasibility, "MAX_JOINT_VARIABLES", 8)
         povms = noisy_orthogonal_triple(0.4)[:2]
         paths = [write_povm(tmp_path, f"g{k}.json", povms[k]) for k in range(2)]
         assert main(["jm-check", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: joint problem needs 16 real variables, over the guard 8\n"
 
     def test_five_factor_query_exceeds_default_guard(self, tmp_path, capsys):
         # 8^5 outcome tuples on dimension 4 is past the default variable cap
@@ -380,7 +384,9 @@ class TestJmCheck:
             write_povm(tmp_path, f"wide{k}.json", random_povm(rng, 4, 8)) for k in range(5)
         ]
         assert main(["jm-check", *paths]) == 2
-        assert "guard" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: joint problem needs 524288 real variables, over the guard 100000\n"
 
     def test_deterministic_report(self, tmp_path, capsys):
         povms = noisy_orthogonal_triple(0.6)[:2]
@@ -598,6 +604,20 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: method {claimed!r} needs {needs} matrices\n"
+
+    @pytest.mark.parametrize("method", [None, [], {}, 1, True], ids=["null", "list", "object", "number", "true"])
+    def test_verify_rejects_method_that_is_not_a_name(self, fork_file, tmp_path, capsys, method):
+        # a method of another JSON type is unknown, like an unknown name
+        path = tmp_path / "real.json"
+        assert main(["realize", fork_file, "--out", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        payload["method"] = method
+        path.write_text(json.dumps(payload))
+        assert main(["verify", fork_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown method {method!r}\n"
 
     @pytest.mark.parametrize(
         "vertex, value, message",

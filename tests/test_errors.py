@@ -6,7 +6,7 @@ import pytest
 
 from jmg.errors import InputError
 from jmg.graphs import graph_from_json_obj, parse_graph
-from jmg.linalg import RationalMatrix, numerical_rank, psd_sqrt
+from jmg.linalg import RationalMatrix, psd_sqrt
 from jmg.povm import (
     POVM,
     JointPOVM,
@@ -47,7 +47,6 @@ def _dilate_pair(tol):
 # Each call succeeds at a valid tolerance.
 TOL_ENTRY_POINTS = {
     "verify_realization": lambda tol: verify_realization(FORK, realize_direct_sum(FORK), tol),
-    "numerical_rank": lambda tol: numerical_rank(np.eye(2), tol),
     "psd_sqrt": lambda tol: psd_sqrt(np.eye(2), tol),
     "validate_povm": lambda tol: validate_povm(_pair()[0], tol),
     "neumark_dilate": lambda tol: neumark_dilate(_pair()[0], tol),

@@ -24,7 +24,6 @@ from jmg.povm import (
 from jmg.linalg import hermitize
 from jmg.povm import feasibility
 from jmg.povm.feasibility import (
-    GUARD_ENV_VAR,
     JmReport,
     _bloch,
     _bloch_clamp,
@@ -166,19 +165,11 @@ class TestSolverBasics:
     def test_resource_guard(self, monkeypatch):
         # the triple has 8 joint outcomes on a qubit: 8 * 2 * 2 = 32 real variables
         e = noisy_orthogonal_triple(0.3)
-        monkeypatch.setenv(GUARD_ENV_VAR, "31")
-        with pytest.raises(InputError, match="32 real variables, over the guard 31"):
+        monkeypatch.setattr(feasibility, "MAX_JOINT_VARIABLES", 31)
+        with pytest.raises(InputError, match="32 real variables, over the guard 31$"):
             jm_feasible(e)
-        monkeypatch.setenv(GUARD_ENV_VAR, "32")
+        monkeypatch.setattr(feasibility, "MAX_JOINT_VARIABLES", 32)
         assert jm_feasible(e).feasible
-
-    def test_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "10")
-        with pytest.raises(InputError, match="guard"):
-            jm_feasible(noisy_orthogonal_triple(0.3))
-        monkeypatch.setenv(GUARD_ENV_VAR, "junk")
-        with pytest.raises(InputError, match=GUARD_ENV_VAR):
-            jm_feasible(noisy_orthogonal_triple(0.3))
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_bad_tolerance_rejected(self, tol):

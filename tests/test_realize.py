@@ -43,7 +43,7 @@ from jmg.realize import (
     restrict_to_span,
     verify_realization,
 )
-from jmg.serialize import dumps
+from jmg.serialize import Raw, dumps
 
 from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask, is_projection, reference_dumps, wire
 
@@ -1436,6 +1436,20 @@ class TestJsonFormats:
         obj["vectors"][1] = obj["vectors"][1][:-1]
         with pytest.raises(InputError, match="vertex 1: vector length 4 != space_dim 5"):
             realization_from_json_obj(obj)
+        # the same vectors as the Raw of their text, as the writer leaves them
+        obj["vectors"] = Raw(dumps(obj["vectors"]))
+        with pytest.raises(InputError, match="vertex 1: vector length 4 != space_dim 5$"):
+            realization_from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [FORK, parse_graph("4; 0-1, 1-2, 2-3, 0-3"), graph_with_non_edges(16, 30)],
+        ids=["fork", "cycle4", "seeded-16"],
+    )
+    def test_rank_one_round_trip_in_process(self, graph):
+        # the writer's object, its vectors a Raw, read back without a file
+        r = realize_rank_one(graph)
+        assert realization_from_json_obj(realization_to_json_obj(r)) == r
 
     def test_bad_method_rejected(self):
         obj = wire(realization_to_json_obj(realize_direct_sum(FORK)))

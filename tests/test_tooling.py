@@ -145,6 +145,24 @@ def test_every_export_is_imported_through_the_package():
     assert set(UNIMPORTED_EXPORTS) <= exports
 
 
+# The program's inputs are its command line and its files: no module reads or
+# writes the environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "putenv"}
+
+
+def test_no_module_reads_the_environment():
+    # os.environ and the like, or any of them imported from os
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT and getattr(node.value, "id", None) == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ENVIRONMENT for alias in node.names)
+    ]
+    assert found == []
+
+
 def test_matrix_wire_keys_only_in_linalg():
     # the matrix wire format is written and read in one module: no other
     # module spells its keys, so none builds or reads a matrix object itself
