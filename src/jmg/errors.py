@@ -31,7 +31,7 @@ def count(value, what: str, minimum: int):
 
 
 def tolerance(value):
-    """`value` as a tolerance: a real number, finite and at least 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+    """`value` as a tolerance: a real number, not a bool, finite and at least 0."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise InputError(f"tol must be finite and non-negative, got {value!r}")
     return value

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 from itertools import chain, groupby
 
@@ -588,11 +587,6 @@ def _rational_entries(chunks: list) -> tuple[np.ndarray, int]:
     return _numerators([_as_fraction(x) for x in literals], index)
 
 
-# A literal the text path takes: `_as_fraction` reads it, and in quotes it
-# is a JSON string that reads back as itself.
-_PLAIN_LITERAL = re.compile(r"-?[0-9]+/[0-9]+")
-
-
 def _text_rows(text: str, rows: int, cols: int) -> list | None:
     """The rows of the JSON list `text` of rows * cols > 0 entries, each as
     the text of its cols items joined by `,`, when `text` is ASCII and holds
@@ -611,8 +605,8 @@ def _text_rows(text: str, rows: int, cols: int) -> list | None:
 
 def _text_entries(rows: list, width: int) -> tuple[np.ndarray, int] | None:
     """`_rational_entries` of rows given as their texts, each with width - 1
-    commas (`_text_rows`), or None unless every row is quoted
-    `_PLAIN_LITERAL`s joined by `,`, which then number `width`.
+    commas (`_text_rows`), or None unless the rows pass `_string_items`: their
+    items are then JSON strings that read back as written, width per row.
 
     Rows are pooled by their text, so only the distinct rows are split into
     literals; those are pooled in turn and each distinct one is parsed once.
@@ -620,16 +614,13 @@ def _text_entries(rows: list, width: int) -> tuple[np.ndarray, int] | None:
     the order `_rational_entries` parses them and a bad one is the same."""
     slots = _Slots()
     row_index = np.fromiter(map(slots.__getitem__, rows), dtype=np.intp, count=len(rows))
+    if not _string_items(list(slots)):
+        return None
     pool = _Slots()
     index = []
     for row in slots:
-        if row[:1] != '"' or row[-1:] != '"':
-            return None
         index += map(pool.__getitem__, row[1:-1].split('","'))
-    literals = list(pool)
-    if not all(map(_PLAIN_LITERAL.fullmatch, literals)):
-        return None
-    num, den = _numerators([_as_fraction(x) for x in literals], np.array(index, dtype=np.intp))
+    num, den = _numerators([_as_fraction(x) for x in pool], np.array(index, dtype=np.intp))
     return num.reshape(len(slots), width)[row_index].ravel(), den
 
 
@@ -725,16 +716,19 @@ _ENTRIES_LIST = '"entries":["'
 _BLOCK = 1 << 16
 
 
-def _string_items(text: str) -> bool:
-    """Whether `text` is one or more `"…"` items joined by `,`, each ASCII
-    with no quote, comma, backslash or control character inside: the body
-    of a JSON list of strings that json.loads reads back as written."""
-    if len(text) < 2 or text[0] != '"' or text[-1] != '"' or not text.isascii() or "\\" in text:
+def _string_items(texts: list) -> bool:
+    """Whether each of `texts` is one or more `"…"` items joined by `,`, each
+    ASCII with no quote, comma, backslash or control character inside: the
+    body of a JSON list of strings that json.loads reads back as written."""
+    # joined by `,` with a comma added on each side, every item's opening
+    # quote has a comma on its left only and its closing quote one on its
+    # right only, and every comma but the two added ones sits between a
+    # closing and an opening quote; the ends, which those two commas hide
+    # from the block loop, are checked first
+    text = ",".join(["", *texts, ""])
+    if not (texts and texts[0][:1] == '"' and texts[-1][-1:] == '"' and text.isascii() and "\\" not in text):
         return False
-    # with a comma added on each side, every item's opening quote has a
-    # comma on its left only and its closing quote one on its right only,
-    # and every comma of `text` sits between a closing and an opening quote
-    b = np.frombuffer(f",{text},".encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     if b.min() < 32:
         return False
     for at in range(1, len(b) - 1, _BLOCK):
@@ -771,10 +765,8 @@ def lift_entries(text: str) -> tuple[str, list]:
             break
         spans.append((start, end))
         at = text.find(_ENTRIES_LIST, end)
-    # the bodies are checked as one text: joined by `,`, they pass exactly
-    # when each of them does
-    if spans and not _string_items(",".join([text[s + 1 : e - 1] for s, e in spans])):
-        spans = [(s, e) for s, e in spans if _string_items(text[s + 1 : e - 1])]
+    if spans and not _string_items([text[s + 1 : e - 1] for s, e in spans]):
+        spans = [(s, e) for s, e in spans if _string_items([text[s + 1 : e - 1]])]
     if not spans:
         return text, []
     # the text around the cut lists

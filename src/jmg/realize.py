@@ -110,6 +110,16 @@ class Realization:
     def is_exact(self) -> bool:
         return self.method in _EXACT_METHODS
 
+    def __eq__(self, other) -> bool:
+        # by value in both regimes: `==` on the tuples would compare float
+        # projections elementwise and ask the array for its truth value
+        if not isinstance(other, Realization):
+            return NotImplemented
+        same = RationalMatrix.__eq__ if self.is_exact else np.array_equal
+        return (self.graph, self.space_dim, self.method, self.vectors) == (
+            other.graph, other.space_dim, other.method, other.vectors
+        ) and all(map(same, self.projections, other.projections))
+
 
 @dataclass(frozen=True)
 class PvmRealization:

@@ -1,15 +1,21 @@
 """The input boundary: every tolerance, count and document field from outside
 the program is checked by the rules in ``jmg.errors``."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import jmg
 from jmg.errors import InputError
 from jmg.graphs import graph_from_json_obj, parse_graph
 from jmg.linalg import RationalMatrix, psd_sqrt
 from jmg.povm import (
     POVM,
     JointPOVM,
+    demo_hollow_triangle,
     jm_feasible,
     neumark_dilate,
     noisy_orthogonal_triple,
@@ -52,14 +58,25 @@ TOL_ENTRY_POINTS = {
     "neumark_dilate": lambda tol: neumark_dilate(_pair()[0], tol),
     "joint_dilation": _dilate_pair,
     "jm_feasible": lambda tol: jm_feasible(_pair(), tol),
+    "demo_hollow_triangle": lambda tol: demo_hollow_triangle(0.5, tol, 50),
 }
+
+
+def test_every_public_tol_entry_point_is_listed():
+    found = set()
+    for info in pkgutil.walk_packages(jmg.__path__, "jmg."):
+        module = importlib.import_module(info.name)
+        for name, f in inspect.getmembers(module, inspect.isfunction):
+            if f.__module__ == module.__name__ and not name.startswith("_") and "tol" in inspect.signature(f).parameters:
+                found.add(name)
+    assert found == set(TOL_ENTRY_POINTS)
 
 
 @pytest.mark.parametrize("name", sorted(TOL_ENTRY_POINTS))
 def test_tol_entry_points_reject_bad_tolerances(name):
     call = TOL_ENTRY_POINTS[name]
     call(1e-6)
-    for bad in (float("nan"), float("inf"), float("-inf"), -1.0):
+    for bad in (float("nan"), float("inf"), float("-inf"), -1.0, True, False):
         with pytest.raises(InputError, match="tol must be finite and non-negative"):
             call(bad)
 

@@ -46,6 +46,7 @@ from jmg.realize import (
 from jmg.serialize import Raw, dumps
 
 from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask, is_projection, reference_dumps, wire
+from test_golden import LARGE_NON_EDGES
 
 FORK = parse_graph("3; 0-1, 0-2")
 TRIANGLE = parse_graph("3; 0-1, 0-2, 1-2")
@@ -220,6 +221,45 @@ class TestRestrictionInvariants:
         r = Realization(parse_graph("6;"), 4, METHOD_RANK_ONE, [rank_one_projection(v) for v in vecs], vecs)
         assert numerical_rank(rank_one_gram(r)) == 3
         assert_restriction_invariants(r)
+
+
+def golden_large_graph():
+    """The 16-vertex graph of the large golden files, given by its 30 non-edges."""
+    missing = {tuple(map(int, p.split("-"))) for p in LARGE_NON_EDGES.split(", ")}
+    return parse_graph("16; " + ", ".join(f"{a}-{b}" for a, b in combinations(range(16), 2) if (a, b) not in missing))
+
+
+class TestRealizationEquality:
+    """`==` compares realizations by value, in both regimes."""
+
+    @pytest.mark.parametrize("graph", [FORK, golden_large_graph()], ids=["fork", "golden-16"])
+    @pytest.mark.parametrize(
+        "build",
+        [realize_direct_sum, realize_rank_one, lambda g: restrict_to_span(realize_rank_one(g))],
+        ids=["direct-sum", "rank-one", "restricted"],
+    )
+    def test_equal_to_itself_and_a_rebuilt_copy(self, graph, build):
+        r = build(graph)
+        assert r == r and r == build(graph) and not r != build(graph)
+
+    @pytest.mark.parametrize("graph", [FORK, golden_large_graph()], ids=["fork", "golden-16"])
+    def test_one_changed_entry_is_unequal(self, graph):
+        exact = realize_direct_sum(graph)
+        grid = exact.projections[-1].to_fractions()
+        grid[0][-1] += 1
+        changed = Realization(graph, exact.space_dim, exact.method, [*exact.projections[:-1], RationalMatrix.from_rows(grid)])
+        assert exact != changed and not exact == changed
+        restricted = restrict_to_span(realize_rank_one(graph))
+        p = restricted.projections[-1].copy()
+        p[0, -1] += 1e-15
+        changed = Realization(graph, restricted.space_dim, restricted.method, [*restricted.projections[:-1], p])
+        assert restricted != changed and not restricted == changed
+
+    def test_other_fields_and_types(self):
+        r = realize_rank_one(FORK)
+        assert r != realize_rank_one(parse_graph("3; 0-1, 1-2"))
+        assert r != make_faithful(r) and r != realize_direct_sum(FORK)
+        assert r != r.projections
 
 
 class TestMakeFaithful:

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jmg import cli
+from jmg import cli, linalg
 from jmg.errors import InputError, fields
 from jmg.graphs import parse_graph
-from jmg.linalg import RationalMatrix, lift_entries, matrices_from_json_obj, matrices_to_json_obj
+from jmg.linalg import RationalMatrix, _string_items, lift_entries, matrices_from_json_obj, matrices_to_json_obj
 from jmg.povm import povm_from_json_obj
 from jmg.realize import (
     extend_outcomes,
@@ -252,3 +252,49 @@ class TestRawEntries:
     def test_writer_objects_read_back(self):
         mats = [RationalMatrix.from_rows([[Fraction(1, 3), 0], [0, 1]]), np.array([[1j]]), RationalMatrix.zeros(2, 0)]
         assert canon(matrices_from_json_obj(matrices_to_json_obj(mats))) == canon(mats)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (5, 1)])
+    def test_any_literal_read_from_its_text(self, monkeypatch, rows, cols):
+        text = '["0.5"," 1/2 ","3","2/4","-0"]'
+        want = canon(matrices_from_json_obj([{"rows": rows, "cols": cols, "scalar": "rational", "entries": json.loads(text)}]))
+        calls = []
+
+        class CountingJson:
+            def loads(self, s):
+                calls.append(s)
+                return json.loads(s)
+
+        monkeypatch.setattr(linalg, "json", CountingJson())
+        obj = {"rows": rows, "cols": cols, "scalar": "rational", "entries": Raw(text)}
+        assert canon(matrices_from_json_obj([obj])) == want
+        assert calls == []
+
+
+# A text that `_string_items` passes, by a rule written apart from it: `"…"`
+# items joined by `,`, each of ASCII characters from space up, other than
+# quote, comma and backslash.
+STRING_ITEMS = re.compile(r'"[ !#-+\--\[\]-\x7f]*"(?:,"[ !#-+\--\[\]-\x7f]*")*')
+
+
+# texts of these characters, empty ones among them, and quoted items of them
+# joined by `,`, so that some of the lists pass, whole or with their first or
+# last character cut
+CHARS = st.sampled_from('",\\ /0123456789\x1fé')
+ITEMS = st.lists(st.text(CHARS, max_size=3), min_size=1, max_size=3).map(lambda xs: ",".join(f'"{x}"' for x in xs))
+TEXTS = st.one_of(st.text(CHARS, max_size=12), ITEMS, ITEMS.map(lambda t: t[1:]), ITEMS.map(lambda t: t[:-1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TEXTS, min_size=1, max_size=4))
+@example(['"', '"'])
+@example(['"1"', ""])
+@example(["", '"1"'])
+@example(['"1"', '"'])
+@example(['"', '"1"'])
+@example(['1/2"', '"3"'])
+@example(['"1/2"', '"3'])
+@example(['"1"', '"\x1f"'])
+@example(['"\\/"'])
+@example(['"é"'])
+def test_string_items_is_the_per_text_rule(texts):
+    assert _string_items(texts) == all(STRING_ITEMS.fullmatch(t) for t in texts)
