@@ -350,14 +350,15 @@ def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def commutator(a, b):
     """ab - ba, exact for rational inputs, complex float otherwise.  The float
-    regime serves the span-restricted check; the exact one is the reference
-    that the tests of the vectorized exact verify compare against."""
+    regime also takes two equal (k, d, d) stacks, one commutator a slice, and
+    serves the span-restricted check; the exact one is the reference that the
+    tests of the vectorized exact verify compare against."""
     if isinstance(a, RationalMatrix) and isinstance(b, RationalMatrix):
         if a.rows != a.cols or a.shape != b.shape:
             raise InputError("commutator needs equal square matrices")
         return a @ b - b @ a
-    a, b = as_complex(a), as_complex(b)
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
+    a, b = as_complex(a, stack=True), as_complex(b, stack=True)
+    if a.shape[-1] != a.shape[-2] or a.shape != b.shape:
         raise InputError("commutator needs equal square matrices")
     return a @ b - b @ a
 
@@ -423,11 +424,13 @@ def ldlt(h: RationalMatrix) -> tuple[np.ndarray, list, int]:
 # -- float regime -------------------------------------------------------------
 
 
-def as_complex(a) -> np.ndarray:
+def as_complex(a, stack: bool = False) -> np.ndarray:
+    """`a` as a complex matrix with finite entries; with `stack`, a (k, d, d)
+    stack of them is accepted too."""
     if isinstance(a, RationalMatrix):
         raise InputError("float matrix expected, got a rational one: regimes do not mix")
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stack and arr.ndim == 3):
         raise InputError("matrix expected")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InputError("matrix entries must be finite")

@@ -44,12 +44,13 @@ _METHODS = (METHOD_DIRECT_SUM, METHOD_RANK_ONE, METHOD_FAITHFUL, METHOD_RANK_ONE
 
 
 def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
-    """Check the fields of a realization as it is built; return `vectors` as
-    rows of Fractions, or None.  `families` has one tuple per vertex: `(p,)`
-    for a projection, the elements of a sharp observable.  `method` is None
-    for sharp observables, which are rational, like the projections of every
-    method except the span-restricted one, which are complex float.  Only
-    rank-one realizations have vectors, each spanning its projection's range."""
+    """Check the fields of a realization as it is built; return `vectors`, a
+    RationalMatrix or a list of rows, as rows of Fractions, or None.
+    `families` has one tuple per vertex: `(p,)` for a projection, the
+    elements of a sharp observable.  `method` is None for sharp observables,
+    which are rational, like the projections of every method except the
+    span-restricted one, which are complex float.  Only rank-one realizations
+    have vectors, each spanning its projection's range."""
     count(space_dim, "space_dim", 0)
     n = graph.vertex_count
     if len(families) != n:
@@ -76,12 +77,13 @@ def _check_realization(graph: Graph, space_dim: int, method, families, vectors):
         return None
     if method != METHOD_RANK_ONE:
         raise InputError(f"method {method!r} stores no vectors")
-    if len(vectors) != n:
+    rational = isinstance(vectors, RationalMatrix)
+    if (vectors.rows if rational else len(vectors)) != n:
         raise InputError("vectors must list one vector per vertex")
-    for x, vec in enumerate(vectors):
-        if len(vec) != space_dim:
-            raise InputError(f"vertex {x}: vector length {len(vec)} != space_dim {space_dim}")
-    v = RationalMatrix.from_rows(vectors)
+    for x, length in enumerate([vectors.cols] * n if rational else map(len, vectors)):
+        if length != space_dim:
+            raise InputError(f"vertex {x}: vector length {length} != space_dim {space_dim}")
+    v = vectors if rational else RationalMatrix.from_rows(vectors)
     for x, ((p,), q) in enumerate(zip(families, rank_one_projections(v))):
         if p != q:
             raise InputError(f"vertex {x}: projection is not the one onto its vector")
@@ -119,6 +121,11 @@ class Realization:
         return (self.graph, self.space_dim, self.method, self.vectors) == (
             other.graph, other.space_dim, other.method, other.vectors
         ) and all(map(same, self.projections, other.projections))
+
+    def __hash__(self) -> int:
+        # the fields `__eq__` compares with `==`; float projections are not
+        # hashed, as -0.0 and 0.0 are equal entries with different bytes
+        return hash((self.graph, self.space_dim, self.method, self.vectors))
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,8 @@ def realize_rank_one(graph: Graph) -> Realization:
     vecs = np.zeros((n, dim), dtype=np.int64)
     vecs[np.arange(n), np.arange(n)] = 1
     vecs[np.array(pairs, dtype=np.intp).reshape(-1, 2).T, np.arange(n, dim)] = 1
-    projections = rank_one_projections(RationalMatrix(vecs))
-    return Realization(graph, dim, METHOD_RANK_ONE, projections, vecs.tolist())
+    v = RationalMatrix(vecs)
+    return Realization(graph, dim, METHOD_RANK_ONE, rank_one_projections(v), v)
 
 
 def rank_one_gram(realization: Realization) -> RationalMatrix:
@@ -519,18 +526,31 @@ def _exact_commutation(families: list, dim: int, pvms: bool) -> dict:
     return dict(zip(combinations(range(n), 2), commutes.tolist()))
 
 
-def _float_commutator_norms(ops: list, tol: float) -> dict:
-    """Commutator norm for each vertex pair x < y of float operators, each
-    checked to be Hermitian and idempotent within tol first."""
-    for x, a in enumerate(ops):
-        if not (np.linalg.norm(a - a.conj().T) <= tol and np.linalg.norm(a @ a - a) <= tol):
-            raise InputError(f"vertex {x}: element 0 is not a projection within {tol}")
-    n = len(ops)
-    return {
-        (x, y): float(np.linalg.norm(commutator(ops[x], ops[y])))
-        for x in range(n)
-        for y in range(x + 1, n)
-    }
+def _norms(c: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a complex (k, d, d) stack, bit for bit:
+    it sums the squares of the real parts, then of the imaginary parts, in one
+    strided dot product each over the flattened matrix, and a (1, d^2) @
+    (d^2, 1) product is that same dot product."""
+    flat = c.reshape(len(c), 1, c.shape[1] * c.shape[2])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(len(c))
+
+
+def _float_commutator_norms(a: np.ndarray, tol: float) -> dict:
+    """Commutator norm for each vertex pair x < y of a (n, d, d) stack of
+    float operators, each checked to be Hermitian and idempotent within tol
+    first.  The commutators are taken one stacked call per chunk of pairs of
+    about _CHUNK_BYTES an operand, so memory stays bounded; the pairs of up
+    to 11 vertices fit in one chunk."""
+    projection = (_norms(a - np.conj(a.transpose(0, 2, 1))) <= tol) & (_norms(a @ a - a) <= tol)
+    if not projection.all():
+        raise InputError(f"vertex {int(np.argmin(projection))}: element 0 is not a projection within {tol}")
+    xs, ys = np.triu_indices(len(a), 1)
+    step = max(1, _CHUNK_BYTES // max(1, a.itemsize * a.shape[1] * a.shape[2]))
+    norms = []
+    for i in range(0, len(xs), step):
+        norms += _norms(commutator(a[xs[i : i + step]], a[ys[i : i + step]])).tolist()
+    return dict(zip(zip(xs.tolist(), ys.tolist()), norms))
 
 
 def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -557,7 +577,8 @@ def verify_realization(graph: Graph, realization, tol: float = DEFAULT_TOL) -> V
     else:
         n = len(r.projections)
         _check_work(n * (n - 1) * r.space_dim**3, np.complex128)  # two products a pair
-        norms = _float_commutator_norms(r.projections, tol)
+        stack = np.array(r.projections, dtype=complex).reshape(n, r.space_dim, r.space_dim)
+        norms = _float_commutator_norms(stack, tol)
         checked = {pair: (norm <= tol, f"commutator norm {norm:.3e}") for pair, norm in norms.items()}
     violations = []
     for (x, y), (commutes, observed) in checked.items():

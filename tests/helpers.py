@@ -15,7 +15,7 @@ import numpy as np
 
 from jmg.errors import InputError
 from jmg.graphs import Graph, Hypergraph, maximal_cliques
-from jmg.linalg import RationalMatrix, matrices_from_json_obj, matrices_to_json_obj
+from jmg.linalg import RationalMatrix, commutator, matrices_from_json_obj, matrices_to_json_obj
 from jmg.povm import POVM
 from jmg.serialize import dumps, format_float
 
@@ -156,6 +156,21 @@ def product_outcome_error(joint, povms) -> float:
 def is_projection(p: RationalMatrix) -> bool:
     """Exact test: symmetric and idempotent."""
     return p.is_symmetric() and p @ p == p
+
+
+def per_pair_commutator_norms(ops, tol: float) -> dict:
+    """The span-restricted check one operator and one pair at a time: each
+    operator Hermitian and idempotent within tol (`np.linalg.norm` of the
+    residual), then `np.linalg.norm` of each 2-D commutator for x < y."""
+    for x, a in enumerate(ops):
+        if not (np.linalg.norm(a - a.conj().T) <= tol and np.linalg.norm(a @ a - a) <= tol):
+            raise InputError(f"vertex {x}: element 0 is not a projection within {tol}")
+    n = len(ops)
+    return {
+        (x, y): float(np.linalg.norm(commutator(ops[x], ops[y])))
+        for x in range(n)
+        for y in range(x + 1, n)
+    }
 
 
 def pvm_jointly_measurable(pvms, tol: float = 1e-9) -> bool:

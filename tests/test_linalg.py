@@ -343,6 +343,39 @@ class TestCommutator:
         assert np.linalg.norm(commutator(a, b)) > 1
         assert np.linalg.norm(commutator(a, a)) == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_float_stacks_match_slices(self, k, d, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, k, d, d)) + 1j * rng.normal(size=(2, k, d, d))
+        stacked = commutator(a, b)
+        assert stacked.shape == (k, d, d)
+        assert all(np.array_equal(stacked[i], commutator(a[i], b[i])) for i in range(k))
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (np.full((2, 2), np.nan), np.eye(2), "matrix entries must be finite"),
+            (np.eye(2), np.full((2, 2), np.inf), "matrix entries must be finite"),
+            (np.zeros((2, 3)), np.zeros((2, 3)), "commutator needs equal square matrices"),
+            (np.eye(2), np.eye(3), "commutator needs equal square matrices"),
+        ],
+        ids=["nan", "inf", "non-square", "mismatched"],
+    )
+    def test_float_stacks_rejected_as_matrices_are(self, a, b, message):
+        for pair in ((a, b), (np.stack([a] * 3), np.stack([b] * 3))):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                commutator(*pair)
+
+    def test_stack_and_matrix_do_not_mix(self):
+        with pytest.raises(InputError, match="^commutator needs equal square matrices$"):
+            commutator(np.zeros((1, 2, 2)), np.zeros((2, 2)))
+        with pytest.raises(InputError, match="^commutator needs equal square matrices$"):
+            commutator(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
+        for shape in ((2,), (1, 1, 2, 2)):
+            with pytest.raises(InputError, match="^matrix expected$"):
+                commutator(np.zeros(shape), np.zeros(shape))
+
 
 class TestDirectSum:
     def test_two_blocks(self):

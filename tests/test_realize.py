@@ -13,6 +13,7 @@ from jmg import realize
 from jmg.errors import InputError
 from jmg.graphs import graph_from_json_obj, graph_to_json_obj, non_edges, parse_graph
 from jmg.linalg import (
+    DEFAULT_TOL,
     RationalMatrix,
     commutator,
     direct_sum,
@@ -45,7 +46,15 @@ from jmg.realize import (
 )
 from jmg.serialize import Raw, dumps
 
-from helpers import all_graphs, bell_numbers_by_triangle, graph_from_mask, is_projection, reference_dumps, wire
+from helpers import (
+    all_graphs,
+    bell_numbers_by_triangle,
+    graph_from_mask,
+    is_projection,
+    per_pair_commutator_norms,
+    reference_dumps,
+    wire,
+)
 from test_golden import LARGE_NON_EDGES
 
 FORK = parse_graph("3; 0-1, 0-2")
@@ -57,6 +66,12 @@ def graphs_strategy(max_n=6):
     return st.integers(0, max_n).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     ).map(lambda t: graph_from_mask(*t))
+
+
+def golden_large_graph():
+    """The 16-vertex graph of the large golden files, given by its 30 non-edges."""
+    missing = {tuple(map(int, p.split("-"))) for p in LARGE_NON_EDGES.split(", ")}
+    return parse_graph("16; " + ", ".join(f"{a}-{b}" for a, b in combinations(range(16), 2) if (a, b) not in missing))
 
 
 class TestDirectSum:
@@ -132,6 +147,53 @@ class TestRankOne:
             for y in range(x + 1, n):
                 dot = sum(a * b for a, b in zip(r.vectors[x], r.vectors[y]))
                 assert dot == (0 if g.adjacent(x, y) else 1)
+
+
+def fork_rows() -> list:
+    """The vectors of the fork's rank-one realization, as lists."""
+    return [list(vec) for vec in realize_rank_one(FORK).vectors]
+
+
+class TestRankOneVectors:
+    """Vectors as a RationalMatrix of shape (n, space_dim) or as lists of rows."""
+
+    @pytest.mark.parametrize("graph", [FORK, golden_large_graph()], ids=["fork", "golden-16"])
+    def test_matrix_and_list_vectors_build_equal_realizations(self, graph):
+        r = realize_rank_one(graph)
+        rows = [list(vec) for vec in r.vectors]
+        from_lists = Realization(graph, r.space_dim, METHOD_RANK_ONE, r.projections, rows)
+        from_matrix = Realization(graph, r.space_dim, METHOD_RANK_ONE, r.projections, RationalMatrix.from_rows(rows))
+        assert from_lists == from_matrix == r
+        assert from_matrix.vectors == from_lists.vectors == r.vectors
+        assert all(type(vec) is tuple and all(type(c) is Fraction for c in vec) for vec in r.vectors)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda rows, ps: (rows[:2], ps), "vectors must list one vector per vertex"),
+            (lambda rows, ps: ([[*row, 0] for row in rows], ps), r"vertex 0: vector length 5 != space_dim 4"),
+            (lambda rows, ps: ([rows[0], [0] * 4, rows[2]], [ps[0], RationalMatrix.zeros(4, 4), ps[2]]),
+             "vertex 1: zero vector"),
+            (lambda rows, ps: (rows, [ps[1], ps[0], ps[2]]), "vertex 0: projection is not the one onto its vector"),
+        ],
+        ids=["rows", "length", "zero-vector", "projection"],
+    )
+    def test_malformed_rejected_in_both_forms(self, change, message):
+        rows, projections = change(fork_rows(), realize_rank_one(FORK).projections)
+        for vectors in (rows, RationalMatrix.from_rows(rows)):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                Realization(FORK, 4, METHOD_RANK_ONE, projections, vectors)
+
+    def test_built_without_from_rows(self, monkeypatch):
+        graph = golden_large_graph()
+        calls = []
+        from_rows = RationalMatrix.from_rows
+        monkeypatch.setattr(RationalMatrix, "from_rows", classmethod(lambda cls, rows: calls.append(rows) or from_rows(rows)))
+        r = realize_rank_one(graph)
+        assert calls == []
+        # list vectors, as read from a file, still go through from_rows
+        Realization(graph, r.space_dim, METHOD_RANK_ONE, r.projections, [list(vec) for vec in r.vectors])
+        assert len(calls) == 1
 
 
 class TestRankOneGram:
@@ -223,12 +285,6 @@ class TestRestrictionInvariants:
         assert_restriction_invariants(r)
 
 
-def golden_large_graph():
-    """The 16-vertex graph of the large golden files, given by its 30 non-edges."""
-    missing = {tuple(map(int, p.split("-"))) for p in LARGE_NON_EDGES.split(", ")}
-    return parse_graph("16; " + ", ".join(f"{a}-{b}" for a, b in combinations(range(16), 2) if (a, b) not in missing))
-
-
 class TestRealizationEquality:
     """`==` compares realizations by value, in both regimes."""
 
@@ -260,6 +316,26 @@ class TestRealizationEquality:
         assert r != realize_rank_one(parse_graph("3; 0-1, 1-2"))
         assert r != make_faithful(r) and r != realize_direct_sum(FORK)
         assert r != r.projections
+
+    @pytest.mark.parametrize("graph", [FORK, golden_large_graph()], ids=["fork", "golden-16"])
+    @pytest.mark.parametrize(
+        "build",
+        [realize_direct_sum, realize_rank_one, lambda g: restrict_to_span(realize_rank_one(g))],
+        ids=["direct-sum", "rank-one", "restricted"],
+    )
+    def test_hash_agrees_with_equality(self, graph, build):
+        r, copy = build(graph), build(graph)
+        assert hash(r) == hash(copy)
+        assert {r, copy} == {r} and copy in {r} and len({r, copy}) == 1
+
+    def test_signed_zeros_hash_equal(self):
+        # -0.0 and 0.0 are equal entries with different bytes
+        r = restrict_to_span(realize_rank_one(FORK))
+        p = r.projections[0].copy()
+        p[p == 0] = -0.0
+        assert np.signbit(p.real).any()
+        flipped = Realization(FORK, r.space_dim, r.method, [p, *r.projections[1:]])
+        assert flipped == r and hash(flipped) == hash(r) and flipped in {r}
 
 
 class TestMakeFaithful:
@@ -1254,6 +1330,82 @@ class TestVerifyChecksStructure:
         mixed[0] = mixed[0].to_ndarray().astype(complex)
         with pytest.raises(InputError, match="method 'rank_one' needs rational matrices"):
             Realization(FORK, r.space_dim, r.method, mixed)
+
+
+def float_check_outcome(run):
+    """The norms dict `run` returns, or the text of the InputError it raises."""
+    try:
+        return run()
+    except InputError as exc:
+        return str(exc)
+
+
+class TestStackedFloatCheck:
+    """The span-restricted check, one stacked commutator per chunk of pairs,
+    against the per-pair loop (tests/helpers.py)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graphs_strategy(max_n=9),
+        st.sampled_from([None, 0.5, 2.0, math.nan, math.inf]),
+        st.integers(0, 2**20),
+        st.booleans(),
+    )
+    @example(FORK, math.nan, 0, False)
+    @example(graph_from_mask(9, 0), 2.0, 12345, True)
+    def test_matches_per_pair_reference(self, graph, shift, where, imaginary):
+        # shift: none, one entry moved by tol / 2 or by 2 tol, a NaN or an inf entry
+        rr = restrict_to_span(realize_rank_one(graph))
+        n, d = graph.vertex_count, rr.space_dim
+        ops = [p.copy() for p in rr.projections]
+        if shift is not None and n:
+            x, i, j = where % n, where // n % d, where // (n * d) % d
+            ops[x][i, j] += shift * DEFAULT_TOL * (1j if imaginary else 1)
+        stack = np.array(ops, dtype=complex).reshape(n, d, d)
+        got = float_check_outcome(lambda: realize._float_commutator_norms(stack, DEFAULT_TOL))
+        want = float_check_outcome(lambda: per_pair_commutator_norms(ops, DEFAULT_TOL))
+        assert got == want
+        if isinstance(want, dict):
+            assert list(got) == list(want)  # violations are listed in this order
+            assert all(type(norm) is float for norm in got.values())
+
+    @staticmethod
+    def commutator_calls(monkeypatch, graph) -> tuple[list, int]:
+        """The stack shapes of each `commutator` call of one restricted
+        verify, and the space dimension."""
+        calls = []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return commutator(a, b)
+
+        rr = restrict_to_span(realize_rank_one(graph))
+        monkeypatch.setattr(realize, "commutator", counted)
+        assert verify_realization(graph, rr).passed
+        return calls, rr.space_dim
+
+    @pytest.mark.parametrize(
+        "graph", [FORK, parse_graph("11;"), parse_graph("1;")], ids=["fork", "edgeless-11", "one"]
+    )
+    def test_one_commutator_call_per_verify(self, monkeypatch, graph):
+        calls, d = self.commutator_calls(monkeypatch, graph)
+        pairs = graph.vertex_count * (graph.vertex_count - 1) // 2
+        assert calls == ([(pairs, d, d)] if pairs else [])
+
+    def test_larger_checks_run_in_chunks(self, monkeypatch):
+        calls, d = self.commutator_calls(monkeypatch, golden_large_graph())
+        step = realize._CHUNK_BYTES // (16 * d * d)
+        assert len(calls) > 1 and sum(k for k, _, _ in calls) == 120
+        assert all(shape == (step, d, d) for shape in calls[:-1])
+
+    @pytest.mark.parametrize("chunk", [1, 2**12, realize._CHUNK_BYTES])
+    def test_chunks_give_the_same_norms(self, monkeypatch, chunk):
+        rr = restrict_to_span(realize_rank_one(golden_large_graph()))
+        want = per_pair_commutator_norms(rr.projections, DEFAULT_TOL)
+        monkeypatch.setattr(realize, "_CHUNK_BYTES", chunk)
+        got = realize._float_commutator_norms(np.array(rr.projections), DEFAULT_TOL)
+        assert list(got.items()) == list(want.items())
 
 
 PIN = RationalMatrix.from_rows([[1, 0], [0, 0]])
