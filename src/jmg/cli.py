@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .errors import InputError, tolerance
 from .graphs import Graph, graph_from_json_obj, graph_to_json_obj, parse_graph
-from .linalg import DEFAULT_TOL, lift_entries
+from .linalg import _BLOCK, DEFAULT_TOL, lift_entries
 from .povm import (
     DEFAULT_DILATION_TOL,
     DEFAULT_MAX_ITER,
@@ -148,25 +148,44 @@ def _load_graph(path: str) -> Graph:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _write_over(path: str, *chunks: bytes) -> None:
-    """Write `chunks`, one after another, over the file at `path` in place,
-    creating it if needed, and cut off what is left of a longer old file.
-    Truncating a file that holds data before writing (``open(path, "w")``)
-    costs more than the write on some file systems.  Unlike a new file
-    renamed over the old one, this keeps symlinks, hard links and the mode;
-    a device or FIFO reports size 0, so it is never truncated."""
+def _write_over(path: str, chunks) -> None:
+    """Write the bytes `chunks` yields, one after another, over the file at
+    `path` in place, creating it if needed, and cut off what is left of a
+    longer old file.  Truncating a file that holds data before writing
+    (``open(path, "w")``) costs more than the write on some file systems.
+    Unlike a new file renamed over the old one, this keeps symlinks, hard
+    links and the mode; a device or FIFO reports size 0, so it is never
+    truncated."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        old_size = os.fstat(fd).st_size
+        old_size, size = os.fstat(fd).st_size, 0
         for chunk in chunks:
             view = memoryview(chunk)
+            size += len(view)
             while view:
                 view = view[os.write(fd, view):]
-        size = sum(map(len, chunks))
         if old_size > size:
             os.ftruncate(fd, size)
     finally:
         os.close(fd)
+
+
+def _blocks(pieces: list):
+    """The text `pieces` join, encoded a block of _BLOCK characters at a time
+    (the last one may be shorter), so no copy of the whole text or of its
+    bytes is made.  The serializer's pieces are mostly a few characters, so
+    they are joined 64 at a time, and the joins gathered into blocks."""
+    run, size = [], 0
+    for at in range(0, len(pieces), 64):
+        run.append("".join(pieces[at : at + 64]))
+        size += len(run[-1])
+        if size >= _BLOCK:
+            text = "".join(run)
+            cut = size - size % _BLOCK
+            for lo in range(0, cut, _BLOCK):
+                yield text[lo : lo + _BLOCK].encode("utf-8")
+            run, size = [text[cut:]], size - cut
+    yield "".join(run).encode("utf-8")
 
 
 def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None) -> None:
@@ -174,12 +193,12 @@ def _emit(args, report_obj: dict, pretty_lines: list, payload_obj: dict | None) 
     caller that builds the payload only for --out passes None without it."""
     report_text = None
     if args.out:
-        payload_text = serialize.dumps(payload_obj)
+        pieces = serialize.pieces(payload_obj)
         if payload_obj is report_obj:
-            report_text = payload_text  # one document for both: serialize it once
+            report_text = "".join(pieces)  # one document for both: serialize it once
+        pieces.append("\n")
         try:
-            # the newline is its own chunk: appending it would copy the text
-            _write_over(args.out, payload_text.encode("utf-8"), b"\n")
+            _write_over(args.out, _blocks(pieces))
         except OSError as exc:
             # before anything is printed, so stdout stays empty
             raise InputError(f"cannot write {args.out}: {exc}") from exc

@@ -315,12 +315,14 @@ def family_stacks(families, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     mats = [m for family in families for m in family]
     nums = [m._num for m in mats]
-    # every element's max|N_k| in one reduction over the float32 stack, which
-    # is exact while each is below 2^24; the stack is kept in that tier
+    # every element's max|N_k| from a max and a min reduction over the
+    # float32 stack, with no stack of absolute values (as `_max_abs`), exact
+    # while each is below 2^24; the stack is kept in that tier
     stack = None
     if all(n.dtype == np.int64 for n in nums):
         stack = np.array(nums, dtype=np.float32).reshape(len(mats), dim, dim)
-        peaks = np.abs(stack).max(axis=(1, 2), initial=0).astype(np.int64).tolist()
+        top, bottom = stack.max(axis=(1, 2), initial=0), stack.min(axis=(1, 2), initial=0)
+        peaks = np.maximum(top, -bottom).astype(np.int64).tolist()
     if stack is None or max(peaks, default=0) >= _FLOAT32_EXACT:
         peaks = list(map(_max_abs, nums))
     peaks = iter(peaks)
@@ -492,13 +494,17 @@ def _distinct_rows(mats) -> tuple[list, list]:
     den, width = mats[0]._den, mats[0].cols
     if not width:
         return [""], [0] * sum(m.rows for m in mats)
-    codes = np.concatenate([m._num for m in mats])
+    nums = [m._num for m in mats]
     values = None
-    if codes.dtype == object:
-        values, codes = np.unique(codes, return_inverse=True)
-    peak = _max_abs(codes)
+    if any(n.dtype == object for n in nums):
+        values, codes = np.unique(np.concatenate(nums), return_inverse=True)
+        peak, nums = len(values) - 1, [codes]
+    else:
+        # the codes' peak is taken a run of about _BLOCK bytes at a time, so
+        # the one copy of the numerators is made straight into the narrow type
+        peak = max(_max_abs(np.concatenate(run)) for run in _runs(nums, lambda n: n.nbytes))
     dtype = next((t for t, top in _NARROW_CODES if peak <= top), np.int64)
-    codes = codes.reshape(-1, width).astype(dtype, copy=False)
+    codes = np.concatenate(nums, dtype=dtype, casting="unsafe").reshape(-1, width)
     keys = codes.view(np.dtype((np.void, codes.itemsize * width))).ravel().tolist()
     slots = _Slots()
     index = list(map(slots.__getitem__, keys))
@@ -617,7 +623,7 @@ def _text_entries(rows: list, width: int) -> tuple[np.ndarray, int] | None:
     the order `_rational_entries` parses them and a bad one is the same."""
     slots = _Slots()
     row_index = np.fromiter(map(slots.__getitem__, rows), dtype=np.intp, count=len(rows))
-    if not _string_items(list(slots)):
+    if not _string_items(slots):
         return None
     pool = _Slots()
     index = []
@@ -713,23 +719,45 @@ def matrices_from_json_obj(objs: list) -> list:
 _ENTRIES_LIST = '"entries":["'
 
 
-# `_string_items` checks its text a block at a time: temporaries of this
-# size stay in cache, where ones the size of a file's lists are fresh pages
-# on every call and cost several times the arithmetic.
+# Texts are checked, and documents written, a block of about this many
+# characters at a time: temporaries of this size stay in cache and are reused,
+# where ones the size of a document are fresh pages on every call and cost
+# several times the arithmetic.
 _BLOCK = 1 << 16
 
 
-def _string_items(texts: list) -> bool:
-    """Whether each of `texts` is one or more `"…"` items joined by `,`, each
-    ASCII with no quote, comma, backslash or control character inside: the
-    body of a JSON list of strings that json.loads reads back as written."""
+def _runs(items, size=len):
+    """`items` in runs of consecutive ones, each closed as soon as the sizes
+    of its items add up to at least _BLOCK."""
+    run, total = [], 0
+    for item in items:
+        run.append(item)
+        total += size(item)
+        if total >= _BLOCK:
+            yield run
+            run, total = [], 0
+    if run:
+        yield run
+
+
+def _string_items(texts) -> bool:
+    """Whether the iterable `texts` is not empty and each of its texts is one
+    or more `"…"` items joined by `,`, each ASCII with no quote, comma,
+    backslash or control character inside: the body of a JSON list of
+    strings that json.loads reads back as written.  The texts are checked
+    a run of about _BLOCK characters at a time."""
+    checks = map(_joined_string_items, _runs(texts))
+    return next(checks, False) and all(checks)
+
+
+def _joined_string_items(texts: list) -> bool:
     # joined by `,` with a comma added on each side, every item's opening
     # quote has a comma on its left only and its closing quote one on its
     # right only, and every comma but the two added ones sits between a
     # closing and an opening quote; the ends, which those two commas hide
-    # from the block loop, are checked first
+    # from the window loop, are checked first
     text = ",".join(["", *texts, ""])
-    if not (texts and texts[0][:1] == '"' and texts[-1][-1:] == '"' and text.isascii() and "\\" not in text):
+    if not (texts[0][:1] == '"' and texts[-1][-1:] == '"' and text.isascii() and "\\" not in text):
         return False
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     if b.min() < 32:
@@ -768,7 +796,7 @@ def lift_entries(text: str) -> tuple[str, list]:
             break
         spans.append((start, end))
         at = text.find(_ENTRIES_LIST, end)
-    if spans and not _string_items([text[s + 1 : e - 1] for s, e in spans]):
+    if spans and not _string_items(text[s + 1 : e - 1] for s, e in spans):
         spans = [(s, e) for s, e in spans if _string_items([text[s + 1 : e - 1]])]
     if not spans:
         return text, []

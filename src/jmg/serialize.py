@@ -33,9 +33,15 @@ def format_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """`obj` as compact JSON: no whitespace, keys sorted."""
-    pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    return "".join(pieces(obj))
+
+
+def pieces(obj) -> list[str]:
+    """The texts that `dumps(obj)` joins, in order: a writer of a large
+    document takes them a few at a time and never holds it whole."""
+    out: list[str] = []
+    _write(obj, out)
+    return out
 
 
 def _write(obj, out: list[str]) -> None:
